@@ -7,6 +7,12 @@ stays within the instance bound (reporting the best value reachable within
 it), and exits 1 when none does.  Timing goes to stderr so stdout stays
 byte-stable and pipeable into ``verify``.
 
+Which solver suits which instance is written down once, in `SOLVERS`:
+``--solver NAME`` runs one entry, ``auto`` tries those in `AUTO_ORDER`,
+``bench`` runs ``auto`` and every entry marked for it that applies, and
+`optimize` runs one at the worst bound.  Decision procedures share one
+bound search, `search_bound`.
+
 Exit codes: 0 success (and feasible), 1 infeasible or failed verification
 or not single-peaked, 2 usage and input errors, 3 a resource cap was hit.
 """
@@ -17,10 +23,11 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from . import single_peaked
 from .core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -70,19 +77,6 @@ from .solvers import (
 )
 from .stabbing import solve_minimax_m_mw_sp, solve_monroe_sum_sp
 
-SOLVER_NAMES = (
-    "auto",
-    "subset-enum",
-    "partition-enum",
-    "branch-rk",
-    "constant-r",
-    "monroe-rk",
-    "minimax-r0",
-    "sp-dp",
-    "sp-greedy",
-    "sp-stab",
-)
-
 GEN_FAMILIES = (
     "random",
     "single-peaked",
@@ -120,31 +114,31 @@ def _within_bound(solution: Solution, bound: int) -> Optional[Solution]:
     return solution if solution.objective_value <= bound else None
 
 
-def _search_within(
+def search_bound(
     instance: ProblemInstance,
     decide: Callable[[ProblemInstance], Optional[Solution]],
-    grid: Optional[Sequence[int]] = None,
 ) -> Optional[Solution]:
     """Best solution within the instance bound, via a decision procedure.
 
     Probes candidate bounds from below: a short linear ramp, then doubling
     until feasible, then binary refinement, never probing past the instance
-    bound.  ``grid`` restricts the probed bounds to the given increasing
-    values (used for minimax, where only matrix entries matter); otherwise
-    every integer up to the bound is eligible.
+    bound.  Working upward keeps every probed bound close to the optimum,
+    which matters for solvers whose cost grows quickly with the bound.
+    Under minimax only the values in the table are probed; under sum every
+    integer is eligible.
     """
-    points: Optional[list[int]] = None
-    if grid is not None:
-        points = [value for value in grid if value <= instance.bound]
-        if not points:
-            return None
-        limit = len(points) - 1
+    points: Sequence[int]
+    if instance.objective is Objective.MINIMAX:
+        values = instance.matrix.distinct_values()
+        points = [value for value in values if value <= instance.bound]
     else:
-        limit = instance.bound
+        points = range(instance.bound + 1)
+    if not points:
+        return None
+    limit = len(points) - 1
 
     def probe(index: int) -> Optional[Solution]:
-        bound = points[index] if points is not None else index
-        return decide(replace(instance, bound=bound))
+        return decide(replace(instance, bound=points[index]))
 
     best: Optional[Solution] = None
     last_infeasible = -1
@@ -170,124 +164,232 @@ def _search_within(
     return best
 
 
-def _require_axis(instance: ProblemInstance) -> tuple[int, ...]:
-    axis = detect_axis(instance.election)
+Axis = tuple[int, ...]
+Applies = Callable[[ProblemInstance, Optional[Axis], SolverBudget], Optional[str]]
+Run = Callable[[ProblemInstance, Optional[Axis], SolverBudget], Optional[Solution]]
+
+
+@dataclass(frozen=True)
+class SolverSpec:
+    """One named solver: when it suits an instance, and how to run it.
+
+    ``applies`` gets the instance's axis (None when it has none) and
+    returns None when the solver suits the instance within the budget, or
+    else the reason it does not.  ``run`` returns the best solution within
+    the instance bound, or None, and raises ``ValueError`` when the solver
+    cannot handle the instance; the sp-* runs look for the axis themselves
+    when given None.  Runs look their solver functions up on this module
+    when called, so a wrapper installed there sees every call.
+    """
+
+    name: str
+    applies: Applies
+    run: Run
+    bench: bool = False
+
+
+def _require_axis(instance: ProblemInstance, axis: Optional[Axis]) -> Axis:
     if axis is None:
-        raise _Failure(
-            2, "the election is not single-peaked; sp-* solvers need an axis"
-        )
+        axis = detect_axis(instance.election)
+    if axis is None:
+        raise ValueError("the election is not single-peaked; sp-* solvers need an axis")
     return axis
 
 
-def _solve_named(
-    instance: ProblemInstance, solver: str, budget: SolverBudget
-) -> Optional[Solution]:
-    """Run one named solver; the best solution within the bound, or None."""
-    bound = instance.bound
-    if solver == "subset-enum":
-        return _within_bound(solve_subset_enum(instance, budget), bound)
-    if solver == "partition-enum":
-        return _within_bound(solve_partition_enum(instance, budget), bound)
-    if solver == "branch-rk":
-        if instance.objective is Objective.SUM:
-            return _search_within(instance, lambda i: solve_cc_branch_rk(i, budget))
-        return _search_within(
-            instance,
-            lambda i: solve_minimax_cc_branch_rk(i, budget),
-            instance.matrix.distinct_values(),
-        )
-    if solver == "constant-r":
-        return _search_within(instance, lambda i: solve_constantR(i, budget))
-    if solver == "monroe-rk":
-        if instance.objective is Objective.SUM:
-            return _search_within(instance, lambda i: solve_m_mw_rk(i, budget))
-        return _search_within(
-            instance,
-            lambda i: solve_minimax_m_mw_rk(i, budget),
-            instance.matrix.distinct_values(),
-        )
-    if solver == "minimax-r0":
-        return solve_minimax_R0(instance)
-    axis = _require_axis(instance)
-    if solver == "sp-dp":
-        return _within_bound(solve_cc_sum_sp(instance, axis), bound)
-    if solver == "sp-greedy":
-        return _search_within(
-            instance,
-            lambda i: solve_cc_minimax_sp(i, axis),
-            instance.matrix.distinct_values(),
-        )
-    if instance.objective is Objective.SUM:
-        return _within_bound(solve_monroe_sum_sp(instance, axis), bound)
-    return _search_within(
-        instance,
-        lambda i: solve_minimax_m_mw_sp(i, axis),
-        instance.matrix.distinct_values(),
-    )
+def _needs(
+    rule: Rule, objective: Optional[Objective] = None, axis: bool = False
+) -> Applies:
+    """An `applies` that checks the rule, maybe the objective and the axis."""
+
+    def applies(
+        instance: ProblemInstance, found: Optional[Axis], budget: SolverBudget
+    ) -> Optional[str]:
+        if axis and found is None:
+            return "the election is not single-peaked"
+        if instance.rule is not rule:
+            return f"needs rule={rule.value}"
+        if objective is not None and instance.objective is not objective:
+            return f"needs objective={objective.value}"
+        return None
+
+    return applies
 
 
-def _solve_auto(
-    instance: ProblemInstance, budget: SolverBudget
-) -> tuple[str, Optional[Solution]]:
-    """Pick the cheapest applicable method, falling back to enumeration.
+def _subset_enum_applies(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[str]:
+    if instance.matrix.m > budget.max_subset_candidates:
+        return f"more than {budget.max_subset_candidates} candidates"
+    return None
 
-    Structure is tried first (an axis, a tiny bound), and a method that
-    turns out not to apply falls through; an infeasible answer from an
-    applicable method is final.  The returned name is the method that
-    actually produced the answer.
-    """
-    axis = detect_axis(instance.election)
-    if axis is not None:
-        if instance.rule is Rule.CC and instance.objective is Objective.SUM:
-            try:
-                solution = solve_cc_sum_sp(instance, axis)
-            except ValueError:
-                pass
-            else:
-                return "sp-dp", _within_bound(solution, instance.bound)
-        elif instance.rule is Rule.CC:
-            try:
-                return "sp-greedy", _search_within(
-                    instance,
-                    lambda i: solve_cc_minimax_sp(i, axis),
-                    instance.matrix.distinct_values(),
-                )
-            except ValueError:
-                pass
-        elif instance.objective is Objective.SUM:
-            try:
-                solution = solve_monroe_sum_sp(instance, axis)
-            except ValueError:
-                pass
-            else:
-                return "sp-stab", _within_bound(solution, instance.bound)
-        else:
-            try:
-                return "sp-stab", _search_within(
-                    instance,
-                    lambda i: solve_minimax_m_mw_sp(i, axis),
-                    instance.matrix.distinct_values(),
-                )
-            except ValueError:
-                pass
-    if (
-        instance.objective is Objective.SUM
-        and instance.bound <= budget.max_constant_bound
+
+def _partition_enum_applies(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[str]:
+    if instance.matrix.n > budget.max_partition_voters:
+        return f"more than {budget.max_partition_voters} voters"
+    return None
+
+
+def _constant_r_applies(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[str]:
+    if instance.objective is not Objective.SUM:
+        return "needs objective=sum"
+    if instance.bound > budget.max_constant_bound:
+        return f"bound above {budget.max_constant_bound}"
+    return None
+
+
+def _minimax_r0_applies(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[str]:
+    if instance.objective is not Objective.MINIMAX or instance.bound != 0:
+        return "needs objective=minimax at bound 0"
+    return None
+
+
+def _sp_greedy_applies(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[str]:
+    reason = _needs(Rule.CC, Objective.MINIMAX, axis=True)(instance, axis, budget)
+    # Looked up on its own module, where sp-dp finds it too, so that one
+    # wrapper there sees every call.
+    if reason is None and not single_peaked.check_single_troughed(
+        instance.matrix, axis
     ):
-        try:
-            return "constant-r", _search_within(
-                instance, lambda i: solve_constantR(i, budget)
-            )
-        except (BudgetExceededError, ValueError):
-            pass
-    if instance.objective is Objective.MINIMAX and instance.bound == 0:
-        try:
-            return "minimax-r0", solve_minimax_R0(instance)
-        except ValueError:
-            pass
-    return "subset-enum", _within_bound(
-        solve_subset_enum(instance, budget), instance.bound
+        reason = "matrix is not single-troughed on this axis"
+    return reason
+
+
+def _run_subset_enum(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    return _within_bound(solve_subset_enum(instance, budget), instance.bound)
+
+
+def _run_partition_enum(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    return _within_bound(solve_partition_enum(instance, budget), instance.bound)
+
+
+def _run_branch_rk(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    if instance.objective is Objective.SUM:
+        decide = solve_cc_branch_rk
+    else:
+        decide = solve_minimax_cc_branch_rk
+    return search_bound(instance, lambda probed: decide(probed, budget))
+
+
+def _run_constant_r(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    return search_bound(instance, lambda probed: solve_constantR(probed, budget))
+
+
+def _run_monroe_rk(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    if instance.objective is Objective.SUM:
+        decide = solve_m_mw_rk
+    else:
+        decide = solve_minimax_m_mw_rk
+    return search_bound(instance, lambda probed: decide(probed, budget))
+
+
+def _run_minimax_r0(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    return solve_minimax_R0(instance)
+
+
+def _run_sp_dp(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    solution = solve_cc_sum_sp(instance, _require_axis(instance, axis))
+    return _within_bound(solution, instance.bound)
+
+
+def _run_sp_greedy(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    line = _require_axis(instance, axis)
+    return search_bound(instance, lambda probed: solve_cc_minimax_sp(probed, line))
+
+
+def _run_sp_stab(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> Optional[Solution]:
+    line = _require_axis(instance, axis)
+    if instance.objective is Objective.SUM:
+        return _within_bound(solve_monroe_sum_sp(instance, line), instance.bound)
+    return search_bound(instance, lambda probed: solve_minimax_m_mw_sp(probed, line))
+
+
+SOLVERS = {
+    spec.name: spec
+    for spec in (
+        SolverSpec("subset-enum", _subset_enum_applies, _run_subset_enum, bench=True),
+        SolverSpec(
+            "partition-enum", _partition_enum_applies, _run_partition_enum, bench=True
+        ),
+        SolverSpec("branch-rk", _needs(Rule.CC), _run_branch_rk),
+        SolverSpec("constant-r", _constant_r_applies, _run_constant_r),
+        SolverSpec("monroe-rk", _needs(Rule.MONROE), _run_monroe_rk),
+        SolverSpec("minimax-r0", _minimax_r0_applies, _run_minimax_r0),
+        SolverSpec(
+            "sp-dp", _needs(Rule.CC, Objective.SUM, axis=True), _run_sp_dp, bench=True
+        ),
+        SolverSpec("sp-greedy", _sp_greedy_applies, _run_sp_greedy, bench=True),
+        SolverSpec(
+            "sp-stab", _needs(Rule.MONROE, axis=True), _run_sp_stab, bench=True
+        ),
     )
+}
+
+# The order auto tries: the axis methods, then the small-bound methods, and
+# committee enumeration last, as the fallback.
+AUTO_ORDER = (
+    "sp-dp", "sp-greedy", "sp-stab", "constant-r", "minimax-r0", "subset-enum"
+)
+
+
+def solve_auto(
+    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+) -> tuple[str, Optional[Solution]]:
+    """Run the first solver in `AUTO_ORDER` that applies and succeeds.
+
+    A solver that applies but then raises `ValueError` or exhausts its
+    budget falls through to the next; an infeasible answer is final.
+    Committee enumeration runs last whatever its `applies` says.  Returns
+    the name of the solver that answered, with its answer.
+    """
+    *structured, fallback = (SOLVERS[name] for name in AUTO_ORDER)
+    for spec in structured:
+        if spec.applies(instance, axis, budget) is None:
+            try:
+                return spec.name, spec.run(instance, axis, budget)
+            except (BudgetExceededError, ValueError):
+                pass
+    return fallback.name, fallback.run(instance, axis, budget)
+
+
+def optimize(
+    instance: ProblemInstance,
+    solver: str = "subset-enum",
+    budget: SolverBudget = DEFAULT_BUDGET,
+) -> Solution:
+    """Optimal solution by the named solver: its run at the worst bound."""
+    worst = replace(instance, bound=worst_bound(instance.matrix, instance.objective))
+    try:
+        solution = SOLVERS[solver].run(worst, None, budget)
+    except ValueError as error:
+        raise ValueError(f"solver {solver!r} does not support this instance: {error}")
+    assert solution is not None, "the worst bound is always feasible"
+    return solution
 
 
 def _budget_from(args: argparse.Namespace) -> SolverBudget:
@@ -357,9 +459,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     budget = _budget_from(args)
     started = time.perf_counter()
     if args.solver == "auto":
-        name, solution = _solve_auto(instance, budget)
+        name, solution = solve_auto(instance, detect_axis(instance.election), budget)
     else:
-        name, solution = args.solver, _solve_named(instance, args.solver, budget)
+        name, solution = args.solver, SOLVERS[args.solver].run(instance, None, budget)
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"wall-time-ms {elapsed:.1f}", file=sys.stderr)
     if solution is None:
@@ -544,22 +646,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_roster(instance: ProblemInstance, budget: SolverBudget) -> list[str]:
-    roster = ["auto"]
-    if instance.matrix.m <= budget.max_subset_candidates:
-        roster.append("subset-enum")
-    if instance.matrix.n <= budget.max_partition_voters:
-        roster.append("partition-enum")
-    if detect_axis(instance.election) is not None:
-        if instance.rule is Rule.CC:
-            roster.append(
-                "sp-dp" if instance.objective is Objective.SUM else "sp-greedy"
-            )
-        else:
-            roster.append("sp-stab")
-    return roster
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
@@ -571,19 +657,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             instance = parse_instance(path.read_text())
         except ParseError as error:
             raise _Failure(2, f"{path}: {error}") from None
+        axis = detect_axis(instance.election)
+        roster: list[tuple[str, Run]] = [
+            ("auto", lambda *args: solve_auto(*args)[1])
+        ] + [
+            (spec.name, spec.run)
+            for spec in SOLVERS.values()
+            if spec.bench and spec.applies(instance, axis, budget) is None
+        ]
         outcomes: dict[str, Optional[int]] = {}
-        for name in _bench_roster(instance, budget):
+        for name, run in roster:
             started = time.perf_counter()
             try:
-                if name == "auto":
-                    _, solution = _solve_auto(instance, budget)
-                else:
-                    solution = _solve_named(instance, name, budget)
+                solution = run(instance, axis, budget)
             except BudgetExceededError as error:
                 status = f"skipped (budget: {error})"
-            except (ValueError, _Failure) as error:
-                reason = error.message if isinstance(error, _Failure) else error
-                status = f"skipped ({reason})"
+            except ValueError as error:
+                status = f"skipped ({error})"
             else:
                 if solution is None:
                     status = "infeasible"
@@ -615,7 +705,11 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="solve an instance file and print a solution record"
     )
     solve.add_argument("path", help="instance file")
-    solve.add_argument("--solver", choices=SOLVER_NAMES, default="auto")
+    solve.add_argument(
+        "--solver",
+        choices=("auto",) + tuple(SOLVERS),
+        default="auto",
+    )
     solve.add_argument("--rule", choices=[rule.value for rule in Rule])
     solve.add_argument(
         "--objective", choices=[objective.value for objective in Objective]

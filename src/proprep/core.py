@@ -27,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 
 class BudgetExceededError(RuntimeError):
@@ -286,6 +286,23 @@ def balanced_loads(n: int, k: int) -> tuple[int, int, int]:
     carry the larger load, the remaining ``k - n mod k`` the smaller one.
     """
     return n // k, -(-n // k), n % k
+
+
+def pad_committee(winners: Iterable[int], k: int, m: int) -> tuple[int, ...]:
+    """Extend a winner set to exactly k members, sorted.
+
+    Extra seats go to the smallest-index candidates not already chosen;
+    under the evaluation rules used here extra committee members can only
+    help, never hurt.
+    """
+    chosen = set(winners)
+    for c in range(m):
+        if len(chosen) >= k:
+            break
+        chosen.add(c)
+    if len(chosen) != k:
+        raise ValueError("cannot pad committee to size k")
+    return tuple(sorted(chosen))
 
 
 def evaluate(

@@ -26,6 +26,7 @@ from .core import (
     Solution,
     check_m_criterion,
     evaluate,
+    pad_committee,
 )
 
 
@@ -183,11 +184,9 @@ def representation_interval(
     return RepresentationInterval(voter, left, right)
 
 
-def _require_troughed(matrix: MisrepMatrix, axis: Sequence[int]) -> None:
+def _require_permutation(matrix: MisrepMatrix, axis: Sequence[int]) -> None:
     if sorted(axis) != list(range(matrix.m)):
         raise ValueError("axis must be a permutation of the candidate indices")
-    if not check_single_troughed(matrix, axis):
-        raise ValueError("matrix is not single-troughed on this axis")
 
 
 def solve_cc_sum_sp(
@@ -206,7 +205,9 @@ def solve_cc_sum_sp(
     if instance.rule is not Rule.CC or instance.objective is not Objective.SUM:
         raise ValueError("this solver handles the unconstrained rule, sum objective")
     matrix, k = instance.matrix, instance.k
-    _require_troughed(matrix, axis)
+    _require_permutation(matrix, axis)
+    if not check_single_troughed(matrix, axis):
+        raise ValueError("matrix is not single-troughed on this axis")
     m, n = matrix.m, matrix.n
     columns = [tuple(matrix.rows[v][c] for v in range(n)) for c in axis]
 
@@ -260,11 +261,15 @@ def solve_cc_minimax_sp(
     stab every interval.  The fewest stabs come from the classic sweep:
     repeatedly stab the right endpoint of the earliest-ending interval not
     yet covered.  Feasible when that needs at most k stabs.
+
+    Only the intervals at this one bound need to be contiguous, so the
+    matrix is not checked for single-troughedness as a whole; a voter whose
+    accepted positions have a gap raises `ValueError`.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the unconstrained rule, minimax objective")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
-    _require_troughed(matrix, axis)
+    _require_permutation(matrix, axis)
     intervals = []
     for v in range(matrix.n):
         interval = representation_interval(v, matrix, axis, bound)
@@ -278,12 +283,7 @@ def solve_cc_minimax_sp(
             stabs.append(interval.right)
     if len(stabs) > k:
         return None
-    chosen = set(axis[i] for i in stabs)
-    for c in range(matrix.m):
-        if len(chosen) >= k:
-            break
-        chosen.add(c)
-    committee = tuple(sorted(chosen))
+    committee = pad_committee((axis[i] for i in stabs), k, matrix.m)
     assignment = assign_cc(committee, matrix)
     value = evaluate(matrix, assignment.mapping, Objective.MINIMAX)
     assert value <= bound

@@ -5,21 +5,18 @@ Two families live here.  The enumeration solvers (`solve_subset_enum`,
 the reference oracles for everything else.  The remaining solvers are
 decision procedures: given the bound stored on the instance they either
 produce a witness solution meeting it or report that none exists by
-returning ``None``.  `optimize` turns any decision solver into an optimizer
-by binary search over candidate bounds.
+returning ``None``.  The bound search that turns a decision procedure into
+an optimizer, and the table of named solvers, live in :mod:`proprep.cli`.
 
-All solvers are pure functions of their arguments.  Subset enumeration is
-organized as chunk evaluation plus an order-independent merge, so chunks may
-be scored concurrently without changing the result.
+All solvers are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 from .assignment import (
     assign_cc,
@@ -38,6 +35,7 @@ from .core import (
     balanced_loads,
     check_m_criterion,
     evaluate,
+    pad_committee,
 )
 from .flows import feasible_min_cost
 
@@ -80,23 +78,6 @@ class _Deadline:
             raise BudgetExceededError("wall-clock budget exhausted")
 
 
-def _pad_committee(winners: Iterable[int], k: int, m: int) -> tuple[int, ...]:
-    """Extend a winner set to exactly k members.
-
-    Extra seats go to the smallest-index candidates not already chosen;
-    under the evaluation rules used here extra committee members can only
-    help, never hurt.
-    """
-    chosen = set(winners)
-    for c in range(m):
-        if len(chosen) >= k:
-            break
-        chosen.add(c)
-    if len(chosen) != k:
-        raise ValueError("cannot pad committee to size k")
-    return tuple(sorted(chosen))
-
-
 def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Solution:
     """Build the best solution for a fixed committee under the instance's rule."""
     matrix = instance.matrix
@@ -122,45 +103,10 @@ def _committee_scorer(instance: ProblemInstance) -> Callable[[tuple[int, ...]], 
     return lambda committee: monroe_minimax_value(matrix, committee)[0]
 
 
-def best_committee(
-    committees: Iterable[tuple[int, ...]],
-    scorer: Callable[[tuple[int, ...]], int],
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Score one chunk of committees; return the (value, committee) minimum."""
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for committee in committees:
-        entry = (scorer(committee), committee)
-        if best is None or entry < best:
-            best = entry
-    return best
-
-
-def merge_best(
-    left: Optional[tuple[int, tuple[int, ...]]],
-    right: Optional[tuple[int, tuple[int, ...]]],
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Combine chunk results; ties break to the lexicographically smaller committee."""
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return min(left, right)
-
-
-def _iter_chunks(iterable: Iterable, size: int) -> Iterator[list]:
-    iterator = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(iterator, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def solve_subset_enum(
     instance: ProblemInstance,
     budget: SolverBudget = DEFAULT_BUDGET,
     candidate_pool: Optional[Sequence[int]] = None,
-    chunk_size: int = 1024,
 ) -> Solution:
     """Optimal solution by trying every size-k committee.
 
@@ -177,12 +123,17 @@ def solve_subset_enum(
         raise ValueError("candidate pool smaller than the committee size")
     deadline = _Deadline(budget)
     scorer = _committee_scorer(instance)
-    best = None
-    for chunk in _iter_chunks(itertools.combinations(pool, instance.k), chunk_size):
-        deadline.check()
-        best = merge_best(best, best_committee(chunk, scorer))
-    assert best is not None
-    return _committee_solution(instance, best[1])
+
+    def scored() -> Iterator[tuple[int, tuple[int, ...]]]:
+        committees = itertools.combinations(pool, instance.k)
+        for count, committee in enumerate(committees):
+            if count % 1024 == 0:
+                deadline.check()
+            yield scorer(committee), committee
+
+    # Ties in value go to the lexicographically smallest committee.
+    _, best = min(scored())
+    return _committee_solution(instance, best)
 
 
 def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
@@ -318,7 +269,7 @@ def solve_partition_enum(
             if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
                 continue
         value, matched = matcher(blocks, matrix)
-        committee = _pad_committee(matched, k, matrix.m)
+        committee = pad_committee(matched, k, matrix.m)
         mapping = [0] * n
         for block, c in zip(blocks, matched):
             for v in block:
@@ -394,7 +345,7 @@ def solve_cc_branch_rk(
     chosen = branch(tuple(range(matrix.n)), bound, frozenset())
     if chosen is None:
         return None
-    committee = _pad_committee(chosen, k, matrix.m)
+    committee = pad_committee(chosen, k, matrix.m)
     solution = _committee_solution(instance, committee)
     assert solution.objective_value <= bound
     return solution
@@ -451,7 +402,7 @@ def solve_minimax_cc_branch_rk(
     chosen = branch(tuple(range(matrix.n)), k, frozenset())
     if chosen is None:
         return None
-    committee = _pad_committee(chosen, k, matrix.m)
+    committee = pad_committee(chosen, k, matrix.m)
     solution = _committee_solution(instance, committee)
     assert solution.objective_value <= bound
     return solution
@@ -506,7 +457,7 @@ def solve_constantR(
         if instance.rule is Rule.CC:
             if len(committee) > k:
                 return None
-            padded = _pad_committee(committee, k, matrix.m)
+            padded = pad_committee(committee, k, matrix.m)
             return _committee_solution(instance, padded)
         if len(committee) != k:
             return None
@@ -619,7 +570,7 @@ def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:
     if instance.rule is Rule.CC:
         if len(forced) > k:
             return None
-        committee = _pad_committee(forced, k, matrix.m)
+        committee = pad_committee(forced, k, matrix.m)
         assignment = Assignment(committee, tops)
         return Solution(assignment, 0, check_m_criterion(assignment, matrix.n, k))
     if len(forced) != k:
@@ -628,77 +579,3 @@ def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:
     if not check_m_criterion(assignment, matrix.n, k):
         return None
     return Solution(assignment, 0, True)
-
-
-DecisionSolver = Callable[..., Optional[Solution]]
-
-
-def _decision_solver_for(instance: ProblemInstance, name: str) -> DecisionSolver:
-    table: dict[tuple[str, Rule, Objective], DecisionSolver] = {
-        ("branch-rk", Rule.CC, Objective.SUM): solve_cc_branch_rk,
-        ("branch-rk", Rule.CC, Objective.MINIMAX): solve_minimax_cc_branch_rk,
-        ("constant-r", Rule.CC, Objective.SUM): solve_constantR,
-        ("constant-r", Rule.MONROE, Objective.SUM): solve_constantR,
-        ("monroe-rk", Rule.MONROE, Objective.SUM): solve_m_mw_rk,
-        ("monroe-rk", Rule.MONROE, Objective.MINIMAX): solve_minimax_m_mw_rk,
-    }
-    key = (name, instance.rule, instance.objective)
-    if key not in table:
-        raise ValueError(
-            f"solver {name!r} does not support rule={instance.rule.value}, "
-            f"objective={instance.objective.value}"
-        )
-    return table[key]
-
-
-def optimize(
-    instance: ProblemInstance,
-    solver: str = "subset-enum",
-    budget: SolverBudget = DEFAULT_BUDGET,
-) -> Solution:
-    """Find the optimal objective value, via the named solver.
-
-    Enumeration solvers optimize directly.  Decision solvers are wrapped in
-    a binary search over candidate bounds: the distinct matrix values for
-    minimax, the integer range up to n times the largest entry for sum.
-    """
-    if solver == "subset-enum":
-        return solve_subset_enum(instance, budget)
-    if solver == "partition-enum":
-        return solve_partition_enum(instance, budget)
-    decide = _decision_solver_for(instance, solver)
-    if instance.objective is Objective.MINIMAX:
-        grid: Optional[Sequence[int]] = instance.matrix.distinct_values()
-        limit = len(grid) - 1
-    else:
-        grid = None
-        limit = instance.matrix.n * instance.matrix.max_value()
-
-    def probe(index: int) -> Optional[Solution]:
-        bound = grid[index] if grid is not None else index
-        return decide(replace(instance, bound=bound), budget)
-
-    # Gallop up to the first feasible bound, then refine by binary search.
-    # Working upward keeps every probed bound close to the optimum, which
-    # matters for solvers whose cost grows quickly with the bound.
-    best: Optional[Solution] = None
-    last_infeasible = -1
-    step = 0
-    while True:
-        point = min(step, limit)
-        best = probe(point)
-        if best is not None or point >= limit:
-            break
-        last_infeasible = point
-        step = step + 1 if step < 4 else step * 2
-    assert best is not None, "the largest probed bound is always feasible"
-    lo, hi = last_infeasible + 1, min(step, limit) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        found = probe(mid)
-        if found is not None:
-            best = found
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best

@@ -38,6 +38,7 @@ from .core import (
     balanced_loads,
     check_m_criterion,
     evaluate,
+    pad_committee,
 )
 from .flows import feasible_min_cost
 from .single_peaked import representation_interval
@@ -444,13 +445,9 @@ def complete_assignment(
         candidate = reduction.axis[line - 1]
         for idx in ids:
             mapping[reduction.interval_voters[idx]] = candidate
-    winners = sorted(reduction.axis[line - 1] for line, _ in cover.assigned)
-    for candidate in range(matrix.m):
-        if len(winners) == k:
-            break
-        if candidate not in winners:
-            winners.append(candidate)
-    winners.sort()
+    winners = pad_committee(
+        (reduction.axis[line - 1] for line, _ in cover.assigned), k, matrix.m
+    )
     load = {w: 0 for w in winners}
     for candidate in mapping:
         if candidate is not None:

@@ -14,6 +14,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from conftest import ranked
+from proprep.cli import optimize
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -48,7 +49,6 @@ from proprep.solvers import (
     DEFAULT_BUDGET,
     SearchStats,
     SolverBudget,
-    optimize,
     solve_cc_branch_rk,
     solve_partition_enum,
     solve_subset_enum,

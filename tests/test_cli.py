@@ -6,12 +6,14 @@ codes and captured streams, the same surface a shell user sees.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 
 import pytest
 
-from proprep.cli import main
+from proprep import cli, single_peaked
+from proprep.cli import SOLVERS, build_parser, main
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -438,3 +440,65 @@ class TestBench:
         assert code == 0
         assert "big.elect auto skipped (budget" in out
         assert "big.elect partition-enum ok" in out
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSolverTable:
+    def test_solver_choices_are_auto_plus_the_table(self):
+        parser = build_parser()
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        solve = commands.choices["solve"]
+        solver = next(action for action in solve._actions if action.dest == "solver")
+        assert tuple(solver.choices) == ("auto",) + tuple(
+            spec.name for spec in SOLVERS.values()
+        )
+
+    def test_bench_looks_for_the_axis_once_per_file(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a_fig.elect").write_text(FIG1)
+        (tmp_path / "b_bal.elect").write_text(BALANCED6)
+        (tmp_path / "c_nsp.elect").write_text(NOT_SINGLE_PEAKED)
+        calls = counting(monkeypatch, cli, "detect_axis")
+        code, out, _ = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 0
+        assert "a_fig.elect sp-dp ok value=2" in out
+        assert len(calls) == 3
+
+    def test_solve_looks_for_the_axis_only_when_needed(self, write, capsys, monkeypatch):
+        path = write("f.elect", FIG1)
+        calls = counting(monkeypatch, cli, "detect_axis")
+        for solver, looked in (("auto", 1), ("sp-dp", 1), ("subset-enum", 0)):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "solve", path, "--solver", solver)
+            assert code == 0
+            assert len(calls) == looked, solver
+
+    def test_sp_greedy_checks_troughedness_once_per_solve(self, capsys, monkeypatch):
+        code, text, _ = run_cli(
+            capsys, "gen", "single-peaked", "--m", "8", "--n", "30", "--k", "2",
+            "--objective", "minimax", "--seed", "5",
+        )
+        assert code == 0
+        instance = parse_instance(text)
+        calls = counting(monkeypatch, single_peaked, "check_single_troughed")
+        probes = counting(monkeypatch, cli, "solve_cc_minimax_sp")
+        name, solution = cli.solve_auto(
+            instance, single_peaked.detect_axis(instance.election), cli.DEFAULT_BUDGET
+        )
+        assert name == "sp-greedy" and solution is not None
+        assert len(probes) > 1
+        assert len(calls) == 1

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from proprep.cli import optimize
 from proprep.core import (
     BordaMisrep,
     BudgetExceededError,
@@ -21,8 +22,6 @@ from proprep.core import (
 from proprep.solvers import (
     SearchStats,
     SolverBudget,
-    merge_best,
-    optimize,
     solve_cc_branch_rk,
     solve_constantR,
     solve_m_mw_rk,
@@ -70,22 +69,6 @@ class TestSubsetEnum:
             instance_for(profile_6v4c, Rule.MONROE, Objective.SUM, k=3, bound=2),
             solution,
         ).ok
-
-    def test_chunk_size_does_not_matter(self, profile_3v4c):
-        instance = instance_for(profile_3v4c, Rule.CC, Objective.MINIMAX, k=2)
-        assert solve_subset_enum(instance, chunk_size=1) == solve_subset_enum(
-            instance, chunk_size=1024
-        )
-
-    def test_merge_order_does_not_matter(self):
-        chunks = [None, (3, (0, 2)), (1, (1, 2)), (1, (0, 3)), None]
-        forward = None
-        for entry in chunks:
-            forward = merge_best(forward, entry)
-        backward = None
-        for entry in reversed(chunks):
-            backward = merge_best(backward, entry)
-        assert forward == backward == (1, (0, 3))
 
     def test_candidate_budget(self):
         m = 21
