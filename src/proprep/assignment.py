@@ -5,8 +5,14 @@ committee member (ties to the lowest candidate index), which is optimal for
 both objectives and may leave committee members without voters.  Under the
 balanced rule the optimal assignment is a minimum-cost flow in which every
 winner must receive between floor(n/k) and ceil(n/k) voters; the minimax
-variant restricts the flow to arcs within the bound and asks only for
-feasibility.
+variant restricts the flow to entries within the bound, asks only for
+feasibility, and finds a committee's value as the first feasible bound.
+
+``transport`` is the one bipartite flow network in the package: left nodes
+with load ranges, right nodes taking one unit each, optional costs between.
+Balanced assignments use it with winners on the left and voters on the
+right; partition enumeration in :mod:`proprep.solvers` uses it to match
+voter blocks to candidates.
 
 ``enumerate_balanced_assignments`` is the independent oracle against which
 the flow-based routines are tested; it is deliberately naive and guarded.
@@ -14,7 +20,7 @@ the flow-based routines are tested; it is deliberately naive and guarded.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Assignment,
@@ -23,7 +29,7 @@ from .core import (
     Objective,
     Solution,
     balanced_loads,
-    evaluate,
+    first_feasible,
 )
 from .flows import feasible_min_cost
 
@@ -51,59 +57,69 @@ def cc_value(
     return max(per_voter)
 
 
-def _monroe_arcs(
-    winner_set: tuple[int, ...],
-    matrix: MisrepMatrix,
-    bound: int | None,
-) -> tuple[int, list[tuple[int, int, int, int, int]], int, int]:
-    """Flow network for balanced assignments; arcs over the bound are dropped."""
-    k = len(winner_set)
-    n = matrix.n
-    low, high, _ = balanced_loads(n, k)
-    source = 0
-    sink = 1 + k + n
-    arcs = []
-    for i in range(k):
-        arcs.append((source, 1 + i, low, high, 0))
-    for i, w in enumerate(winner_set):
-        for v in range(n):
-            cost = matrix.rows[v][w]
-            if bound is not None and cost > bound:
-                continue
-            arcs.append((1 + i, 1 + k + v, 0, 1, cost))
-    for v in range(n):
-        arcs.append((1 + k + v, sink, 0, 1, 0))
-    return 2 + k + n, arcs, source, sink
+def transport(
+    loads: Sequence[tuple[int, int]],
+    costs: Sequence[Sequence[Optional[int]]],
+    amount: int,
+) -> Optional[tuple[int, list[int]]]:
+    """Cheapest way to send ``amount`` units from left to right nodes.
+
+    Left node ``i`` sends between ``loads[i][0]`` and ``loads[i][1]`` units.
+    Each right node ``r`` takes at most one unit, from a left node ``i``
+    with ``costs[i][r]`` not None, at that cost.  Returns ``(total_cost,
+    owner)``, where ``owner[r]`` is the left node serving ``r`` or -1, or
+    None when no such flow exists.  The network's arcs run source to left,
+    left to right row by row, then right to sink; the flow engine's
+    tie-breaks between equally cheap flows follow that order.
+    """
+    left, right = len(loads), len(costs[0])
+    sink = 1 + left + right
+    arcs = [(0, 1 + i, low, high, 0) for i, (low, high) in enumerate(loads)]
+    pairs = []
+    for i, row in enumerate(costs):
+        for r, cost in enumerate(row):
+            if cost is not None:
+                arcs.append((1 + i, 1 + left + r, 0, 1, cost))
+                pairs.append((i, r))
+    arcs.extend((1 + left + r, sink, 0, 1, 0) for r in range(right))
+    result = feasible_min_cost(sink + 1, arcs, 0, sink, amount)
+    if result is None:
+        return None
+    total, flows = result
+    owner = [-1] * right
+    for (i, r), flow in zip(pairs, flows[left:]):
+        if flow:
+            owner[r] = i
+    return total, owner
 
 
-def _mapping_from_flows(
-    winner_set: tuple[int, ...],
-    matrix: MisrepMatrix,
-    arcs: list[tuple[int, int, int, int, int]],
-    flows: list[int],
-) -> tuple[int, ...]:
-    k = len(winner_set)
-    n = matrix.n
-    mapping = [-1] * n
-    for arc, flow in zip(arcs, flows):
-        tail, head, _, _, _ = arc
-        if flow > 0 and 1 <= tail <= k and 1 + k <= head < 1 + k + n:
-            mapping[head - 1 - k] = winner_set[tail - 1]
-    return tuple(mapping)
+def _balanced_assignment(
+    winners: tuple[int, ...], matrix: MisrepMatrix, bound: Optional[int]
+) -> Optional[tuple[int, Assignment]]:
+    """Cheapest balanced assignment using only entries within the bound."""
+    low, high, _ = balanced_loads(matrix.n, len(winners))
+    costs = [
+        [
+            row[w] if bound is None or row[w] <= bound else None
+            for row in matrix.rows
+        ]
+        for w in winners
+    ]
+    result = transport([(low, high)] * len(winners), costs, matrix.n)
+    if result is None:
+        return None
+    cost, owner = result
+    return cost, Assignment(winners, tuple(winners[i] for i in owner))
 
 
 def assign_monroe_sum(
     winner_set: tuple[int, ...], matrix: MisrepMatrix
 ) -> Solution:
     """Cheapest balanced assignment of all voters to the given committee."""
-    winners = tuple(sorted(winner_set))
-    num_nodes, arcs, source, sink = _monroe_arcs(winners, matrix, None)
-    result = feasible_min_cost(num_nodes, arcs, source, sink, matrix.n)
+    result = _balanced_assignment(tuple(sorted(winner_set)), matrix, None)
     if result is None:
         raise ValueError("balanced assignment infeasible; need k <= n")
-    cost, flows = result
-    mapping = _mapping_from_flows(winners, matrix, arcs, flows)
-    assignment = Assignment(winners, mapping)
+    cost, assignment = result
     return Solution(assignment, cost, True)
 
 
@@ -111,14 +127,8 @@ def assign_monroe_minimax(
     winner_set: tuple[int, ...], matrix: MisrepMatrix, bound: int
 ) -> Assignment | None:
     """A balanced assignment whose every entry is within the bound, if any."""
-    winners = tuple(sorted(winner_set))
-    num_nodes, arcs, source, sink = _monroe_arcs(winners, matrix, bound)
-    result = feasible_min_cost(num_nodes, arcs, source, sink, matrix.n)
-    if result is None:
-        return None
-    _, flows = result
-    mapping = _mapping_from_flows(winners, matrix, arcs, flows)
-    return Assignment(winners, mapping)
+    result = _balanced_assignment(tuple(sorted(winner_set)), matrix, bound)
+    return None if result is None else result[1]
 
 
 def monroe_minimax_value(
@@ -126,18 +136,11 @@ def monroe_minimax_value(
 ) -> tuple[int, Assignment]:
     """Smallest bound admitting a balanced assignment for this committee."""
     values = sorted({matrix.rows[v][w] for v in range(matrix.n) for w in winner_set})
-    lo, hi = 0, len(values) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        attempt = assign_monroe_minimax(winner_set, matrix, values[mid])
-        if attempt is not None:
-            best = attempt
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    assert best is not None, "maximal bound is always feasible when k <= n"
-    return evaluate(matrix, best.mapping, Objective.MINIMAX), best
+    found = first_feasible(
+        values, lambda bound: assign_monroe_minimax(winner_set, matrix, bound)
+    )
+    assert found is not None, "maximal bound is always feasible when k <= n"
+    return found
 
 
 def enumerate_balanced_assignments(

@@ -38,6 +38,7 @@ from .core import (
     Rule,
     Solution,
     build_misrep,
+    first_feasible,
     verify_solution,
 )
 from .fileio import (
@@ -121,11 +122,12 @@ def search_bound(
     """Best solution within the instance bound, via a decision procedure.
 
     Probes candidate bounds from below: a short linear ramp, then doubling
-    until feasible, then binary refinement, never probing past the instance
-    bound.  Working upward keeps every probed bound close to the optimum,
-    which matters for solvers whose cost grows quickly with the bound.
-    Under minimax only the values in the table are probed; under sum every
-    integer is eligible.
+    until feasible, never probing past the instance bound; then
+    ``core.first_feasible`` bisects between the last infeasible and the
+    first feasible probe.  Working upward keeps every probed bound close to
+    the optimum, which matters for solvers whose cost grows quickly with
+    the bound.  Under minimax only the values in the table are probed;
+    under sum every integer is eligible.
     """
     points: Sequence[int]
     if instance.objective is Objective.MINIMAX:
@@ -152,16 +154,8 @@ def search_bound(
         step = step + 1 if step < 4 else step * 2
     if best is None:
         return None
-    lo, hi = last_infeasible + 1, min(step, limit) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        found = probe(mid)
-        if found is not None:
-            best = found
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best
+    found = first_feasible(range(last_infeasible + 1, min(step, limit)), probe)
+    return best if found is None else found[1]
 
 
 Axis = tuple[int, ...]
@@ -793,6 +787,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "or shrink the instance",
             file=sys.stderr,
         )
+        return 3
+    except RecursionError as error:
+        # Some solvers and the axis search recurse once per candidate or
+        # interval; an instance deeper than the interpreter's stack hits a
+        # resource cap like any other.
+        print(f"recursion limit exceeded: {error}", file=sys.stderr)
         return 3
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

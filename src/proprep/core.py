@@ -27,11 +27,22 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+
+Point = TypeVar("Point")
+Result = TypeVar("Result")
 
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or search guard tripped; raise the budget to proceed."""
+
+
+class VoterError(ValueError):
+    """A validation error blamed on one voter, whose index is ``voter``."""
+
+    def __init__(self, voter: int, message: str) -> None:
+        self.voter = voter
+        super().__init__(f"voter {voter}: {message}")
 
 
 class Rule(str, enum.Enum):
@@ -158,12 +169,19 @@ class MisrepMatrix:
         )
 
 
+def table_scale(rows: Iterable[Iterable[Union[int, Fraction]]]) -> int:
+    """Least common denominator of a rational table's entries."""
+    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+
+
 def build_misrep(election: Election, spec: MisrepSpec) -> MisrepMatrix:
     """Construct and validate the misrepresentation table for an election.
 
-    Raises ``ValueError`` if an explicit table has the wrong shape, contains
-    negative entries, or ranks some pair against the voter's preference
-    order; the error names the offending voter and candidate pair.
+    A faulty voter (duplicate or non-prefix approvals, a table row of the
+    wrong length, a negative entry, a row ranking some pair against the
+    voter's preference order) raises :class:`VoterError`, whose message
+    names the voter and, for monotonicity, the candidate pair; a missing
+    approval set or table row raises ``ValueError``.
     """
     if isinstance(spec, BordaMisrep):
         rows = tuple(
@@ -178,12 +196,10 @@ def build_misrep(election: Election, spec: MisrepSpec) -> MisrepMatrix:
         for v, approved in enumerate(spec.approved):
             approved_set = frozenset(approved)
             if len(approved_set) != len(approved):
-                raise ValueError(f"voter {v}: duplicate approvals")
+                raise VoterError(v, "approves a candidate twice")
             prefix = frozenset(election.votes[v][: len(approved_set)])
             if approved_set != prefix:
-                raise ValueError(
-                    f"voter {v}: approval set is not a prefix of the ranking"
-                )
+                raise VoterError(v, "approval set is not a prefix of the ranking")
             rows.append(
                 tuple(0 if c in approved_set else 1 for c in range(election.m))
             )
@@ -191,25 +207,24 @@ def build_misrep(election: Election, spec: MisrepSpec) -> MisrepMatrix:
     if isinstance(spec, ExplicitMisrep):
         if len(spec.rows) != election.n:
             raise ValueError("one table row per voter required")
-        scale = 1
-        for row in spec.rows:
+        for v, row in enumerate(spec.rows):
             if len(row) != election.m:
-                raise ValueError("one table column per candidate required")
+                raise VoterError(v, f"row needs {election.m} entries, got {len(row)}")
             for x in row:
                 if x < 0:
-                    raise ValueError("misrepresentation values must be >= 0")
-                scale = math.lcm(scale, Fraction(x).denominator)
+                    raise VoterError(v, f"negative table entry {x}, must be >= 0")
+        scale = table_scale(spec.rows)
         rows = tuple(
             tuple(int(x * scale) for x in row) for row in spec.rows
         )
         for v, vote in enumerate(election.votes):
             for better, worse in zip(vote, vote[1:]):
                 if rows[v][better] > rows[v][worse]:
-                    raise ValueError(
-                        f"voter {v}: candidates "
+                    raise VoterError(
+                        v,
+                        "row is not monotone along the vote: candidates "
                         f"{election.candidates[better]!r} and "
-                        f"{election.candidates[worse]!r} violate row "
-                        "monotonicity"
+                        f"{election.candidates[worse]!r} are out of order",
                     )
         return MisrepMatrix(rows)
     raise TypeError(f"unknown misrepresentation spec {spec!r}")
@@ -303,6 +318,29 @@ def pad_committee(winners: Iterable[int], k: int, m: int) -> tuple[int, ...]:
     if len(chosen) != k:
         raise ValueError("cannot pad committee to size k")
     return tuple(sorted(chosen))
+
+
+def first_feasible(
+    points: Sequence[Point], attempt: Callable[[Point], Optional[Result]]
+) -> Optional[tuple[Point, Result]]:
+    """The first point at which ``attempt`` succeeds, with what it returned.
+
+    ``attempt`` returns None where it fails, and feasibility must be
+    monotone along ``points``: failures first, then successes.  Bisection
+    makes at most floor(log2 len(points)) + 1 attempts.  Returns None when
+    no point is feasible, including when ``points`` is empty.
+    """
+    lo, hi = 0, len(points) - 1
+    found: Optional[tuple[Point, Result]] = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        result = attempt(points[mid])
+        if result is not None:
+            found = (points[mid], result)
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return found
 
 
 def evaluate(

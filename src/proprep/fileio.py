@@ -34,7 +34,6 @@ equals the worst reachable value renders its bound as ``-``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Union
 
 from .core import (
@@ -44,11 +43,14 @@ from .core import (
     Election,
     ExplicitMisrep,
     MisrepMatrix,
+    MisrepSpec,
     Objective,
     ProblemInstance,
     Rule,
     Solution,
+    VoterError,
     build_misrep,
+    table_scale,
 )
 
 FORMAT_TAG = "proprep v1"
@@ -170,7 +172,6 @@ def parse_instance(text: str) -> ProblemInstance:
         names.append(name)
 
     votes: list[tuple[int, ...]] = []
-    vote_numbers: list[int] = []
     for voter in range(n):
         number, line = cursor.take(f"the vote of voter {voter}")
         tokens = line.split()
@@ -180,12 +181,13 @@ def parse_instance(text: str) -> ProblemInstance:
                 number, f"vote of voter {voter} must rank all {m} candidates once"
             )
         votes.append(vote)
-        vote_numbers.append(number)
     election = Election(tuple(names), tuple(votes))
 
+    # The line each voter's approval set or table row came from.
+    row_numbers: list[int] = []
+    spec: MisrepSpec
     if kind == "borda":
-        cursor.done()
-        matrix = build_misrep(election, BordaMisrep())
+        spec = BordaMisrep()
     elif kind == "approval":
         number, line = cursor.take("the #approve block")
         if line != "#approve":
@@ -193,32 +195,21 @@ def parse_instance(text: str) -> ProblemInstance:
         approvals: list[tuple[int, ...]] = []
         for voter in range(n):
             number, line = cursor.take(f"the approvals of voter {voter}")
-            if line == "-":
-                approvals.append(())
-                continue
-            tokens = line.split()
-            approved = tuple(_candidate_index(token, by_name, number) for token in tokens)
-            if len(set(approved)) != len(approved):
-                raise ParseError(number, f"voter {voter} approves a candidate twice")
-            if set(approved) != set(votes[voter][: len(approved)]):
-                raise ParseError(
-                    number,
-                    f"approval set of voter {voter} is not a prefix of the ranking",
-                )
-            approvals.append(approved)
-        cursor.done()
-        matrix = build_misrep(election, ApprovalMisrep(tuple(approvals)))
+            row_numbers.append(number)
+            tokens = [] if line == "-" else line.split()
+            approvals.append(
+                tuple(_candidate_index(token, by_name, number) for token in tokens)
+            )
+        spec = ApprovalMisrep(tuple(approvals))
     else:
         number, line = cursor.take("the #matrix block")
         if line != "#matrix":
             raise ParseError(number, f"expected '#matrix', got {line!r}")
         rows: list[tuple[Union[int, Fraction], ...]] = []
-        row_numbers: list[int] = []
         for voter in range(n):
             number, line = cursor.take(f"the table row of voter {voter}")
+            row_numbers.append(number)
             tokens = line.split()
-            if len(tokens) != m:
-                raise ParseError(number, f"row needs {m} entries, got {len(tokens)}")
             entries = []
             for token in tokens:
                 try:
@@ -227,30 +218,18 @@ def parse_instance(text: str) -> ProblemInstance:
                     raise ParseError(
                         number, f"bad table entry {token!r}"
                     ) from None
-                if entry < 0:
-                    raise ParseError(number, f"negative table entry {token!r}")
                 entries.append(entry if entry.denominator > 1 else int(entry))
             rows.append(tuple(entries))
-            row_numbers.append(number)
-        cursor.done()
-        for voter, vote in enumerate(votes):
-            row = rows[voter]
-            for better, worse in zip(vote, vote[1:]):
-                if row[better] > row[worse]:
-                    raise ParseError(
-                        row_numbers[voter],
-                        f"row of voter {voter} is not monotone along the vote: "
-                        f"{names[better]} before {names[worse]}",
-                    )
-        # Fractional tables are brought to integers by their least common
-        # denominator; the bound is in the same units, so it scales along.
-        scale = 1
-        for row in rows:
-            for entry in row:
-                scale = lcm(scale, Fraction(entry).denominator)
+        # The bound is in the units of the fractional table, so it scales
+        # along when build_misrep brings the table to integers.
         if bound is not None:
-            bound *= scale
-        matrix = build_misrep(election, ExplicitMisrep(tuple(rows)))
+            bound *= table_scale(rows)
+        spec = ExplicitMisrep(tuple(rows))
+    cursor.done()
+    try:
+        matrix = build_misrep(election, spec)
+    except VoterError as error:
+        raise ParseError(row_numbers[error.voter], str(error)) from None
 
     if bound is None:
         bound = worst_bound(matrix, objective)

@@ -8,6 +8,11 @@ produce a witness solution meeting it or report that none exists by
 returning ``None``.  The bound search that turns a decision procedure into
 an optimizer, and the table of named solvers, live in :mod:`proprep.cli`.
 
+No solver here builds a flow network itself: committees are scored by
+:mod:`proprep.assignment`, and partition enumeration matches voter blocks
+to candidates with ``assignment.transport``, bisecting over bottleneck
+values with ``core.first_feasible`` under minimax.
+
 All solvers are pure functions of their arguments.
 """
 
@@ -23,6 +28,7 @@ from .assignment import (
     assign_monroe_sum,
     cc_value,
     monroe_minimax_value,
+    transport,
 )
 from .core import (
     Assignment,
@@ -35,9 +41,9 @@ from .core import (
     balanced_loads,
     check_m_criterion,
     evaluate,
+    first_feasible,
     pad_committee,
 )
-from .flows import feasible_min_cost
 
 
 @dataclass(frozen=True)
@@ -163,77 +169,44 @@ def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
 def _match_blocks_sum(
     blocks: Sequence[Sequence[int]], matrix: MisrepMatrix
 ) -> tuple[int, list[int]]:
-    """Min-cost matching of blocks to distinct candidates (sum of block costs)."""
-    b, m = len(blocks), matrix.m
-    source, sink = 0, 1 + b + m
-    arcs = []
-    for i in range(b):
-        arcs.append((source, 1 + i, 0, 1, 0))
-    block_arc_start = len(arcs)
-    for i, block in enumerate(blocks):
-        for c in range(m):
-            cost = sum(matrix.rows[v][c] for v in block)
-            arcs.append((1 + i, 1 + b + c, 0, 1, cost))
-    for c in range(m):
-        arcs.append((1 + b + c, sink, 0, 1, 0))
-    result = feasible_min_cost(2 + b + m, arcs, source, sink, b)
+    """Min-cost matching of blocks to distinct candidates (sum of block costs).
+
+    Returns the cost and each candidate's block index, or -1.
+    """
+    costs = [
+        [sum(matrix.rows[v][c] for v in block) for c in range(matrix.m)]
+        for block in blocks
+    ]
+    result = transport([(0, 1)] * len(blocks), costs, len(blocks))
     assert result is not None, "matching blocks to candidates cannot fail when b <= m"
-    cost, flows = result
-    matched = [-1] * b
-    index = block_arc_start
-    for i in range(b):
-        for c in range(m):
-            if flows[index]:
-                matched[i] = c
-            index += 1
-    return cost, matched
+    return result
 
 
 def _match_blocks_minimax(
     blocks: Sequence[Sequence[int]], matrix: MisrepMatrix
 ) -> tuple[int, list[int]]:
-    """Matching of blocks to distinct candidates minimizing the largest block cost."""
+    """Matching of blocks to distinct candidates minimizing the largest block cost.
+
+    Returns that cost and each candidate's block index, or -1.
+    """
     b, m = len(blocks), matrix.m
     bottleneck = [
         [max(matrix.rows[v][c] for v in block) for c in range(m)] for block in blocks
     ]
-    values = sorted({bottleneck[i][c] for i in range(b) for c in range(m)})
+    values = sorted({x for row in bottleneck for x in row})
 
     def matching_at(limit: int) -> Optional[list[int]]:
-        source, sink = 0, 1 + b + m
-        arcs = []
-        for i in range(b):
-            arcs.append((source, 1 + i, 0, 1, 0))
-        block_arc_start = len(arcs)
-        edges = []
-        for i in range(b):
-            for c in range(m):
-                if bottleneck[i][c] <= limit:
-                    arcs.append((1 + i, 1 + b + c, 0, 1, 0))
-                    edges.append((i, c))
-        for c in range(m):
-            arcs.append((1 + b + c, sink, 0, 1, 0))
-        result = feasible_min_cost(2 + b + m, arcs, source, sink, b)
-        if result is None:
-            return None
-        matched = [-1] * b
-        for offset, (i, c) in enumerate(edges):
-            if result[1][block_arc_start + offset]:
-                matched[i] = c
-        return matched
+        # Every pair within the limit costs 0, not its bottleneck: among
+        # several matchings at the optimum, the committee chosen for a
+        # partition (and so the tie-break between partitions) is the one
+        # the flow engine finds on this zero-cost network.
+        costs = [[0 if x <= limit else None for x in row] for row in bottleneck]
+        result = transport([(0, 1)] * b, costs, b)
+        return None if result is None else result[1]
 
-    lo, hi = 0, len(values) - 1
-    best: Optional[tuple[int, list[int]]] = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        matched = matching_at(values[mid])
-        if matched is not None:
-            best = (values[mid], matched)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    assert best is not None, "matching always exists at the largest cost"
-    return best
+    found = first_feasible(values, matching_at)
+    assert found is not None, "matching always exists at the largest cost"
+    return found
 
 
 def solve_partition_enum(
@@ -268,12 +241,13 @@ def solve_partition_enum(
         if instance.rule is Rule.MONROE:
             if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
                 continue
-        value, matched = matcher(blocks, matrix)
-        committee = pad_committee(matched, k, matrix.m)
+        value, owner = matcher(blocks, matrix)
         mapping = [0] * n
-        for block, c in zip(blocks, matched):
-            for v in block:
-                mapping[v] = c
+        for c, i in enumerate(owner):
+            if i >= 0:
+                for v in blocks[i]:
+                    mapping[v] = c
+        committee = pad_committee(mapping, k, matrix.m)
         entry = (value, committee, tuple(mapping))
         if best is None or entry[:2] < best[:2]:
             best = entry

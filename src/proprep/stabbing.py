@@ -383,10 +383,10 @@ class MonroeStabbingReduction:
     unplaceable_voters: tuple[int, ...]
 
 
-def _voter_intervals(
+def _reduction(
     problem: ProblemInstance, axis, bound: int
-) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Per-voter acceptance intervals (1-based axis coordinates) at a bound."""
+) -> MonroeStabbingReduction:
+    """Each voter as the 1-based axis interval of candidates within the bound."""
     matrix = problem.matrix
     if sorted(axis) != list(range(matrix.m)):
         raise ValueError("axis must be a permutation of the candidate indices")
@@ -398,7 +398,19 @@ def _voter_intervals(
         else:
             spans.append((interval.left + 1, interval.right + 1, v))
     spans.sort(key=lambda span: span[0])
-    return spans, unplaceable
+    stabbing = StabbingInstance(
+        intervals=tuple((left, right) for left, right, _ in spans),
+        num_lines=matrix.m,
+        k=problem.k,
+        num_targets=matrix.n,
+    )
+    return MonroeStabbingReduction(
+        problem=problem,
+        axis=tuple(axis),
+        stabbing=stabbing,
+        interval_voters=tuple(v for _, _, v in spans),
+        unplaceable_voters=tuple(unplaceable),
+    )
 
 
 def reduce_m_mw_sp(
@@ -410,20 +422,28 @@ def reduce_m_mw_sp(
     for row in problem.matrix.rows:
         if any(x not in (0, 1) for x in row):
             raise ValueError("misrepresentation values must all be 0 or 1")
-    spans, unplaceable = _voter_intervals(problem, axis, 0)
-    stabbing = StabbingInstance(
-        intervals=tuple((left, right) for left, right, _ in spans),
-        num_lines=problem.matrix.m,
-        k=problem.k,
-        num_targets=problem.matrix.n,
+    return _reduction(problem, axis, 0)
+
+
+def _seat_cover(
+    reduction: MonroeStabbingReduction, cover: StabbingCover
+) -> tuple[tuple[int, ...], list[Optional[int]]]:
+    """The cover's lines as a committee padded to k, and each voter's line.
+
+    Voters whose interval the cover leaves out map to None.
+    """
+    problem = reduction.problem
+    mapping: list[Optional[int]] = [None] * problem.matrix.n
+    for line, ids in cover.assigned:
+        candidate = reduction.axis[line - 1]
+        for idx in ids:
+            mapping[reduction.interval_voters[idx]] = candidate
+    winners = pad_committee(
+        (reduction.axis[line - 1] for line, _ in cover.assigned),
+        problem.k,
+        problem.matrix.m,
     )
-    return MonroeStabbingReduction(
-        problem=problem,
-        axis=tuple(axis),
-        stabbing=stabbing,
-        interval_voters=tuple(v for _, _, v in spans),
-        unplaceable_voters=tuple(unplaceable),
-    )
+    return winners, mapping
 
 
 def complete_assignment(
@@ -440,14 +460,7 @@ def complete_assignment(
     problem = reduction.problem
     matrix, k = problem.matrix, problem.k
     n = matrix.n
-    mapping: list[Optional[int]] = [None] * n
-    for line, ids in cover.assigned:
-        candidate = reduction.axis[line - 1]
-        for idx in ids:
-            mapping[reduction.interval_voters[idx]] = candidate
-    winners = pad_committee(
-        (reduction.axis[line - 1] for line, _ in cover.assigned), k, matrix.m
-    )
+    winners, mapping = _seat_cover(reduction, cover)
     load = {w: 0 for w in winners}
     for candidate in mapping:
         if candidate is not None:
@@ -490,29 +503,16 @@ def solve_minimax_m_mw_sp(
     """
     if problem.rule is not Rule.MONROE or problem.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the balanced rule, minimax objective")
+    reduction = _reduction(problem, axis, problem.bound)
+    if reduction.unplaceable_voters:
+        return None
+    covered, cover = solve_max_bal_1rs(reduction.stabbing)
     matrix, k = problem.matrix, problem.k
     n = matrix.n
-    spans, unplaceable = _voter_intervals(problem, axis, problem.bound)
-    if unplaceable:
-        return None
-    stabbing = StabbingInstance(
-        intervals=tuple((left, right) for left, right, _ in spans),
-        num_lines=matrix.m,
-        k=k,
-        num_targets=n,
-    )
-    covered, cover = solve_max_bal_1rs(stabbing)
     if covered < n:
         return None
-    axis_order = tuple(axis)
-    interval_voters = tuple(v for _, _, v in spans)
-    mapping: list[Optional[int]] = [None] * n
-    for line, ids in cover.assigned:
-        candidate = axis_order[line - 1]
-        for idx in ids:
-            mapping[interval_voters[idx]] = candidate
-    winners = tuple(sorted(axis_order[line - 1] for line, _ in cover.assigned))
-    assert len(winners) == k, "full coverage needs every seat"
+    assert len(cover.assigned) == k, "full coverage needs every seat"
+    winners, mapping = _seat_cover(reduction, cover)
     final = tuple(mapping)
     assignment = Assignment(winners, final)
     value = evaluate(matrix, final, Objective.MINIMAX)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from proprep.assignment import (
     cc_value,
     enumerate_balanced_assignments,
     monroe_minimax_value,
+    transport,
 )
 from proprep.core import (
     ApprovalMisrep,
@@ -75,6 +77,64 @@ class TestFlowEngine:
         cost, flows = feasible_min_cost(4, arcs, 0, 3, 3)
         assert cost == 0 * 1 + 3 * 2 + 1 * 3
         assert flows == [1, 2, 1, 2]
+
+
+def brute_force_transport(loads, costs, amount):
+    """Cheapest owner map by trying every owner (or -1) for every right node."""
+    choices = [
+        [-1] + [i for i in range(len(loads)) if costs[i][r] is not None]
+        for r in range(len(costs[0]))
+    ]
+    best = None
+    for owner in itertools.product(*choices):
+        served = [owner.count(i) for i in range(len(loads))]
+        if sum(served) != amount or not all(
+            low <= count <= high for count, (low, high) in zip(served, loads)
+        ):
+            continue
+        cost = sum(costs[i][r] for r, i in enumerate(owner) if i >= 0)
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
+class TestTransport:
+    def test_matches_brute_force_on_random_tables(self):
+        rng = random.Random(2718)
+        infeasible = 0
+        for _ in range(300):
+            left, right = rng.randint(1, 3), rng.randint(1, 5)
+            costs = [
+                [None if rng.random() < 0.3 else rng.randint(0, 6) for _ in range(right)]
+                for _ in range(left)
+            ]
+            loads = []
+            for _ in range(left):
+                low = rng.randint(0, 2)
+                loads.append((low, rng.randint(low, 3)))
+            amount = rng.randint(0, right)
+            expected = brute_force_transport(loads, costs, amount)
+            result = transport(loads, costs, amount)
+            if expected is None:
+                infeasible += 1
+                assert result is None
+                continue
+            total, owner = result
+            assert total == expected
+            assert len(owner) == right
+            assert sum(costs[i][r] for r, i in enumerate(owner) if i >= 0) == total
+            for i, (low, high) in enumerate(loads):
+                assert low <= owner.count(i) <= high
+        assert infeasible > 0
+
+    def test_infeasible_when_a_load_cannot_be_met(self):
+        # Left node 0 must send two units but reaches only one right node.
+        assert transport([(2, 2)], [[1, None, None]], 2) is None
+        assert brute_force_transport([(2, 2)], [[1, None, None]], 2) is None
+
+    def test_owner_marks_unserved_right_nodes(self):
+        total, owner = transport([(0, 1), (0, 1)], [[5, 1, None], [2, None, 0]], 2)
+        assert (total, owner) == (1, [-1, 0, 1])
 
 
 class TestAssignCC:

@@ -17,6 +17,8 @@ from proprep.cli import SOLVERS, build_parser, main
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
+    Election,
+    ExplicitMisrep,
     Objective,
     ProblemInstance,
     Rule,
@@ -24,6 +26,7 @@ from proprep.core import (
 )
 from proprep.fileio import parse_instance, render_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
+from proprep.solvers import solve_cc_branch_rk, solve_minimax_m_mw_rk
 
 FIG1 = """\
 proprep v1
@@ -185,6 +188,17 @@ class TestSolve:
             "--budget-subset-candidates", "25",
         )
         assert code == 0
+
+    def test_recursion_past_the_stack_exits_3(self, write, capsys):
+        # One voter over 1200 candidates: the axis search recurses once per
+        # placed candidate, deeper than the interpreter's stack allows.
+        names = [f"c{i}" for i in range(1200)]
+        text = "proprep v1\n1200 1 1 - cc sum borda\n" + "\n".join(names) + "\n"
+        path = write("long-axis.elect", text + " ".join(names) + "\n")
+        code, out, err = run_cli(capsys, "solve", path)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "recursion" in err
 
     def test_auto_matches_enumeration_on_small_instances(self, write, capsys):
         cases = itertools.product(
@@ -502,3 +516,69 @@ class TestSolverTable:
         assert name == "sp-greedy" and solution is not None
         assert len(probes) > 1
         assert len(calls) == 1
+
+
+def line_instance(objective: Objective, bound: int) -> ProblemInstance:
+    """One voter over 20 candidates with table values 0, 3, ..., 57."""
+    names = tuple(f"c{i}" for i in range(20))
+    election = Election(names, (tuple(range(20)),))
+    matrix = build_misrep(election, ExplicitMisrep((tuple(3 * c for c in range(20)),)))
+    return ProblemInstance(election, matrix, Rule.CC, objective, 1, bound)
+
+
+class TestSearchBound:
+    """The bounds the search probes, in order; recorded before it used
+    ``first_feasible`` for its refinement."""
+
+    @pytest.mark.parametrize(
+        "objective, bound, threshold, probed",
+        [
+            (Objective.SUM, 100, 0, [0]),
+            (Objective.SUM, 100, 3, [0, 1, 2, 3]),
+            (Objective.SUM, 100, 4, [0, 1, 2, 3, 4]),
+            (Objective.SUM, 100, 5, [0, 1, 2, 3, 4, 8, 6, 5]),
+            (Objective.SUM, 100, 37, [0, 1, 2, 3, 4, 8, 16, 32, 64, 48, 40, 36, 38, 37]),
+            (
+                Objective.SUM, 100, 100,
+                [0, 1, 2, 3, 4, 8, 16, 32, 64, 100, 82, 91, 95, 97, 98, 99],
+            ),
+            (Objective.SUM, 100, 101, [0, 1, 2, 3, 4, 8, 16, 32, 64, 100]),
+            (Objective.MINIMAX, 45, 0, [0]),
+            (Objective.MINIMAX, 45, 20, [0, 3, 6, 9, 12, 24, 18, 21]),
+            (Objective.MINIMAX, 45, 45, [0, 3, 6, 9, 12, 24, 45, 33, 39, 42]),
+            (Objective.MINIMAX, 45, 46, [0, 3, 6, 9, 12, 24, 45]),
+        ],
+    )
+    def test_probes_at_a_threshold(self, objective, bound, threshold, probed):
+        seen = []
+
+        def decide(instance):
+            seen.append(instance.bound)
+            return instance.bound if instance.bound >= threshold else None
+
+        result = cli.search_bound(line_instance(objective, bound), decide)
+        assert seen == probed
+        feasible = [b for b in probed if b >= threshold]
+        assert result == (min(feasible) if feasible else None)
+
+    @pytest.mark.parametrize(
+        "rule, objective, decide, probed, value",
+        [
+            (Rule.CC, Objective.SUM, solve_cc_branch_rk, [0, 1, 2, 3, 4, 8, 6, 5], 5),
+            (Rule.MONROE, Objective.MINIMAX, solve_minimax_m_mw_rk, [0, 1, 2], 2),
+        ],
+    )
+    def test_probes_of_a_decision_procedure(self, rule, objective, decide, probed, value):
+        election = random_election(random.Random(5), 6, 12)
+        matrix = build_misrep(election, BordaMisrep())
+        instance = ProblemInstance(
+            election, matrix, rule, objective, 3, worst_bound(matrix, objective)
+        )
+        seen = []
+
+        def record(probe):
+            seen.append(probe.bound)
+            return decide(probe)
+
+        assert cli.search_bound(instance, record).objective_value == value
+        assert seen == probed

@@ -22,6 +22,7 @@ from proprep.core import (
     build_misrep,
     check_m_criterion,
     evaluate,
+    first_feasible,
     verify_solution,
 )
 
@@ -212,3 +213,31 @@ class TestVerifySolution:
         by_name = {check.name: check.passed for check in report.checks}
         assert by_name["objective-value"]
         assert not by_name["bound"]
+
+
+class TestFirstFeasible:
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 33])
+    def test_finds_the_first_feasible_point_within_the_attempt_bound(self, length):
+        points = [10 * i for i in range(length)]
+        for first in range(length):
+            attempted = []
+
+            def attempt(point):
+                attempted.append(point)
+                return f"ok {point}" if point >= points[first] else None
+
+            assert first_feasible(points, attempt) == (points[first], f"ok {points[first]}")
+            assert len(attempted) <= length.bit_length()
+
+    def test_nothing_feasible(self):
+        attempted = []
+
+        def never(point):
+            attempted.append(point)
+            return None
+
+        assert first_feasible(range(9), never) is None
+        assert len(attempted) <= 4
+
+    def test_empty_points(self):
+        assert first_feasible([], lambda point: point) is None
