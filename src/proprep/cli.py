@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import single_peaked
 from .core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -77,16 +76,6 @@ from .solvers import (
     solve_subset_enum,
 )
 from .stabbing import solve_minimax_m_mw_sp, solve_monroe_sum_sp
-
-GEN_FAMILIES = (
-    "random",
-    "single-peaked",
-    "hs-approval",
-    "hs-borda",
-    "vc-minimax",
-    "rx3c-monroe",
-)
-
 
 class _Failure(Exception):
     """Abort the command with a message on stderr and a fixed exit code."""
@@ -243,19 +232,6 @@ def _minimax_r0_applies(
     return None
 
 
-def _sp_greedy_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[str]:
-    reason = _needs(Rule.CC, Objective.MINIMAX, axis=True)(instance, axis, budget)
-    # Looked up on its own module, where sp-dp finds it too, so that one
-    # wrapper there sees every call.
-    if reason is None and not single_peaked.check_single_troughed(
-        instance.matrix, axis
-    ):
-        reason = "matrix is not single-troughed on this axis"
-    return reason
-
-
 def _run_subset_enum(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> Optional[Solution]:
@@ -337,7 +313,12 @@ SOLVERS = {
         SolverSpec(
             "sp-dp", _needs(Rule.CC, Objective.SUM, axis=True), _run_sp_dp, bench=True
         ),
-        SolverSpec("sp-greedy", _sp_greedy_applies, _run_sp_greedy, bench=True),
+        SolverSpec(
+            "sp-greedy",
+            _needs(Rule.CC, Objective.MINIMAX, axis=True),
+            _run_sp_greedy,
+            bench=True,
+        ),
         SolverSpec(
             "sp-stab", _needs(Rule.MONROE, axis=True), _run_sp_stab, bench=True
         ),
@@ -435,15 +416,9 @@ def _apply_overrides(
     if changes:
         instance = replace(instance, **changes)
     if args.bound is not None:
-        if args.bound == "-":
+        value = _parse_bound(args.bound, "R")
+        if value is None:
             value = worst_bound(instance.matrix, instance.objective)
-        else:
-            try:
-                value = int(args.bound)
-            except ValueError:
-                raise _Failure(2, "--R must be a nonnegative integer or '-'") from None
-            if value < 0:
-                raise _Failure(2, "--R must be a nonnegative integer or '-'")
         instance = replace(instance, bound=value)
     return instance
 
@@ -479,16 +454,17 @@ def _cmd_detect_axis(args: argparse.Namespace) -> int:
     return 0
 
 
-def _forbid(family: str, **given: object) -> None:
-    for name, value in given.items():
-        if value is not None:
-            raise _Failure(2, f"--{name} does not apply to the {family} family")
-
-
-def _require(family: str, **given: object) -> None:
-    for name, value in given.items():
-        if value is None:
-            raise _Failure(2, f"the {family} family requires --{name}")
+def _parse_bound(text: Optional[str], flag: str) -> Optional[int]:
+    """The bound given to ``--flag``: None when absent or '-'."""
+    if text is None or text == "-":
+        return None
+    try:
+        value = int(text)
+    except (TypeError, ValueError):  # argparse reads "--bound=--" as []
+        value = -1
+    if value < 0:
+        raise _Failure(2, f"--{flag} must be a nonnegative integer or '-'")
+    return value
 
 
 def _parse_index_tuple(token: str, flag: str) -> tuple[int, ...]:
@@ -501,22 +477,8 @@ def _parse_index_tuple(token: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _gen_bound(args: argparse.Namespace) -> Optional[int]:
-    if args.bound is None or args.bound == "-":
-        return None
-    try:
-        value = int(args.bound)
-    except ValueError:
-        raise _Failure(2, "--bound must be a nonnegative integer or '-'") from None
-    if value < 0:
-        raise _Failure(2, "--bound must be a nonnegative integer or '-'")
-    return value
-
-
 def _gen_profile(args: argparse.Namespace) -> ProblemInstance:
     """The random and single-peaked families share everything but sampling."""
-    _require(args.family, m=args.m, n=args.n, k=args.k)
-    _forbid(args.family, universe=args.universe, set=args.sets, edge=args.edges)
     rng = random.Random(args.seed)
     if args.family == "random":
         election = random_election(rng, args.m, args.n)
@@ -534,23 +496,14 @@ def _gen_profile(args: argparse.Namespace) -> ProblemInstance:
         )
     rule = Rule(args.rule) if args.rule else Rule.CC
     objective = Objective(args.objective) if args.objective else Objective.SUM
-    bound = _gen_bound(args)
+    bound = _parse_bound(args.bound, "bound")
     if bound is None:
         bound = worst_bound(matrix, objective)
     return ProblemInstance(election, matrix, rule, objective, args.k, bound)
 
 
 def _gen_hitting_set(args: argparse.Namespace) -> ProblemInstance:
-    _require(args.family, universe=args.universe, set=args.sets, k=args.k)
-    _forbid(
-        args.family,
-        m=args.m,
-        n=args.n,
-        misrep=args.misrep,
-        bound=args.bound,
-        edge=args.edges,
-    )
-    family = tuple(_parse_index_tuple(token, "set") for token in args.sets)
+    family = tuple(_parse_index_tuple(token, "set") for token in args.set)
     hs = HittingSetInstance(args.universe, family, args.k)
     rule = Rule(args.rule) if args.rule else Rule.MONROE
     objective = Objective(args.objective) if args.objective else Objective.SUM
@@ -560,39 +513,18 @@ def _gen_hitting_set(args: argparse.Namespace) -> ProblemInstance:
 
 
 def _gen_vertex_cover(args: argparse.Namespace) -> ProblemInstance:
-    _require(args.family, edge=args.edges, k=args.k)
-    _forbid(
-        args.family,
-        m=args.m,
-        n=args.n,
-        universe=args.universe,
-        set=args.sets,
-        misrep=args.misrep,
-    )
     if args.objective is not None and args.objective != Objective.MINIMAX.value:
         raise _Failure(2, "the vc-minimax family always uses the minimax objective")
-    edges = tuple(_parse_index_tuple(token, "edge") for token in args.edges)
-    bound = _gen_bound(args)
+    edges = tuple(_parse_index_tuple(token, "edge") for token in args.edge)
+    bound = _parse_bound(args.bound, "bound")
     rule = Rule(args.rule) if args.rule else Rule.CC
     return gen_vc_minimax(edges, args.k, 1 if bound is None else bound, rule)
 
 
 def _gen_exact_cover(args: argparse.Namespace) -> ProblemInstance:
-    _require(args.family, n=args.n)
-    _forbid(
-        args.family,
-        m=args.m,
-        k=args.k,
-        bound=args.bound,
-        rule=args.rule,
-        objective=args.objective,
-        misrep=args.misrep,
-        universe=args.universe,
-        edge=args.edges,
-    )
     n = args.n
-    if args.sets is not None:
-        sets = tuple(_parse_index_tuple(token, "set") for token in args.sets)
+    if args.set is not None:
+        sets = tuple(_parse_index_tuple(token, "set") for token in args.set)
     else:
         # Disjoint consecutive triples, each listed three times: a solvable
         # default whose elements are then scrambled by the seed.
@@ -607,16 +539,43 @@ def _gen_exact_cover(args: argparse.Namespace) -> ProblemInstance:
     return instance
 
 
+# Each family's builder, the flags it needs and the flags it rejects, both
+# checked in the order listed.
+GEN_FAMILIES = {
+    "random": (_gen_profile, ("m", "n", "k"), ("universe", "set", "edge")),
+    "single-peaked": (_gen_profile, ("m", "n", "k"), ("universe", "set", "edge")),
+    "hs-approval": (
+        _gen_hitting_set,
+        ("universe", "set", "k"),
+        ("m", "n", "misrep", "bound", "edge"),
+    ),
+    "hs-borda": (
+        _gen_hitting_set,
+        ("universe", "set", "k"),
+        ("m", "n", "misrep", "bound", "edge"),
+    ),
+    "vc-minimax": (
+        _gen_vertex_cover,
+        ("edge", "k"),
+        ("m", "n", "universe", "set", "misrep"),
+    ),
+    "rx3c-monroe": (
+        _gen_exact_cover,
+        ("n",),
+        ("m", "k", "bound", "rule", "objective", "misrep", "universe", "edge"),
+    ),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    builders = {
-        "random": _gen_profile,
-        "single-peaked": _gen_profile,
-        "hs-approval": _gen_hitting_set,
-        "hs-borda": _gen_hitting_set,
-        "vc-minimax": _gen_vertex_cover,
-        "rx3c-monroe": _gen_exact_cover,
-    }
-    text = render_instance(builders[args.family](args))
+    build, needed, rejected = GEN_FAMILIES[args.family]
+    for flag in needed:
+        if getattr(args, flag) is None:
+            raise _Failure(2, f"the {args.family} family requires --{flag}")
+    for flag in rejected:
+        if getattr(args, flag) is not None:
+            raise _Failure(2, f"--{flag} does not apply to the {args.family} family")
+    text = render_instance(build(args))
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -647,10 +606,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     budget = _budget_from(args)
     disagreements = []
     for path in sorted(directory.glob("*.elect")):
-        try:
-            instance = parse_instance(path.read_text())
-        except ParseError as error:
-            raise _Failure(2, f"{path}: {error}") from None
+        instance = _parse_instance_file(str(path))
         axis = detect_axis(instance.election)
         roster: list[tuple[str, Run]] = [
             ("auto", lambda *args: solve_auto(*args)[1])
@@ -736,14 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--universe", type=int, help="ground-set size for hs families")
     gen.add_argument(
         "--set",
-        dest="sets",
         action="append",
         metavar="E1,E2,...",
         help="one set of zero-based element indices; repeatable",
     )
     gen.add_argument(
         "--edge",
-        dest="edges",
         action="append",
         metavar="A,B",
         help="one edge as two zero-based vertex indices; repeatable",
@@ -794,10 +748,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # resource cap like any other.
         print(f"recursion limit exceeded: {error}", file=sys.stderr)
         return 3
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

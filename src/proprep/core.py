@@ -150,9 +150,6 @@ class MisrepMatrix:
     def m(self) -> int:
         return len(self.rows[0])
 
-    def value(self, voter: int, candidate: int) -> int:
-        return self.rows[voter][candidate]
-
     def max_value(self) -> int:
         return max(max(row) for row in self.rows)
 

@@ -19,6 +19,7 @@ from proprep.core import (
     BordaMisrep,
     Election,
     ExplicitMisrep,
+    MisrepMatrix,
     Objective,
     ProblemInstance,
     Rule,
@@ -26,7 +27,11 @@ from proprep.core import (
 )
 from proprep.fileio import parse_instance, render_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
-from proprep.solvers import solve_cc_branch_rk, solve_minimax_m_mw_rk
+from proprep.solvers import (
+    solve_cc_branch_rk,
+    solve_minimax_m_mw_rk,
+    solve_subset_enum,
+)
 
 FIG1 = """\
 proprep v1
@@ -261,6 +266,44 @@ class TestDetectAxis:
         assert out == "solo\n"
 
 
+# Each family's needed and rejected flags, in the order they are checked;
+# written out here rather than read from `cli.GEN_FAMILIES`, so that a typo
+# in the table fails.
+GEN_NEEDED = {
+    "random": ("m", "n", "k"),
+    "single-peaked": ("m", "n", "k"),
+    "hs-approval": ("universe", "set", "k"),
+    "hs-borda": ("universe", "set", "k"),
+    "vc-minimax": ("edge", "k"),
+    "rx3c-monroe": ("n",),
+}
+GEN_REJECTED = {
+    "random": ("universe", "set", "edge"),
+    "single-peaked": ("universe", "set", "edge"),
+    "hs-approval": ("m", "n", "misrep", "bound", "edge"),
+    "hs-borda": ("m", "n", "misrep", "bound", "edge"),
+    "vc-minimax": ("m", "n", "universe", "set", "misrep"),
+    "rx3c-monroe": ("m", "k", "bound", "rule", "objective", "misrep", "universe", "edge"),
+}
+GEN_FLAGS = {
+    "m": ["--m", "3"],
+    "n": ["--n", "3"],
+    "k": ["--k", "1"],
+    "seed": ["--seed", "4"],
+    "rule": ["--rule", "monroe"],
+    "objective": ["--objective", "minimax"],
+    "misrep": ["--misrep", "approval"],
+    "bound": ["--bound", "1"],
+    "universe": ["--universe", "3"],
+    "set": ["--set", "0,1,2"] * 3,
+    "edge": ["--edge", "0,1", "--edge", "1,2"],
+}
+
+
+def gen_argv(flags) -> list[str]:
+    return [token for flag in flags for token in GEN_FLAGS[flag]]
+
+
 class TestGen:
     def test_fixed_seed_is_byte_identical(self, capsys):
         argv = ("gen", "single-peaked", "--m", "5", "--n", "6", "--k", "2",
@@ -361,6 +404,53 @@ class TestGen:
         assert code == 2
         assert "--k" in err and "does not apply" in err
 
+    @pytest.mark.parametrize(
+        "family, index",
+        [(family, i) for family, flags in GEN_REJECTED.items() for i in range(len(flags))],
+    )
+    def test_every_rejected_flag_in_order(self, capsys, family, index):
+        flag, *later = GEN_REJECTED[family][index:]
+        argv = gen_argv(GEN_NEEDED[family] + (flag, *later))
+        assert run_cli(capsys, "gen", family, *argv) == (
+            2, "", f"--{flag} does not apply to the {family} family\n"
+        )
+
+    @pytest.mark.parametrize(
+        "family, index",
+        [(family, i) for family, flags in GEN_NEEDED.items() for i in range(len(flags))],
+    )
+    def test_every_needed_flag_in_order(self, capsys, family, index):
+        needed = GEN_NEEDED[family]
+        flag = needed[index]
+        # The flags after the missing one are omitted too, and every
+        # rejected flag is given: the first missing needed flag is reported.
+        argv = gen_argv(needed[:index] + GEN_REJECTED[family])
+        assert run_cli(capsys, "gen", family, *argv) == (
+            2, "", f"the {family} family requires --{flag}\n"
+        )
+
+    @pytest.mark.parametrize("family", GEN_NEEDED)
+    def test_every_other_flag_is_accepted(self, capsys, family):
+        others = tuple(
+            flag for flag in GEN_FLAGS
+            if flag not in GEN_NEEDED[family] + GEN_REJECTED[family]
+        )
+        argv = gen_argv(GEN_NEEDED[family] + others)
+        code, out, err = run_cli(capsys, "gen", family, *argv)
+        assert (code, err) == (0, "")
+        assert parse_instance(out).election.n > 0
+
+    @pytest.mark.parametrize("text", ["-1", "x", "1.5", "", " -2", "--"])
+    def test_bad_bound_values(self, write, capsys, text):
+        argv = gen_argv(GEN_NEEDED["random"]) + [f"--bound={text}"]
+        assert run_cli(capsys, "gen", "random", *argv) == (
+            2, "", "--bound must be a nonnegative integer or '-'\n"
+        )
+        path = write("f.elect", FIG1)
+        assert run_cli(capsys, "solve", path, f"--R={text}") == (
+            2, "", "--R must be a nonnegative integer or '-'\n"
+        )
+
     def test_generator_caps_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "gen", "hs-borda", "--universe", "5", "--set", "0", "--k", "1"
@@ -441,6 +531,13 @@ class TestBench:
         assert code == 2
         assert "not a directory" in err
 
+    def test_unreadable_file_is_named_as_solve_names_it(self, tmp_path, capsys):
+        (tmp_path / "d.elect").mkdir()
+        path = str(tmp_path / "d.elect")
+        solved = run_cli(capsys, "solve", path)
+        assert solved == (2, "", f"{path}: Is a directory\n")
+        assert run_cli(capsys, "bench", str(tmp_path)) == solved
+
     def test_oversized_instances_are_skipped_not_fatal(self, tmp_path, capsys):
         rng = random.Random(3)
         election = random_election(rng, 25, 4)
@@ -501,7 +598,7 @@ class TestSolverTable:
             assert code == 0
             assert len(calls) == looked, solver
 
-    def test_sp_greedy_checks_troughedness_once_per_solve(self, capsys, monkeypatch):
+    def test_sp_greedy_never_checks_troughedness(self, capsys, monkeypatch):
         code, text, _ = run_cli(
             capsys, "gen", "single-peaked", "--m", "8", "--n", "30", "--k", "2",
             "--objective", "minimax", "--seed", "5",
@@ -515,7 +612,31 @@ class TestSolverTable:
         )
         assert name == "sp-greedy" and solution is not None
         assert len(probes) > 1
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize(
+        "rows, answered_by",
+        [
+            # Feasible at the first probed bound, 0, where every voter's
+            # accepted positions are contiguous: sp-greedy answers.
+            (((0, 2, 1), (0, 1, 2)), "sp-greedy"),
+            # Infeasible at 0; at 1 the first voter accepts positions 0 and 2
+            # only, so sp-greedy raises and auto falls through.
+            (((0, 2, 1), (2, 1, 0)), "subset-enum"),
+        ],
+    )
+    def test_sp_greedy_on_a_table_that_is_not_single_troughed(self, rows, answered_by):
+        election = Election(("a", "b", "c"), ((0, 1, 2), (2, 1, 0)))
+        matrix = MisrepMatrix(rows)
+        assert not single_peaked.check_single_troughed(matrix, (0, 1, 2))
+        instance = ProblemInstance(
+            election, matrix, Rule.CC, Objective.MINIMAX, 1, matrix.max_value()
+        )
+        name, solution = cli.solve_auto(
+            instance, single_peaked.detect_axis(election), cli.DEFAULT_BUDGET
+        )
+        assert name == answered_by
+        assert solution.objective_value == solve_subset_enum(instance).objective_value
 
 
 def line_instance(objective: Objective, bound: int) -> ProblemInstance:
