@@ -6,7 +6,8 @@ both objectives and may leave committee members without voters.  Under the
 balanced rule the optimal assignment is a minimum-cost flow in which every
 winner must receive between floor(n/k) and ceil(n/k) voters; the minimax
 variant restricts the flow to entries within the bound, asks only for
-feasibility, and finds a committee's value as the first feasible bound.
+feasibility, and finds a committee's value as the first feasible bound at or
+above its best-representative minimax value.
 
 ``transport`` is the one bipartite flow network in the package: left nodes
 with load ranges, right nodes taking one unit each, optional costs between.
@@ -134,8 +135,14 @@ def assign_monroe_minimax(
 def monroe_minimax_value(
     matrix: MisrepMatrix, winner_set: tuple[int, ...]
 ) -> tuple[int, Assignment]:
-    """Smallest bound admitting a balanced assignment for this committee."""
-    values = sorted({matrix.rows[v][w] for v in range(matrix.n) for w in winner_set})
+    """Smallest bound admitting a balanced assignment for this committee.
+
+    No bound below the committee's best-representative minimax value can
+    serve every voter, so the bisection starts at that value.
+    """
+    floor = cc_value(matrix, winner_set, Objective.MINIMAX)
+    entries = {row[w] for row in matrix.rows for w in winner_set}
+    values = sorted(x for x in entries if x >= floor)
     found = first_feasible(
         values, lambda bound: assign_monroe_minimax(winner_set, matrix, bound)
     )

@@ -2,11 +2,15 @@
 
 Two families live here.  The enumeration solvers (`solve_subset_enum`,
 `solve_partition_enum`) try every committee or every voter partition and are
-the reference oracles for everything else.  The remaining solvers are
-decision procedures: given the bound stored on the instance they either
-produce a witness solution meeting it or report that none exists by
-returning ``None``.  The bound search that turns a decision procedure into
-an optimizer, and the table of named solvers, live in :mod:`proprep.cli`.
+the reference oracles for everything else.  Subset enumeration bounds every
+committee by its best-representative value, which needs no flow, and scores
+committees under the instance's rule in bound order until the next one can
+no longer win; partition enumeration matches every admissible partition.
+The remaining solvers are decision procedures: given the bound stored on
+the instance they either produce a witness solution meeting it or report
+that none exists by returning ``None``.  The bound search that turns a
+decision procedure into an optimizer, and the table of named solvers, live
+in :mod:`proprep.cli`.
 
 No solver here builds a flow network itself: committees are scored by
 :mod:`proprep.assignment`, and partition enumeration matches voter blocks
@@ -18,10 +22,11 @@ All solvers are pure functions of their arguments.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .assignment import (
     assign_cc,
@@ -99,16 +104,6 @@ def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> So
     return Solution(assignment, value, True)
 
 
-def _committee_scorer(instance: ProblemInstance) -> Callable[[tuple[int, ...]], int]:
-    matrix = instance.matrix
-    if instance.rule is Rule.CC:
-        objective = instance.objective
-        return lambda committee: cc_value(matrix, committee, objective)
-    if instance.objective is Objective.SUM:
-        return lambda committee: assign_monroe_sum(committee, matrix).objective_value
-    return lambda committee: monroe_minimax_value(matrix, committee)[0]
-
-
 def solve_subset_enum(
     instance: ProblemInstance,
     budget: SolverBudget = DEFAULT_BUDGET,
@@ -118,6 +113,17 @@ def solve_subset_enum(
 
     `candidate_pool` restricts the search to committees drawn from the given
     candidate indices.  This is the reference oracle for the whole package.
+
+    Every committee first gets its best-representative (CC) value, which is
+    a lower bound on its value under either rule: the balanced rule is the
+    same assignment with load limits added.  Committees are then scored in
+    ascending `(bound, committee)` order, and the walk stops at the first
+    pair above the best `(value, committee)` pair so far.  Every committee
+    not scored has value >= bound, so its `(value, committee)` pair is above
+    the best one too, and the answer is the plain minimum over all pairs:
+    ties in value go to the lexicographically smallest committee.  Under the
+    CC rule the bound is the value and one committee is scored.  The bounds
+    take memory for C(|pool|, k) pairs.
     """
     pool = sorted(range(instance.matrix.m) if candidate_pool is None else candidate_pool)
     if len(pool) > budget.max_subset_candidates:
@@ -128,18 +134,22 @@ def solve_subset_enum(
     if len(pool) < instance.k:
         raise ValueError("candidate pool smaller than the committee size")
     deadline = _Deadline(budget)
-    scorer = _committee_scorer(instance)
-
-    def scored() -> Iterator[tuple[int, tuple[int, ...]]]:
-        committees = itertools.combinations(pool, instance.k)
-        for count, committee in enumerate(committees):
-            if count % 1024 == 0:
-                deadline.check()
-            yield scorer(committee), committee
-
-    # Ties in value go to the lexicographically smallest committee.
-    _, best = min(scored())
-    return _committee_solution(instance, best)
+    matrix, objective = instance.matrix, instance.objective
+    bounded = []
+    for count, committee in enumerate(itertools.combinations(pool, instance.k)):
+        if count % 1024 == 0:
+            deadline.check()
+        bounded.append((cc_value(matrix, committee, objective), committee))
+    heapq.heapify(bounded)
+    best: Optional[tuple[int, tuple[int, ...], Solution]] = None
+    while bounded and (best is None or bounded[0] <= best[:2]):
+        deadline.check()
+        _, committee = heapq.heappop(bounded)
+        solution = _committee_solution(instance, committee)
+        if best is None or (solution.objective_value, committee) < best[:2]:
+            best = (solution.objective_value, committee, solution)
+    assert best is not None
+    return best[2]
 
 
 def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:

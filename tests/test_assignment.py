@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from proprep import assignment
 from proprep.assignment import (
     assign_cc,
     assign_monroe_minimax,
@@ -28,6 +29,7 @@ from proprep.core import (
     evaluate,
 )
 from proprep.flows import feasible_min_cost
+from proprep.generators import random_prefix_approvals
 
 from conftest import ranked
 
@@ -243,3 +245,36 @@ class TestMonroeAssignments:
         assert value == 1
         assert evaluate(matrix, witness.mapping, Objective.MINIMAX) == 1
         assert assign_monroe_minimax((0, 1, 2), matrix, value - 1) is None
+
+    def test_minimax_value_is_the_first_feasible_table_value(self, monkeypatch):
+        # The bisection starts at the committee's CC minimax value; its
+        # answer and witness are those of a scan over every table value.
+        probed = []
+        within = assignment.assign_monroe_minimax
+
+        def recorded(winners, matrix, bound):
+            probed.append(bound)
+            return within(winners, matrix, bound)
+
+        monkeypatch.setattr(assignment, "assign_monroe_minimax", recorded)
+        rng = random.Random(1729)
+        for trial in range(120):
+            m = rng.randint(2, 6)
+            n = rng.randint(2, 9)
+            k = rng.randint(1, min(m, n))
+            election = random_election(rng, m, n)
+            if trial % 2:
+                matrix = borda(election)
+            else:
+                approvals = random_prefix_approvals(rng, election)
+                matrix = build_misrep(election, ApprovalMisrep(approvals))
+            winners = tuple(sorted(rng.sample(range(m), k)))
+            entries = sorted({row[w] for row in matrix.rows for w in winners})
+            expected = next(
+                (bound, witness)
+                for bound in entries
+                if (witness := within(winners, matrix, bound)) is not None
+            )
+            probed.clear()
+            assert monroe_minimax_value(matrix, winners) == expected
+            assert min(probed) >= cc_value(matrix, winners, Objective.MINIMAX)

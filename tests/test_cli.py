@@ -194,6 +194,20 @@ class TestSolve:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("solver", ["subset-enum", "auto"])
+    def test_zero_seconds_stop_monroe_enumeration(self, tmp_path, capsys, solver):
+        path = str(tmp_path / "monroe.elect")
+        assert main([
+            "gen", "random", "--m", "9", "--n", "24", "--k", "3", "--rule", "monroe",
+            "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", solver, "--budget-seconds", "0"
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == "budget exceeded: wall-clock budget exhausted"
+
     def test_recursion_past_the_stack_exits_3(self, write, capsys):
         # One voter over 1200 candidates: the axis search recurses once per
         # placed candidate, deeper than the interpreter's stack allows.

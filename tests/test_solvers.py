@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from proprep.cli import optimize
+from proprep import assignment, solvers
+from proprep.assignment import (
+    assign_cc,
+    assign_monroe_sum,
+    monroe_minimax_value,
+)
+from proprep.cli import main, optimize
 from proprep.core import (
+    ApprovalMisrep,
     BordaMisrep,
     BudgetExceededError,
     Election,
@@ -17,8 +27,11 @@ from proprep.core import (
     ProblemInstance,
     Rule,
     build_misrep,
+    evaluate,
     verify_solution,
 )
+from proprep.fileio import parse_instance
+from proprep.generators import random_election, random_prefix_approvals
 from proprep.solvers import (
     SearchStats,
     SolverBudget,
@@ -44,6 +57,58 @@ def random_borda_instance(rng, rule, objective, max_m=5, max_n=6, bound=0):
     election = Election(names, votes)
     matrix = build_misrep(election, BordaMisrep())
     return ProblemInstance(election, matrix, rule, objective, k, bound)
+
+
+def random_table_instance(rng, rule, objective, table):
+    """m <= 7 candidates, n <= 10 voters, a Borda, approval or explicit table."""
+    m = rng.randint(2, 7)
+    n = rng.randint(2, 10)
+    k = rng.randint(1, min(4, m, n))
+    election = random_election(rng, m, n)
+    if table == "borda":
+        spec = BordaMisrep()
+    elif table == "approval":
+        spec = ApprovalMisrep(random_prefix_approvals(rng, election))
+    else:
+        rows = []
+        for vote in election.votes:
+            row, value = [0] * m, 0
+            for c in vote:
+                row[c] = value
+                value += rng.randint(0, 3)
+            rows.append(tuple(row))
+        spec = ExplicitMisrep(tuple(rows))
+    matrix = build_misrep(election, spec)
+    return ProblemInstance(election, matrix, rule, objective, k, 0)
+
+
+def best_by_scoring_every_committee(instance, pool):
+    """Plain minimum of (value, committee) over every committee from the pool."""
+    matrix = instance.matrix
+
+    def score(committee):
+        if instance.rule is Rule.CC:
+            chosen = assign_cc(committee, matrix)
+            return evaluate(matrix, chosen.mapping, instance.objective), chosen
+        if instance.objective is Objective.SUM:
+            solution = assign_monroe_sum(committee, matrix)
+            return solution.objective_value, solution.assignment
+        return monroe_minimax_value(matrix, committee)
+
+    committees = itertools.combinations(sorted(pool), instance.k)
+    value, committee = min((score(c)[0], c) for c in committees)
+    return value, committee, score(committee)[1].mapping
+
+
+def generated_monroe(tmp_path, objective):
+    """The seeded 9-candidate, 24-voter, 3-seat Monroe file from `proprep gen`."""
+    path = tmp_path / f"random-{objective}.elect"
+    code = main([
+        "gen", "random", "--m", "9", "--n", "24", "--k", "3", "--rule", "monroe",
+        "--objective", objective, "--seed", "0", "--out", str(path),
+    ])
+    assert code == 0
+    return parse_instance(path.read_text())
 
 
 class TestSubsetEnum:
@@ -84,6 +149,66 @@ class TestSubsetEnum:
         solution = solve_subset_enum(instance, candidate_pool=[0, 3])
         assert solution.assignment.winner_set == (0,)
         assert solution.objective_value == 5
+
+    @pytest.mark.parametrize("table", ["borda", "approval", "explicit"])
+    @pytest.mark.parametrize("rule", list(Rule))
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_equals_the_minimum_over_every_committee(self, table, rule, objective):
+        rng = random.Random(f"{table}/{rule.value}/{objective.value}")
+        for trial in range(60):
+            instance = random_table_instance(rng, rule, objective, table)
+            m, k = instance.matrix.m, instance.k
+            pool = None if trial % 2 else rng.sample(range(m), rng.randint(k, m))
+            solution = solve_subset_enum(instance, candidate_pool=pool)
+            expected = best_by_scoring_every_committee(
+                instance, range(m) if pool is None else pool
+            )
+            got = (
+                solution.objective_value,
+                solution.assignment.winner_set,
+                solution.assignment.mapping,
+            )
+            assert got == expected
+
+    @pytest.mark.parametrize("objective", ["sum", "minimax"])
+    def test_monroe_flows_only_for_committees_within_the_bound(
+        self, tmp_path, monkeypatch, objective
+    ):
+        # Scoring every committee would take at least C(9, 3) flows.
+        instance = generated_monroe(tmp_path, objective)
+        flows = []
+        transport = assignment.transport
+
+        def counted(*args):
+            flows.append(args)
+            return transport(*args)
+
+        monkeypatch.setattr(assignment, "transport", counted)
+        solve_subset_enum(instance)
+        assert len(flows) < math.comb(9, 3) / 10
+
+    def test_deadline_holds_while_scoring(self, tmp_path, monkeypatch):
+        # Each scored committee takes one second on a fake clock.  Without a
+        # budget several committees are scored; with half a second the check
+        # after the first one stops the walk.
+        instance = generated_monroe(tmp_path, "sum")
+        now = [0.0]
+        scored = []
+        score = solvers._committee_solution
+
+        def slow(instance, committee):
+            scored.append(committee)
+            now[0] += 1.0
+            return score(instance, committee)
+
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(solvers, "_committee_solution", slow)
+        solve_subset_enum(instance)
+        assert len(scored) > 1
+        scored.clear()
+        with pytest.raises(BudgetExceededError):
+            solve_subset_enum(instance, SolverBudget(max_seconds=0.5))
+        assert len(scored) == 1
 
 
 class TestPartitionEnum:
