@@ -7,7 +7,9 @@ balanced rule the optimal assignment is a minimum-cost flow in which every
 winner must receive between floor(n/k) and ceil(n/k) voters; the minimax
 variant restricts the flow to entries within the bound, asks only for
 feasibility, and finds a committee's value as the first feasible bound at or
-above its best-representative minimax value.
+above its best-representative minimax value.  That value comes from
+``cc_value``, whose one caller is ``monroe_minimax_value``; subset
+enumeration in :mod:`proprep.solvers` keeps per-voter minima of its own.
 
 ``transport`` is the one bipartite flow network in the package: left nodes
 with load ranges, right nodes taking one unit each, optional costs between.

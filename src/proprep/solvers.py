@@ -2,10 +2,12 @@
 
 Two families live here.  The enumeration solvers (`solve_subset_enum`,
 `solve_partition_enum`) try every committee or every voter partition and are
-the reference oracles for everything else.  Subset enumeration bounds every
-committee by its best-representative value, which needs no flow, and scores
-committees under the instance's rule in bound order until the next one can
-no longer win; partition enumeration matches every admissible partition.
+the reference oracles for everything else.  Subset enumeration walks the
+committees depth-first in lexicographic order, sharing each prefix's
+per-voter minima, and prunes every prefix whose best-representative bound
+cannot win, which needs no flow; under the balanced rule it then scores the
+committees left under the rule in bound order until the next one can no
+longer win.  Partition enumeration matches every admissible partition.
 The remaining solvers are decision procedures: given the bound stored on
 the instance they either produce a witness solution meeting it or report
 that none exists by returning ``None``.  The bound search that turns a
@@ -24,14 +26,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .assignment import (
     assign_cc,
     assign_monroe_sum,
-    cc_value,
     monroe_minimax_value,
     transport,
 )
@@ -104,6 +106,56 @@ def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> So
     return Solution(assignment, value, True)
 
 
+def _committee_walk(
+    matrix: MisrepMatrix,
+    pool: Sequence[int],
+    k: int,
+    objective: Objective,
+    deadline: _Deadline,
+    limit: float,
+    leaf: Callable[[int, tuple[int, ...]], float],
+) -> None:
+    """Visit size-k committees from `pool` depth-first in lexicographic order.
+
+    Each node carries its prefix's per-voter minima and extends them by one
+    candidate's column.  A child at pool position `j` is bounded by the CC
+    value of its parent's prefix plus every candidate in `pool[j:]`, a
+    lower bound on every committee below it; the bound never falls as `j`
+    grows, so the first child above `limit` ends the loop over its
+    siblings.  A last seat is scored directly, which costs what its bound
+    would.  Every committee with CC value <= `limit` is passed to `leaf`
+    with that value, and `leaf` returns the limit for the rest of the walk.
+    """
+    combine = sum if objective is Objective.SUM else max
+    columns = [[row[c] for row in matrix.rows] for c in pool]
+    # suffix[j][v]: voter v's best entry among pool[j:].  Pointwise minima
+    # are list comprehensions: map(min, ...) is about three times slower.
+    suffix = columns[:]
+    for j in range(len(pool) - 2, -1, -1):
+        suffix[j] = [x if x < y else y for x, y in zip(columns[j], suffix[j + 1])]
+    nodes = 0
+
+    def extend(start: int, prefix: tuple[int, ...], minima: list[int]) -> None:
+        nonlocal limit, nodes
+        seats = k - len(prefix)
+        for j in range(start, len(pool) - seats + 1):
+            if nodes % 1024 == 0:
+                deadline.check()
+            nodes += 1
+            if seats == 1:
+                value = combine([x if x < y else y for x, y in zip(minima, columns[j])])
+                if value <= limit:
+                    limit = leaf(value, prefix + (pool[j],))
+            elif combine([x if x < y else y for x, y in zip(minima, suffix[j])]) > limit:
+                return
+            else:
+                extended = [x if x < y else y for x, y in zip(minima, columns[j])]
+                extend(j + 1, prefix + (pool[j],), extended)
+
+    # The empty prefix: each voter's largest entry, above every column's.
+    extend(0, (), [max(row) for row in matrix.rows])
+
+
 def solve_subset_enum(
     instance: ProblemInstance,
     budget: SolverBudget = DEFAULT_BUDGET,
@@ -112,20 +164,30 @@ def solve_subset_enum(
     """Optimal solution by trying every size-k committee.
 
     `candidate_pool` restricts the search to committees drawn from the given
-    candidate indices.  This is the reference oracle for the whole package.
+    distinct candidate indices.  This is the reference oracle for the whole
+    package.
 
-    Every committee first gets its best-representative (CC) value, which is
-    a lower bound on its value under either rule: the balanced rule is the
-    same assignment with load limits added.  Committees are then scored in
-    ascending `(bound, committee)` order, and the walk stops at the first
-    pair above the best `(value, committee)` pair so far.  Every committee
-    not scored has value >= bound, so its `(value, committee)` pair is above
-    the best one too, and the answer is the plain minimum over all pairs:
-    ties in value go to the lexicographically smallest committee.  Under the
-    CC rule the bound is the value and one committee is scored.  The bounds
-    take memory for C(|pool|, k) pairs.
+    Committees are walked depth-first in lexicographic order, sharing each
+    prefix's per-voter minima, and a prefix is pruned once the CC value of
+    the prefix plus every candidate left is above the limit.  Under the
+    CC rule that walk is the whole solver: the limit is one below the best
+    value so far and only a strictly smaller value replaces it, so ties go
+    to the lexicographically smallest committee.  A committee's CC value is
+    a lower bound on its Monroe value (the same assignment with load limits
+    added), so under Monroe the CC-optimal committee is scored first and
+    its value U becomes the limit of a second walk that collects every
+    committee with CC value <= U.  Those are scored in ascending `(bound,
+    committee)` order until the next pair is above the best `(value,
+    committee)` pair so far; every committee not scored has value >= bound,
+    so the answer is the plain minimum over all pairs.  Memory holds two
+    columns per pool candidate and, under Monroe, the collected pairs.
     """
-    pool = sorted(range(instance.matrix.m) if candidate_pool is None else candidate_pool)
+    m = instance.matrix.m
+    pool = sorted(range(m) if candidate_pool is None else candidate_pool)
+    if len(set(pool)) != len(pool) or any(not 0 <= c < m for c in pool):
+        raise ValueError(
+            f"candidate pool must hold distinct indices in 0..{m - 1}, got {pool}"
+        )
     if len(pool) > budget.max_subset_candidates:
         raise BudgetExceededError(
             f"subset enumeration over {len(pool)} candidates exceeds the "
@@ -134,21 +196,33 @@ def solve_subset_enum(
     if len(pool) < instance.k:
         raise ValueError("candidate pool smaller than the committee size")
     deadline = _Deadline(budget)
-    matrix, objective = instance.matrix, instance.objective
-    bounded = []
-    for count, committee in enumerate(itertools.combinations(pool, instance.k)):
-        if count % 1024 == 0:
-            deadline.check()
-        bounded.append((cc_value(matrix, committee, objective), committee))
+    matrix, objective, k = instance.matrix, instance.objective, instance.k
+    found: list[tuple[int, ...]] = []
+
+    def keep_strictly_better(value: int, committee: tuple[int, ...]) -> int:
+        found[:] = [committee]
+        return value - 1  # table entries are integers
+
+    _committee_walk(matrix, pool, k, objective, deadline, math.inf, keep_strictly_better)
+    solution = _committee_solution(instance, found[0])
+    if instance.rule is Rule.CC:
+        return solution
+    best = (solution.objective_value, found[0], solution)
+    bounded: list[tuple[int, tuple[int, ...]]] = []
+
+    def collect(value: int, committee: tuple[int, ...]) -> int:
+        if committee != best[1]:
+            bounded.append((value, committee))
+        return best[0]
+
+    _committee_walk(matrix, pool, k, objective, deadline, best[0], collect)
     heapq.heapify(bounded)
-    best: Optional[tuple[int, tuple[int, ...], Solution]] = None
-    while bounded and (best is None or bounded[0] <= best[:2]):
+    while bounded and bounded[0] <= best[:2]:
         deadline.check()
         _, committee = heapq.heappop(bounded)
         solution = _committee_solution(instance, committee)
-        if best is None or (solution.objective_value, committee) < best[:2]:
+        if (solution.objective_value, committee) < best[:2]:
             best = (solution.objective_value, committee, solution)
-    assert best is not None
     return best[2]
 
 

@@ -208,6 +208,21 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert err.splitlines()[0] == "budget exceeded: wall-clock budget exhausted"
 
+    def test_zero_seconds_stop_cc_enumeration(self, tmp_path, capsys):
+        path = str(tmp_path / "cc.elect")
+        assert main([
+            "gen", "random", "--m", "16", "--n", "40", "--k", "4", "--rule", "cc",
+            "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", "subset-enum", "--budget-seconds", "0"
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == "budget exceeded: wall-clock budget exhausted"
+        assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
     def test_recursion_past_the_stack_exits_3(self, write, capsys):
         # One voter over 1200 candidates: the axis search recurses once per
         # placed candidate, deeper than the interpreter's stack allows.

@@ -5,9 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proprep import assignment, solvers
 from proprep.assignment import (
@@ -98,6 +101,67 @@ def best_by_scoring_every_committee(instance, pool):
     committees = itertools.combinations(sorted(pool), instance.k)
     value, committee = min((score(c)[0], c) for c in committees)
     return value, committee, score(committee)[1].mapping
+
+
+@st.composite
+def tied_instances(draw):
+    """Small explicit tables full of ties, with a pool and k at its extremes.
+
+    Entries come from 0..2; some columns copy an earlier one, some voters
+    rate every candidate 0 (an approve-all ballot), and the table may be one
+    constant.  Each vote ranks candidates by the voter's row, so any table
+    is consistent with its votes.
+    """
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    columns = []
+    for c in range(m):
+        source = draw(st.integers(0, c))
+        if source < c:
+            columns.append(columns[source])
+        else:
+            columns.append(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    rows = [[column[v] for column in columns] for v in range(n)]
+    for v in draw(st.sets(st.integers(0, n - 1))):
+        rows[v] = [0] * m
+    if draw(st.booleans()):
+        rows = [[draw(st.integers(0, 2))] * m] * n
+    pool = draw(st.one_of(st.none(), st.sets(st.integers(0, m - 1), min_size=1)))
+    size = m if pool is None else len(pool)
+    k = draw(st.sampled_from([1, min(size, n), draw(st.integers(1, min(size, n)))]))
+    votes = tuple(tuple(sorted(range(m), key=row.__getitem__)) for row in rows)
+    election = Election(tuple(f"c{i}" for i in range(m)), votes)
+    matrix = build_misrep(election, ExplicitMisrep(tuple(map(tuple, rows))))
+    rule = draw(st.sampled_from(list(Rule)))
+    objective = draw(st.sampled_from(list(Objective)))
+    return ProblemInstance(election, matrix, rule, objective, k, 0), pool
+
+
+def count_walk_steps(monkeypatch):
+    """Record every pointwise minimum the committee walk takes.
+
+    Each step zips a prefix's per-voter minima with one candidate's column
+    or with the suffix minima of the candidates left.
+    """
+    steps = []
+
+    def counted(*columns):
+        steps.append(1)
+        return zip(*columns)
+
+    monkeypatch.setattr(solvers, "zip", counted, raising=False)
+    return steps
+
+
+def generated_cc(tmp_path, m, n, k, objective):
+    """A seeded `proprep gen random --rule cc` file."""
+    path = tmp_path / f"cc-{m}-{n}-{k}-{objective}.elect"
+    code = main([
+        "gen", "random", "--m", str(m), "--n", str(n), "--k", str(k), "--rule", "cc",
+        "--objective", objective, "--seed", "0", "--out", str(path),
+    ])
+    assert code == 0
+    return parse_instance(path.read_text())
 
 
 def generated_monroe(tmp_path, objective):
@@ -209,6 +273,82 @@ class TestSubsetEnum:
         with pytest.raises(BudgetExceededError):
             solve_subset_enum(instance, SolverBudget(max_seconds=0.5))
         assert len(scored) == 1
+
+    @pytest.mark.parametrize("objective", ["sum", "minimax"])
+    def test_no_committee_is_scored_twice(self, tmp_path, monkeypatch, objective):
+        # The CC-optimal committee is scored before the other committees
+        # within its value are collected; it must not be scored again.
+        instance = generated_monroe(tmp_path, objective)
+        scored = []
+        score = solvers._committee_solution
+
+        def recorded(instance, committee):
+            scored.append(committee)
+            return score(instance, committee)
+
+        monkeypatch.setattr(solvers, "_committee_solution", recorded)
+        solve_subset_enum(instance)
+        assert len(set(scored)) == len(scored)
+
+    def test_deadline_holds_while_walking_cc_committees(self, tmp_path, monkeypatch):
+        # The fake clock reads the walk steps taken so far, so a budget of
+        # half the steps of a full solve expires mid-walk.  The deadline is
+        # checked every 1024 nodes, and a node takes at most two steps.
+        instance = generated_cc(tmp_path, 20, 20, 10, "sum")
+        steps = count_walk_steps(monkeypatch)
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: len(steps)))
+        solve_subset_enum(instance)
+        total = len(steps)
+        assert total > 8 * 1024
+        steps.clear()
+        with pytest.raises(BudgetExceededError):
+            solve_subset_enum(instance, SolverBudget(max_seconds=total // 2))
+        assert len(steps) <= total // 2 + instance.matrix.m + 2 * 1024
+
+    @pytest.mark.parametrize(
+        "pool", [[0, 0, 1], [-1, 0], [0, 1, 4]], ids=["duplicate", "negative", "past-m"]
+    )
+    def test_rejects_a_malformed_candidate_pool(self, profile_3v4c, pool):
+        instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=2)
+        with pytest.raises(ValueError, match="candidate pool"):
+            solve_subset_enum(instance, candidate_pool=pool)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances())
+    def test_ties_break_as_the_plain_minimum(self, drawn):
+        instance, pool = drawn
+        solution = solve_subset_enum(instance, candidate_pool=pool)
+        expected = best_by_scoring_every_committee(
+            instance, range(instance.matrix.m) if pool is None else pool
+        )
+        got = (
+            solution.objective_value,
+            solution.assignment.winner_set,
+            solution.assignment.mapping,
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("objective", ["sum", "minimax"])
+    def test_cc_memory_does_not_grow_with_the_committee_count(self, tmp_path, objective):
+        # C(20, 10) = 184 756 committees; holding one pair per committee
+        # takes tens of MB.
+        instance = generated_cc(tmp_path, 20, 20, 10, objective)
+        tracemalloc.start()
+        try:
+            solve_subset_enum(instance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("objective", ["sum", "minimax"])
+    def test_pruned_walk_visits_fewer_nodes_than_committees(
+        self, tmp_path, monkeypatch, objective
+    ):
+        instance = generated_cc(tmp_path, 20, 20, 10, objective)
+        steps = count_walk_steps(monkeypatch)
+        solve_subset_enum(instance)
+        assert 0 < len(steps) < math.comb(20, 10) / 5
 
 
 class TestPartitionEnum:
