@@ -295,8 +295,11 @@ def _run_sp_stab(
 ) -> Optional[Solution]:
     line = _require_axis(instance, axis)
     if instance.objective is Objective.SUM:
-        return _within_bound(solve_monroe_sum_sp(instance, line), instance.bound)
-    return search_bound(instance, lambda probed: solve_minimax_m_mw_sp(probed, line))
+        solution = solve_monroe_sum_sp(instance, line, budget)
+        return _within_bound(solution, instance.bound)
+    return search_bound(
+        instance, lambda probed: solve_minimax_m_mw_sp(probed, line, budget)
+    )
 
 
 SOLVERS = {
@@ -743,9 +746,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 3
     except RecursionError as error:
-        # Some solvers and the axis search recurse once per candidate or
-        # interval; an instance deeper than the interpreter's stack hits a
-        # resource cap like any other.
+        # Only the axis search recurses as deep as the instance is large,
+        # once per placed candidate; an instance deeper than the
+        # interpreter's stack hits a resource cap like any other.
         print(f"recursion limit exceeded: {error}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as error:

@@ -18,12 +18,31 @@ budgets, remaining anchor capacity).  Each entry assumes the anchor is the
 leftmost useful chosen line and that the keyed interval gets covered; the
 update either assigns it to the anchor (continuing or retiring the anchor) or
 to a line further right, which splits the range into independent halves.
-Choices are recorded so a witness cover can be replayed, not just counted.
+
+Every option of an entry reads a maximum over a range of later intervals, and
+entries with other budgets or anchors read the same ranges.  Those maxima are
+shared: each is a suffix maximum over the intervals of one range in index
+order, stored in its own table, so an option costs one lookup instead of a
+scan over the intervals.  Continuing the anchor and the left half of a split
+read the best entry anchored at a line within a range; retiring the anchor
+and the right half read the best entry that opens a fresh line.  The anchor
+capacity is capped by c, the number of intervals from the keyed one on that
+contain the anchor and end inside the range.  The anchor can take no other
+interval, so a capacity above c never binds, and entries that differ only
+above c share one table entry.  This keeps an all-approve profile at O(n·m²)
+entries instead of O(n²).
+
+The tables are filled top-down from the best first line, on an explicit
+stack rather than by recursion, so the depth of the instance is not bounded
+by the interpreter's stack; the wall-clock budget is checked as entries are
+opened.  Choices are recorded so a witness cover can be replayed, not just
+counted, and ties go to the first option in the order the update lists them.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +61,7 @@ from .core import (
 )
 from .flows import feasible_min_cost
 from .single_peaked import representation_interval
+from .solvers import DEFAULT_BUDGET, SolverBudget, _Deadline
 
 
 @dataclass(frozen=True)
@@ -129,149 +149,268 @@ def validate_cover(instance: StabbingInstance, cover: StabbingCover) -> None:
         raise ValueError("too many lines at the higher capacity")
 
 
-def solve_max_bal_1rs(instance: StabbingInstance) -> tuple[int, StabbingCover]:
-    """Maximum coverage under balanced capacities, with a witness cover.
+class _BalancedTable:
+    """The DP tables of `solve_max_bal_1rs` and the nodes that fill them.
 
-    Dynamic program over (interval, anchor, right edge, budgets, capacity)
-    entries as described in the module docstring; every stored entry keeps
-    the choice that achieved it, and the witness is replayed from those.
+    ``entries`` maps ``(i, x1, x2, full, lean, b)`` to ``(value, choice)``,
+    with the capacity ``b`` capped as the module docstring describes.
+    Two tables of shared maxima, each a suffix maximum over intervals in
+    index order, feed it; their values are ``(value, entry key)``, with
+    ``(0, None)`` for an empty range, and ties go to the earliest interval:
+    - ``chains[x1, x2, p, full, lean, b]``: the best entry over the
+      intervals from position ``p`` on of ``anchored(x1, x2)``, all with
+      anchor ``x1``, range end ``x2``, the budgets and capacity ``b``;
+    - ``tails[xf, x2, p, full, lean]``: the best entry that opens a fresh
+      line ``x`` with ``xf < x <= x2`` on an interval from position ``p`` on
+      of ``ending(xf, x2)``, spending a full or a lean line.
+
+    Every node is a generator.  It yields ``(node, table, key)`` for each
+    dependency missing from its table, is sent that dependency's value, and
+    returns its own value; `run` keeps the suspended nodes on its own stack.
     """
-    intervals = instance.intervals
-    count_intervals = len(intervals)
-    if count_intervals == 0:
-        return 0, StabbingCover(())
-    hi, lo = instance.cap_high, instance.cap_low
-    table: dict[tuple, tuple[int, tuple]] = {}
 
-    def tail_over(candidates, x_from, x2, full_budget, lean_budget):
-        """Best entry starting a fresh line strictly right of x_from.
+    def __init__(self, instance: StabbingInstance):
+        self.intervals = instance.intervals
+        self.hi, self.lo = instance.cap_high, instance.cap_low
+        self.entries: dict[tuple, tuple[int, tuple]] = {}
+        self.chains: dict[tuple, tuple[int, Optional[tuple]]] = {}
+        self.tails: dict[tuple, tuple[int, Optional[tuple]]] = {}
+        self._anchored: dict[tuple[int, int], list[int]] = {}
+        self._ending: dict[tuple[int, int], list[int]] = {}
+        self._layouts: dict[tuple[int, int, int], tuple] = {}
 
-        The fresh line anchors one of the candidate intervals and consumes a
-        full or lean capacity class.  Returns (value, entry key or None).
+    def anchored(self, x1: int, x2: int) -> list[int]:
+        """Intervals j with left_j <= x1 <= right_j <= x2, in index order."""
+        found = self._anchored.get((x1, x2))
+        if found is None:
+            found = self._anchored[x1, x2] = [
+                j
+                for j, (left, right) in enumerate(self.intervals)
+                if left <= x1 <= right <= x2
+            ]
+        return found
+
+    def ending(self, xf: int, x2: int) -> list[int]:
+        """Intervals j with xf < right_j <= x2, in index order."""
+        found = self._ending.get((xf, x2))
+        if found is None:
+            found = self._ending[xf, x2] = [
+                j for j, (_, right) in enumerate(self.intervals) if xf < right <= x2
+            ]
+        return found
+
+    def opens(self, full: int, lean: int) -> bool:
+        """Whether the budgets allow a fresh line of either class."""
+        return full >= 1 or (lean >= 1 and self.lo >= 1)
+
+    def run(self, node, table: dict, key: tuple, deadline: _Deadline):
+        """Fill ``table[key]`` and everything below it; return its value.
+
+        The deadline is checked before the first node and then once every
+        256 nodes opened.
         """
-        best, best_key = 0, None
-        for j in candidates:
-            left_j, right_j = intervals[j]
-            for x in range(max(left_j, x_from + 1), min(right_j, x2) + 1):
-                if full_budget >= 1:
-                    key = (j, x, x2, full_budget - 1, lean_budget, hi)
-                    value = entry(*key)
-                    if value > best:
-                        best, best_key = value, key
-                if lean_budget >= 1 and lo >= 1:
-                    key = (j, x, x2, full_budget, lean_budget - 1, lo)
-                    value = entry(*key)
-                    if value > best:
-                        best, best_key = value, key
-        return best, best_key
+        deadline.check()
+        stack = [(table, key, node(key))]
+        sent = None
+        opened = 1
+        while True:
+            table, key, frame = stack[-1]
+            try:
+                need = frame.send(sent)
+            except StopIteration as done:
+                stack.pop()
+                table[key] = sent = done.value
+                if not stack:
+                    return sent
+                continue
+            node, table, key = need
+            stack.append((table, key, node(key)))
+            sent = None
+            opened += 1
+            if not opened % 256:
+                deadline.check()
 
-    def entry(i, x1, x2, full_budget, lean_budget, b):
-        key = (i, x1, x2, full_budget, lean_budget, b)
-        cached = table.get(key)
-        if cached is not None:
-            return cached[0]
-        right_i = intervals[i][1]
-        best, choice = 0, ("anchor",)
-        if b > 1:
+    def layout(self, i: int, x1: int, x2: int) -> tuple:
+        """Where the ranges an entry (i, x1, x2) reads start after interval i.
+
+        Returns ``(chain_at, chain_room, retire_at, splits)``: the position
+        and count of the later intervals anchored in [x1, x2], the position
+        of the later intervals ending in (x1, x2] (None if there are none),
+        and per split line x the same for [x1, x - 1] (left), [x, x2]
+        (right) and (x, x2] (tail).  Entries that differ only in their
+        budgets and capacity share one layout.
+        """
+        key = (i, x1, x2)
+        found = self._layouts.get(key)
+        if found is not None:
+            return found
+
+        def after(members: list[int]) -> tuple[int, int]:
+            at = bisect_right(members, i)
+            return at, len(members) - at
+
+        def tail_after(xf: int) -> Optional[int]:
+            at, room = after(self.ending(xf, x2))
+            return at if room else None
+
+        splits = tuple(
+            (
+                x,
+                *after(self.anchored(x1, x - 1)),
+                *after(self.anchored(x, x2)),
+                tail_after(x),
+            )
+            for x in range(x1 + 1, self.intervals[i][1] + 1)
+        )
+        found = (*after(self.anchored(x1, x2)), tail_after(x1), splits)
+        self._layouts[key] = found
+        return found
+
+    def entry(self, key: tuple):
+        """Most intervals coverable from entry ``key``, with its choice."""
+        i, x1, x2, full, lean, b = key
+        chains, tails = self.chains, self.tails
+        hi, lo = self.hi, self.lo
+        chain_at, chain_room, retire_at, splits = self.layout(i, x1, x2)
+        best, choice = 0, ("anchor", None)
+        if b > 1 and chain_room:
             # The anchor takes this interval and stays open for the next
             # lowest-indexed covered interval, which must contain it.
-            for j in range(i + 1, count_intervals):
-                left_j, right_j = intervals[j]
-                if left_j <= x1 <= right_j and right_j <= x2:
-                    sub = (j, x1, x2, full_budget, lean_budget, b - 1)
-                    value = entry(*sub)
-                    if value > best:
-                        best, choice = value, ("chain", sub)
+            sub = (x1, x2, chain_at, full, lean, min(b - 1, chain_room))
+            value, chained = chains.get(sub) or (yield self.chain, chains, sub)
+            if value > best:
+                best, choice = value, ("chain", chained)
         # The anchor takes this interval and retires; coverage continues on a
         # fresh line strictly to the right.
-        rest = [
-            j
-            for j in range(i + 1, count_intervals)
-            if x1 <= intervals[j][1] <= x2
-        ]
-        value, sub = tail_over(rest, x1, x2, full_budget, lean_budget)
-        if value > best:
-            best, choice = value, ("retire", sub)
+        if retire_at is not None and self.opens(full, lean):
+            sub = (x1, x2, retire_at, full, lean)
+            value, rest = tails.get(sub) or (yield self.tail, tails, sub)
+            if value > best:
+                best, choice = value, ("retire", rest)
         # Some line x right of the anchor takes this interval.  Intervals
         # ending left of x stay with the anchor's side; the rest move right.
-        for x in range(x1 + 1, right_i + 1):
-            left_js = [
-                j
-                for j in range(i + 1, count_intervals)
-                if x1 <= intervals[j][1] < x
-            ]
-            right_js = [
-                j
-                for j in range(i + 1, count_intervals)
-                if x <= intervals[j][1] <= x2
-            ]
-            for full_left in range(full_budget + 1):
-                for lean_left in range(lean_budget + 1):
-                    full_right = full_budget - full_left
-                    lean_right = lean_budget - lean_left
+        for x, left_at, left_room, right_at, right_room, tail_at in splits:
+            for full_left in range(full + 1):
+                for lean_left in range(lean + 1):
+                    full_right = full - full_left
+                    lean_right = lean - lean_left
                     if full_right + lean_right < 1:
                         continue
                     best_left, left_key = 0, None
-                    for j in left_js:
-                        if intervals[j][0] <= x1:
-                            sub = (j, x1, x - 1, full_left, lean_left, b)
-                            value = entry(*sub)
-                            if value > best_left:
-                                best_left, left_key = value, sub
-                    for takes_full in (True, False):
-                        if takes_full:
-                            if full_right < 1:
-                                continue
-                            spent = (full_right - 1, lean_right, hi - 1)
-                        else:
-                            if lean_right < 1 or lo < 1:
-                                continue
-                            spent = (full_right, lean_right - 1, lo - 1)
-                        full_rest, lean_rest, b_rest = spent
+                    if left_room:
+                        sub = (
+                            x1, x - 1, left_at, full_left, lean_left,
+                            min(b, left_room),
+                        )
+                        best_left, left_key = (
+                            chains.get(sub) or (yield self.chain, chains, sub)
+                        )
+                    spends = []
+                    if full_right >= 1:
+                        spends.append((full_right - 1, lean_right, hi - 1))
+                    if lean_right >= 1 and lo >= 1:
+                        spends.append((full_right, lean_right - 1, lo - 1))
+                    for full_rest, lean_rest, b_rest in spends:
                         best_right, right_key = 0, None
-                        if b_rest >= 1:
-                            for j in right_js:
-                                if intervals[j][0] <= x:
-                                    sub = (j, x, x2, full_rest, lean_rest, b_rest)
-                                    value = entry(*sub)
-                                    if value > best_right:
-                                        best_right, right_key = value, sub
-                        value, sub = tail_over(right_js, x, x2, full_rest, lean_rest)
-                        if value > best_right:
-                            best_right, right_key = value, sub
+                        if b_rest >= 1 and right_room:
+                            sub = (
+                                x, x2, right_at, full_rest, lean_rest,
+                                min(b_rest, right_room),
+                            )
+                            best_right, right_key = (
+                                chains.get(sub) or (yield self.chain, chains, sub)
+                            )
+                        if tail_at is not None and self.opens(full_rest, lean_rest):
+                            sub = (x, x2, tail_at, full_rest, lean_rest)
+                            value, rest = (
+                                tails.get(sub) or (yield self.tail, tails, sub)
+                            )
+                            if value > best_right:
+                                best_right, right_key = value, rest
                         if best_left + best_right > best:
                             best = best_left + best_right
                             choice = ("split", x, left_key, right_key)
-        table[key] = (best + 1, choice)
-        return best + 1
+        return best + 1, choice
 
-    covered, top_key = tail_over(
-        range(count_intervals), 0, instance.num_lines,
-        instance.full_lines, instance.lean_lines,
-    )
-    if top_key is None:
+    def chain(self, key: tuple):
+        """This position's entry, unless a later one is strictly better."""
+        x1, x2, at, full, lean, b = key
+        span = self.anchored(x1, x2)
+        sub = (span[at], x1, x2, full, lean, b)
+        value = (self.entries.get(sub) or (yield self.entry, self.entries, sub))[0]
+        room = len(span) - at - 1
+        if room:
+            later = (x1, x2, at + 1, full, lean, min(b, room))
+            rest = self.chains.get(later) or (yield self.chain, self.chains, later)
+            if rest[0] > value:
+                return rest
+        return value, sub
+
+    def tail(self, key: tuple):
+        """The best fresh line on this position's interval, then later ones."""
+        xf, x2, at, full, lean = key
+        entries = self.entries
+        ends = self.ending(xf, x2)
+        j = ends[at]
+        left, right = self.intervals[j]
+        best, best_key = 0, None
+        for x in range(max(left, xf + 1), right + 1):
+            # Interval j anchors line x, whose capacity is capped by the
+            # intervals from j on that line x could take.
+            span = self.anchored(x, x2)
+            room = len(span) - bisect_left(span, j)
+            fresh = []
+            if full >= 1:
+                fresh.append((j, x, x2, full - 1, lean, min(self.hi, room)))
+            if lean >= 1 and self.lo >= 1:
+                fresh.append((j, x, x2, full, lean - 1, min(self.lo, room)))
+            for sub in fresh:
+                value = (entries.get(sub) or (yield self.entry, entries, sub))[0]
+                if value > best:
+                    best, best_key = value, sub
+        if at + 1 < len(ends):
+            later = (xf, x2, at + 1, full, lean)
+            rest = self.tails.get(later) or (yield self.tail, self.tails, later)
+            if rest[0] > best:
+                return rest
+        return best, best_key
+
+    def replay(self, key: tuple) -> list[tuple[int, int]]:
+        """The (interval, line) placements of an entry's witness."""
+        placements = []
+        todo = [key]
+        while todo:
+            key = todo.pop()
+            i, x1 = key[0], key[1]
+            choice = self.entries[key][1]
+            if choice[0] == "split":
+                _, x, left_key, right_key = choice
+                placements.append((i, x))
+                todo.extend(sub for sub in (right_key, left_key) if sub is not None)
+            else:
+                placements.append((i, x1))
+                if choice[1] is not None:
+                    todo.append(choice[1])
+        return placements
+
+
+def solve_max_bal_1rs(
+    instance: StabbingInstance, budget: SolverBudget = DEFAULT_BUDGET
+) -> tuple[int, StabbingCover]:
+    """Maximum coverage under balanced capacities, with a witness cover.
+
+    Fills the tables described in the module docstring top-down from the
+    best first line, then replays the stored choices into a cover.  Raises
+    `BudgetExceededError` once ``budget.max_seconds`` have passed.
+    """
+    if not instance.intervals:
         return 0, StabbingCover(())
-
-    def replay(key) -> list[tuple[int, int]]:
-        i, x1 = key[0], key[1]
-        choice = table[key][1]
-        kind = choice[0]
-        if kind == "anchor":
-            return [(i, x1)]
-        if kind in ("chain", "retire"):
-            placed = [(i, x1)]
-            if choice[1] is not None:
-                placed.extend(replay(choice[1]))
-            return placed
-        _, x, left_key, right_key = choice
-        placed = [(i, x)]
-        if left_key is not None:
-            placed.extend(replay(left_key))
-        if right_key is not None:
-            placed.extend(replay(right_key))
-        return placed
-
-    placements = replay(top_key)
+    table = _BalancedTable(instance)
+    # Every interval ends in (0, num_lines], so the top tail ranges over all
+    # of them; with an interval to cover, k >= 1 seats always open a line.
+    top = (0, instance.num_lines, 0, instance.full_lines, instance.lean_lines)
+    covered, top_key = table.run(table.tail, table.tails, top, _Deadline(budget))
+    placements = table.replay(top_key)
     assert len(placements) == covered
     by_line: dict[int, list[int]] = {}
     for idx, line in placements:
@@ -326,44 +465,6 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
             assert result is not None, "bypass arcs make every amount feasible"
             best = max(best, count - result[0])
     return best
-
-
-def normalize_cover(
-    instance: StabbingInstance, cover: StabbingCover
-) -> StabbingCover:
-    """Swap assignments until earlier lines carry earlier intervals.
-
-    Whenever a line carries an interval that reaches over an earlier chosen
-    line carrying a later interval that also reaches the line, the two
-    intervals trade places.  Coverage counts and per-line loads never change.
-    """
-    assigned = {line: set(ids) for line, ids in cover.assigned}
-    lines = sorted(assigned)
-    intervals = instance.intervals
-
-    def find_swap():
-        for line in lines:
-            for idx in assigned[line]:
-                for earlier in lines:
-                    if not intervals[idx][0] <= earlier < line:
-                        continue
-                    for other in assigned[earlier]:
-                        if other > idx and intervals[other][1] >= line:
-                            return line, idx, earlier, other
-        return None
-
-    while (found := find_swap()) is not None:
-        line, idx, earlier, other = found
-        assigned[line].remove(idx)
-        assigned[earlier].remove(other)
-        assigned[line].add(other)
-        assigned[earlier].add(idx)
-    result = StabbingCover(
-        tuple((line, tuple(sorted(assigned[line]))) for line in lines)
-    )
-    validate_cover(instance, result)
-    assert result.covered_count == cover.covered_count
-    return result
 
 
 @dataclass(frozen=True)
@@ -483,17 +584,19 @@ def complete_assignment(
     return Solution(assignment, value, balanced)
 
 
-def solve_monroe_sum_sp(problem: ProblemInstance, axis) -> Solution:
+def solve_monroe_sum_sp(
+    problem: ProblemInstance, axis, budget: SolverBudget = DEFAULT_BUDGET
+) -> Solution:
     """Optimal balanced-rule sum committee (0/1 values, contiguous on axis)."""
     if problem.objective is not Objective.SUM:
         raise ValueError("this pipeline handles the sum objective")
     reduction = reduce_m_mw_sp(problem, axis)
-    _, cover = solve_max_bal_1rs(reduction.stabbing)
+    _, cover = solve_max_bal_1rs(reduction.stabbing, budget)
     return complete_assignment(reduction, cover)
 
 
 def solve_minimax_m_mw_sp(
-    problem: ProblemInstance, axis
+    problem: ProblemInstance, axis, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
     """Balanced-rule minimax decision on an axis at the instance bound.
 
@@ -506,7 +609,7 @@ def solve_minimax_m_mw_sp(
     reduction = _reduction(problem, axis, problem.bound)
     if reduction.unplaceable_voters:
         return None
-    covered, cover = solve_max_bal_1rs(reduction.stabbing)
+    covered, cover = solve_max_bal_1rs(reduction.stabbing, budget)
     matrix, k = problem.matrix, problem.k
     n = matrix.n
     if covered < n:

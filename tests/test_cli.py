@@ -223,6 +223,45 @@ class TestSolve:
         assert lines[0] == "budget exceeded: wall-clock budget exhausted"
         assert sum(line.startswith("budget exceeded:") for line in lines) == 1
 
+    def test_zero_seconds_stop_the_stabbing_dp(self, tmp_path, capsys):
+        path = str(tmp_path / "stab.elect")
+        assert main([
+            "gen", "single-peaked", "--m", "6", "--n", "24", "--k", "2",
+            "--rule", "monroe", "--misrep", "approval", "--seed", "1",
+            "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", "sp-stab", "--budget-seconds", "0"
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == "budget exceeded: wall-clock budget exhausted"
+        assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
+    def test_all_approve_profile_deeper_than_the_stack_is_answered(
+        self, write, capsys
+    ):
+        # 1500 voters approving all three candidates: the stabbing DP chains
+        # 1500 intervals on one line, past the interpreter's default stack.
+        names = ["c1", "c2", "c3"]
+        ranking = " ".join(names) + "\n"
+        text = (
+            "proprep v1\n3 1500 1 - monroe sum approval\n"
+            + "".join(name + "\n" for name in names)
+            + ranking * 1500
+            + "#approve\n"
+            + ranking * 1500
+        )
+        instance_path = write("all-approve.elect", text)
+        code, out, err = run_cli(capsys, "solve", instance_path)
+        assert code == 0, err
+        assert "solver sp-stab" in out.splitlines()
+        assert record_value(out) == 0
+        solution_path = write("all-approve.sol", out)
+        code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
+        assert code == 0
+
     def test_recursion_past_the_stack_exits_3(self, write, capsys):
         # One voter over 1200 candidates: the axis search recurses once per
         # placed candidate, deeper than the interpreter's stack allows.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_for, ranked
+from proprep import stabbing
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -19,13 +21,11 @@ from proprep.core import (
     build_misrep,
 )
 from proprep.single_peaked import sample_single_peaked_election
-from proprep.solvers import DEFAULT_BUDGET, solve_subset_enum
+from proprep.solvers import DEFAULT_BUDGET, SolverBudget, solve_subset_enum
 from proprep.stabbing import (
-    StabbingCover,
     StabbingInstance,
     brute_force_stabbing,
     complete_assignment,
-    normalize_cover,
     reduce_m_mw_sp,
     solve_max_bal_1rs,
     solve_minimax_m_mw_sp,
@@ -86,6 +86,25 @@ def stabbing_instances(draw):
     k = draw(st.integers(1, num_lines))
     extra = draw(st.integers(0, 3))
     return make_instance(intervals, num_lines, k, extra)
+
+
+@st.composite
+def repeated_interval_instances(draw):
+    """Few distinct intervals, each repeated, with one or two seats.
+
+    A line's capacity then often exceeds the number of intervals that could
+    still go to it, which is where the DP caps the capacity.
+    """
+    num_lines = draw(st.integers(1, 6))
+    shapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        left = draw(st.integers(1, num_lines))
+        shapes.append((left, draw(st.integers(left, num_lines))))
+    intervals = [
+        shape for shape in shapes for _ in range(draw(st.integers(1, 4)))
+    ][:8]
+    k = draw(st.integers(1, min(2, num_lines)))
+    return make_instance(intervals, num_lines, k, draw(st.integers(0, 2)))
 
 
 class TestStabbingInstance:
@@ -173,6 +192,77 @@ class TestSolveMaxBal:
         assert covered == brute_force_stabbing(instance)
         validate_cover(instance, cover)
 
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_interval_instances())
+    def test_capped_capacity_agrees_with_brute_force(self, instance):
+        covered, cover = solve_max_bal_1rs(instance)
+        assert covered == brute_force_stabbing(instance)
+        validate_cover(instance, cover)
+
+    @pytest.mark.parametrize(
+        "intervals, num_lines, k, num_targets, assigned",
+        [
+            ([(1, 2), (1, 2)], 2, 2, 4, ((1, (0, 1)),)),
+            (
+                [(1, 2), (1, 2), (1, 3), (1, 1), (1, 1), (2, 3)], 3, 3, 8,
+                ((1, (0, 3, 4)), (2, (1, 2, 5))),
+            ),
+            (
+                [(1, 2), (1, 2), (1, 2), (1, 1), (2, 3), (2, 2)], 3, 3, 6,
+                ((1, (0, 1)), (2, (2, 5)), (3, (4,))),
+            ),
+            (
+                [
+                    (1, 2), (1, 4), (1, 3), (1, 3), (2, 4), (2, 3), (3, 4), (3, 3),
+                    (3, 5), (3, 5), (3, 5), (3, 4), (4, 4), (4, 5), (5, 5),
+                ],
+                5, 2, 17,
+                ((2, (0, 1, 2, 3, 4, 5)), (4, (6, 8, 9, 10, 11, 12, 13))),
+            ),
+        ],
+    )
+    def test_witness_follows_the_choice_order(
+        self, intervals, num_lines, k, num_targets, assigned
+    ):
+        """Chain, then retire, then split; a later option wins only when
+        strictly better, and among tied intervals the first one wins.  The
+        covers are those the memoised recursion gave before the table."""
+        instance = StabbingInstance(tuple(intervals), num_lines, k, num_targets)
+        covered, cover = solve_max_bal_1rs(instance)
+        assert cover.assigned == assigned
+        assert covered == cover.covered_count
+
+    def test_runs_without_recursion(self):
+        instance = make_instance([(1, 3)] * 1500, 3, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            covered, cover = solve_max_bal_1rs(instance)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert covered == 1500
+        assert cover.assigned == ((1, tuple(range(1500))),)
+
+    def test_capped_capacity_keeps_all_approve_tables_small(self, monkeypatch):
+        tables = []
+        run = stabbing._BalancedTable.run
+
+        def keep(table, *args):
+            tables.append(table)
+            return run(table, *args)
+
+        monkeypatch.setattr(stabbing._BalancedTable, "run", keep)
+        n, m = 300, 3
+        covered, _ = solve_max_bal_1rs(make_instance([(1, m)] * n, m, 1))
+        assert covered == n
+        (table,) = tables
+        assert len(table.entries) <= n * m * m
+
+    def test_zero_seconds_stop_the_table(self):
+        instance = make_instance([(1, 2), (1, 1), (2, 3)], 3, 2)
+        with pytest.raises(BudgetExceededError, match="wall-clock"):
+            solve_max_bal_1rs(instance, SolverBudget(max_seconds=0))
+
     def test_witness_respects_balanced_capacities(self):
         rng = random.Random(20260816)
         for _ in range(150):
@@ -184,30 +274,6 @@ class TestSolveMaxBal:
             if instance.cap_high > instance.cap_low:
                 at_high = sum(1 for load in loads if load == instance.cap_high)
                 assert at_high <= instance.full_lines
-
-
-class TestNormalizeCover:
-    def test_swaps_reaching_interval_to_earlier_line(self):
-        instance = make_instance([(1, 3), (1, 3)], 3, 2)
-        crossed = StabbingCover(((1, (1,)), (3, (0,))))
-        validate_cover(instance, crossed)
-        tidy = normalize_cover(instance, crossed)
-        assert tidy.assigned == ((1, (0,)), (3, (1,)))
-
-    def test_normalized_covers_keep_count_and_order(self):
-        rng = random.Random(99)
-        for _ in range(120):
-            instance = random_instance(rng)
-            covered, cover = solve_max_bal_1rs(instance)
-            tidy = normalize_cover(instance, cover)
-            assert tidy.covered_count == covered
-            for line, ids in tidy.assigned:
-                for idx in ids:
-                    for earlier, other_ids in tidy.assigned:
-                        if not instance.intervals[idx][0] <= earlier < line:
-                            continue
-                        for other in other_ids:
-                            assert other < idx or instance.intervals[other][1] < line
 
 
 class TestReduction:
