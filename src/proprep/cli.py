@@ -58,6 +58,7 @@ from .hardness import (
     gen_vc_minimax,
 )
 from .single_peaked import (
+    AxisRows,
     detect_axis,
     sample_single_peaked_election,
     solve_cc_minimax_sp,
@@ -287,7 +288,10 @@ def _run_sp_greedy(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> Optional[Solution]:
     line = _require_axis(instance, axis)
-    return search_bound(instance, lambda probed: solve_cc_minimax_sp(probed, line))
+    rows = AxisRows(instance.matrix, line)
+    return search_bound(
+        instance, lambda probed: solve_cc_minimax_sp(probed, line, rows)
+    )
 
 
 def _run_sp_stab(
@@ -335,6 +339,19 @@ AUTO_ORDER = (
 )
 
 
+def _time_left(budget: SolverBudget, started: float) -> SolverBudget:
+    """The budget with only the seconds left since `started`.
+
+    Raises `BudgetExceededError` when none are left.
+    """
+    if budget.max_seconds is None:
+        return budget
+    left = budget.max_seconds - (time.monotonic() - started)
+    if left <= 0:
+        raise BudgetExceededError("wall-clock budget exhausted")
+    return replace(budget, max_seconds=left)
+
+
 def solve_auto(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> tuple[str, Optional[Solution]]:
@@ -342,17 +359,21 @@ def solve_auto(
 
     A solver that applies but then raises `ValueError` or exhausts its
     budget falls through to the next; an infeasible answer is final.
-    Committee enumeration runs last whatever its `applies` says.  Returns
-    the name of the solver that answered, with its answer.
+    Committee enumeration runs last whatever its `applies` says.  All of
+    them share one ``max_seconds``: each later solver gets only the time
+    left, and `BudgetExceededError` is raised when none is.  Returns the
+    name of the solver that answered, with its answer.
     """
+    started = time.monotonic()
+    share = budget
     *structured, fallback = (SOLVERS[name] for name in AUTO_ORDER)
     for spec in structured:
         if spec.applies(instance, axis, budget) is None:
             try:
-                return spec.name, spec.run(instance, axis, budget)
+                return spec.name, spec.run(instance, axis, share)
             except (BudgetExceededError, ValueError):
-                pass
-    return fallback.name, fallback.run(instance, axis, budget)
+                share = _time_left(budget, started)
+    return fallback.name, fallback.run(instance, axis, share)
 
 
 def optimize(
@@ -402,7 +423,8 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
         "--budget-seconds",
         type=float,
         default=DEFAULT_BUDGET.max_seconds,
-        help="wall-clock cap per solver run (default: none)",
+        help="wall-clock cap per solver run, shared by the solvers auto tries "
+        "(default: none)",
     )
 
 

@@ -45,6 +45,14 @@ class VoterError(ValueError):
         super().__init__(f"voter {voter}: {message}")
 
 
+class CandidateError(ValueError):
+    """A validation error blamed on one candidate, whose index is ``candidate``."""
+
+    def __init__(self, candidate: int, message: str) -> None:
+        self.candidate = candidate
+        super().__init__(message)
+
+
 class Rule(str, enum.Enum):
     """Committee evaluation rule."""
 
@@ -57,6 +65,14 @@ class Objective(str, enum.Enum):
 
     SUM = "sum"
     MINIMAX = "minimax"
+
+
+def _inverse(vote: Sequence[int]) -> tuple[int, ...]:
+    """Each candidate's rank in a vote, by candidate index."""
+    positions = [0] * len(vote)
+    for rank, candidate in enumerate(vote):
+        positions[candidate] = rank
+    return tuple(positions)
 
 
 @dataclass(frozen=True)
@@ -72,28 +88,32 @@ class Election:
     votes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        """Validate names, then votes, each in index order.
+
+        The first bad name raises :class:`CandidateError` and the first bad
+        vote :class:`VoterError`, so a parser can blame the line it read.
+        """
         if not self.candidates:
             raise ValueError("election needs at least one candidate")
         if not self.votes:
             raise ValueError("election needs at least one voter")
         seen = set()
-        for name in self.candidates:
+        for index, name in enumerate(self.candidates):
             if not name or any(ch.isspace() for ch in name):
-                raise ValueError(f"bad candidate name {name!r}")
+                raise CandidateError(index, f"bad candidate name {name!r}")
             if name.startswith("#") or name == "-":
-                raise ValueError(f"reserved candidate name {name!r}")
+                raise CandidateError(index, f"reserved candidate name {name!r}")
             if name in seen:
-                raise ValueError(f"duplicate candidate name {name!r}")
+                raise CandidateError(index, f"duplicate candidate name {name!r}")
             seen.add(name)
-        full = frozenset(range(len(self.candidates)))
+        m = len(self.candidates)
+        full = frozenset(range(m))
         for voter, vote in enumerate(self.votes):
-            if len(vote) != len(self.candidates) or frozenset(vote) != full:
-                raise ValueError(f"vote of voter {voter} is not a permutation")
-        positions = tuple(
-            tuple(rank_of[1] for rank_of in sorted(zip(vote, range(len(vote)))))
-            for vote in self.votes
+            if len(vote) != m or frozenset(vote) != full:
+                raise VoterError(voter, "vote is not a permutation")
+        object.__setattr__(
+            self, "_positions", tuple(map(_inverse, self.votes))
         )
-        object.__setattr__(self, "_positions", positions)
 
     @property
     def m(self) -> int:
@@ -181,11 +201,7 @@ def build_misrep(election: Election, spec: MisrepSpec) -> MisrepMatrix:
     approval set or table row raises ``ValueError``.
     """
     if isinstance(spec, BordaMisrep):
-        rows = tuple(
-            tuple(election.position(v, c) for c in range(election.m))
-            for v in range(election.n)
-        )
-        return MisrepMatrix(rows)
+        return MisrepMatrix(election._positions)
     if isinstance(spec, ApprovalMisrep):
         if len(spec.approved) != election.n:
             raise ValueError("one approval set per voter required")

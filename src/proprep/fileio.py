@@ -40,6 +40,7 @@ from .core import (
     ApprovalMisrep,
     Assignment,
     BordaMisrep,
+    CandidateError,
     Election,
     ExplicitMisrep,
     MisrepMatrix,
@@ -115,10 +116,13 @@ def _parse_positive(token: str, what: str, number: int) -> int:
     return value
 
 
-def _candidate_index(token: str, by_name: dict[str, int], number: int) -> int:
-    if token not in by_name:
-        raise ParseError(number, f"unknown candidate {token!r}")
-    return by_name[token]
+def _candidate_indices(
+    tokens: list[str], by_name: dict[str, int], number: int
+) -> tuple[int, ...]:
+    try:
+        return tuple(map(by_name.__getitem__, tokens))
+    except KeyError as error:
+        raise ParseError(number, f"unknown candidate {error.args[0]!r}") from None
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -157,31 +161,40 @@ def parse_instance(text: str) -> ProblemInstance:
     rule, objective, kind = _RULES[fields[4]], _OBJECTIVES[fields[5]], fields[6]
 
     names: list[str] = []
-    by_name: dict[str, int] = {}
-    for _ in range(m):
-        number, line = cursor.take("a candidate name")
-        tokens = line.split()
-        if len(tokens) != 1:
-            raise ParseError(number, "candidate name must be a single token")
-        name = tokens[0]
-        if name == "-" or name.startswith("#"):
-            raise ParseError(number, f"reserved candidate name {name!r}")
-        if name in by_name:
-            raise ParseError(number, f"duplicate candidate name {name!r}")
-        by_name[name] = len(names)
-        names.append(name)
-
-    votes: list[tuple[int, ...]] = []
-    for voter in range(n):
-        number, line = cursor.take(f"the vote of voter {voter}")
-        tokens = line.split()
-        vote = tuple(_candidate_index(token, by_name, number) for token in tokens)
-        if len(vote) != m or len(set(vote)) != m:
-            raise ParseError(
-                number, f"vote of voter {voter} must rank all {m} candidates once"
-            )
-        votes.append(vote)
-    election = Election(tuple(names), tuple(votes))
+    name_numbers: list[int] = []
+    vote_lines: list[tuple[int, str]] = []
+    cut_short: Optional[ParseError] = None
+    try:
+        for _ in range(m):
+            number, line = cursor.take("a candidate name")
+            tokens = line.split()
+            if len(tokens) != 1:
+                raise ParseError(number, "candidate name must be a single token")
+            names.append(tokens[0])
+            name_numbers.append(number)
+        for voter in range(n):
+            vote_lines.append(cursor.take(f"the vote of voter {voter}"))
+    except ParseError as error:
+        if not names:
+            raise
+        cut_short = error
+    # The election checks what was read before any line that failed, so
+    # the first error in file order is reported.  An unknown name resolves
+    # to None, which no permutation holds.
+    by_name = {name: index for index, name in enumerate(names)}
+    votes = tuple(tuple(map(by_name.get, line.split())) for _, line in vote_lines)
+    try:
+        election = Election(tuple(names), votes or (tuple(range(len(names))),))
+    except CandidateError as error:
+        raise ParseError(name_numbers[error.candidate], str(error)) from None
+    except VoterError as error:
+        number, line = vote_lines[error.voter]
+        _candidate_indices(line.split(), by_name, number)  # an unknown name
+        raise ParseError(
+            number, f"vote of voter {error.voter} must rank all {m} candidates once"
+        ) from None
+    if cut_short is not None:
+        raise cut_short
 
     # The line each voter's approval set or table row came from.
     row_numbers: list[int] = []
@@ -197,9 +210,7 @@ def parse_instance(text: str) -> ProblemInstance:
             number, line = cursor.take(f"the approvals of voter {voter}")
             row_numbers.append(number)
             tokens = [] if line == "-" else line.split()
-            approvals.append(
-                tuple(_candidate_index(token, by_name, number) for token in tokens)
-            )
+            approvals.append(_candidate_indices(tokens, by_name, number))
         spec = ApprovalMisrep(tuple(approvals))
     else:
         number, line = cursor.take("the #matrix block")
@@ -323,10 +334,10 @@ def parse_solution(text: str, election: Election) -> tuple[Solution, Optional[st
         raise ParseError(number, f"m-criterion must be true or false, got {rest!r}")
     balanced = rest == "true"
     number, rest = seen["winners"]
-    winners = tuple(_candidate_index(token, by_name, number) for token in rest.split())
+    winners = _candidate_indices(rest.split(), by_name, number)
     winners_number = number
     number, rest = seen["assignment"]
-    mapping = tuple(_candidate_index(token, by_name, number) for token in rest.split())
+    mapping = _candidate_indices(rest.split(), by_name, number)
     if len(mapping) != election.n:
         raise ParseError(
             number, f"assignment names {len(mapping)} voters, expected {election.n}"

@@ -13,8 +13,10 @@ Axes are plain tuples of candidate indices in line order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import ge, itemgetter, le, neg
+from typing import Callable, Optional, Sequence
 
 from .assignment import assign_cc
 from .core import (
@@ -144,23 +146,53 @@ def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
     return found
 
 
+def _axis_reader(axis: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A function reading one table row along the axis."""
+    if len(axis) == 1:
+        only = axis[0]
+        return lambda row: (row[only],)
+    return itemgetter(*axis)
+
+
+def _trough(values: Sequence[int]) -> int:
+    """First minimum position of a valley row, or -1 for any other row.
+
+    A row is a valley when it never rises and then falls again, which is the
+    same as never rising up to its first minimum and never falling after it.
+    """
+    trough = values.index(min(values))
+    if all(map(ge, values[:trough], values[1 : trough + 1])) and all(
+        map(le, values[trough:-1], values[trough + 1 :])
+    ):
+        return trough
+    return -1
+
+
 def check_single_troughed(matrix: MisrepMatrix, axis: Sequence[int]) -> bool:
     """True when no voter's values rise and then fall again along the axis.
 
     Formally: for axis positions i < j < k, r(v,c_i) < r(v,c_j) implies
-    r(v,c_j) <= r(v,c_k).  Checked in O(nm) with prefix and suffix minima.
+    r(v,c_j) <= r(v,c_k).  Checked in O(nm): each row read along the axis
+    must not rise up to its first minimum and must not fall after it.
     """
-    for row in matrix.rows:
-        values = [row[c] for c in axis]
-        lowest_ahead = values[:]
-        for i in range(len(values) - 2, -1, -1):
-            lowest_ahead[i] = min(values[i], lowest_ahead[i + 1])
-        lowest_behind = values[0]
-        for j in range(1, len(values) - 1):
-            if lowest_behind < values[j] and lowest_ahead[j + 1] < values[j]:
-                return False
-            lowest_behind = min(lowest_behind, values[j])
-    return True
+    read = _axis_reader(axis)
+    return all(_trough(read(row)) >= 0 for row in matrix.rows)
+
+
+def _scan_interval(
+    voter: int, values: Sequence[int], bound: int
+) -> Optional[tuple[int, int]]:
+    """First and last axis position within the bound, by a linear scan."""
+    positions = [i for i, x in enumerate(values) if x <= bound]
+    if not positions:
+        return None
+    left, right = positions[0], positions[-1]
+    if len(positions) != right - left + 1:
+        raise ValueError(
+            f"voter {voter}: candidates within bound {bound} are not contiguous "
+            "on the axis; the matrix is not single-troughed"
+        )
+    return left, right
 
 
 def representation_interval(
@@ -172,21 +204,122 @@ def representation_interval(
     positions are not contiguous, which means the matrix is not
     single-troughed on this axis.
     """
-    positions = [i for i, c in enumerate(axis) if matrix.rows[voter][c] <= bound]
-    if not positions:
-        return None
-    left, right = positions[0], positions[-1]
-    if len(positions) != right - left + 1:
-        raise ValueError(
-            f"voter {voter}: candidates within bound {bound} are not contiguous "
-            "on the axis; the matrix is not single-troughed"
-        )
-    return RepresentationInterval(voter, left, right)
+    found = _scan_interval(voter, _axis_reader(axis)(matrix.rows[voter]), bound)
+    return None if found is None else RepresentationInterval(voter, *found)
+
+
+class AxisRows:
+    """Every voter's row read along an axis once, for many bounds.
+
+    A valley row's positions within a bound are found by bisection on its
+    two monotone sides, in O(log m); any other row is scanned, and raises
+    where `representation_interval` would.
+    """
+
+    def __init__(self, matrix: MisrepMatrix, axis: Sequence[int]) -> None:
+        read = _axis_reader(axis)
+        self.values = [read(row) for row in matrix.rows]
+        self.troughs = [_trough(values) for values in self.values]
+
+    def interval(self, voter: int, bound: int) -> Optional[tuple[int, int]]:
+        """``(left, right)`` as `representation_interval` gives it, or None."""
+        values, trough = self.values[voter], self.troughs[voter]
+        if trough < 0:
+            return _scan_interval(voter, values, bound)
+        if values[trough] > bound:
+            return None
+        left = bisect_left(values, -bound, 0, trough, key=neg)
+        return left, bisect_right(values, bound, trough) - 1
 
 
 def _require_permutation(matrix: MisrepMatrix, axis: Sequence[int]) -> None:
     if sorted(axis) != list(range(matrix.m)):
         raise ValueError("axis must be a permutation of the candidate indices")
+
+
+def axis_savings(
+    matrix: MisrepMatrix, axis: Sequence[int], stats: Optional[DPStats] = None
+) -> tuple[list[int], list[list[int]]]:
+    """Column totals and savings of a single-troughed table read along an axis.
+
+    With a_v voter v's row read along the axis, ``totals[i]`` is the sum of
+    a_v[i] over all voters, and ``saving[i][p]`` for p < i is the sum of
+    max(0, a_v[p] - a_v[i]).  Raises `ValueError` when the table is not
+    single-troughed on the axis.
+
+    Filled in O(nm + m^2) by one left-to-right sweep over i, with the
+    voters split by their trough t_v (first minimum):
+
+    * t_v >= i: p and i both lie on the falling side, so v saves exactly
+      a_v[p] - a_v[i]; column sums over the voters with t_v >= i give all p
+      at once.
+    * t_v <= p: both lie on the rising side, and v saves nothing.
+    * p < t_v < i: v saves a_v[p] - a_v[i] for p below a cut q_v(i), the
+      first position with a_v[p] <= a_v[i].  The cut only moves left as i
+      grows, so each voter's cut moves at most t_v times in all.
+
+    `stats` counts the table entries read, the cut moves, the cut entries
+    and the saving entries.
+    """
+    m = matrix.m
+    read = _axis_reader(axis)
+    by_trough: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for row in matrix.rows:
+        values = read(row)
+        trough = _trough(values)
+        if trough < 0:
+            raise ValueError("matrix is not single-troughed on this axis")
+        by_trough[trough].append(values)
+    trough_sums = [
+        [sum(column) for column in zip(*rows)] if rows else None
+        for rows in by_trough
+    ]
+    totals = [
+        sum(column) for column in zip(*(sums for sums in trough_sums if sums))
+    ]
+    work = matrix.n * m
+
+    # ahead[c]: column c summed over the voters with trough >= i.
+    # crossing[p]: a_v[p] summed over the voters with trough < i and p < q_v(i).
+    # active: [a_v, q_v(i)] for the voters with trough < i and q_v(i) > 0.
+    saving: list[list[int]] = []
+    ahead = totals[:]
+    crossing = [0] * m
+    active: list[list] = []
+    for i in range(m):
+        left = i - 1
+        if i and trough_sums[left] is not None:
+            done = trough_sums[left]
+            ahead = [x - y for x, y in zip(ahead, done)]
+            for p in range(left):
+                crossing[p] += done[p]
+            if left:
+                active.extend([values, left] for values in by_trough[left])
+        # cut[q]: a_v[i] summed over the active voters whose cut is at q.
+        cut = [0] * (i + 1)
+        kept = []
+        for entry in active:
+            values, q = entry
+            x = values[i]
+            while q and values[q - 1] <= x:
+                q -= 1
+                crossing[q] -= values[q]
+                work += 1
+            if q:
+                cut[q] += x
+                entry[1] = q
+                kept.append(entry)
+        active = kept
+        work += len(kept) + i
+        row = [0] * i
+        beyond, base = 0, ahead[i]
+        for p in range(i - 1, -1, -1):
+            beyond += cut[p + 1]
+            row[p] = ahead[p] - base + crossing[p] - beyond
+        saving.append(row)
+    if stats is not None:
+        stats.cell_updates += work
+    return totals, saving
 
 
 def solve_cc_sum_sp(
@@ -197,48 +330,39 @@ def solve_cc_sum_sp(
     """Optimal sum-objective committee for the unconstrained rule on an axis.
 
     Dynamic program over axis positions: z[i][j] is the best total when j
-    candidates are chosen and the rightmost is at axis position i.  Extending
-    a committee rightward with position i improves exactly the voters whose
-    valley lies toward i, and their saving against the previous rightmost
-    choice p is d[p][i].  Runs in O(n m^2).
+    candidates are chosen and the rightmost is at axis position i.  Adding
+    position i to the right of a committee whose rightmost choice is p
+    improves exactly the voters whose values fall from p to i, by
+    saving[i][p] (`axis_savings`); on a single-troughed table no member
+    left of p serves them better.  The savings take O(nm + m^2) and the
+    table O(k m^2); `stats` counts both.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.SUM:
         raise ValueError("this solver handles the unconstrained rule, sum objective")
     matrix, k = instance.matrix, instance.k
     _require_permutation(matrix, axis)
-    if not check_single_troughed(matrix, axis):
-        raise ValueError("matrix is not single-troughed on this axis")
     m, n = matrix.m, matrix.n
-    columns = [tuple(matrix.rows[v][c] for v in range(n)) for c in axis]
-
-    def tick(amount: int) -> None:
-        if stats is not None:
-            stats.cell_updates += amount
-
-    saving = [[0] * m for _ in range(m)]
-    for p in range(m):
-        for i in range(p + 1, m):
-            saving[p][i] = sum(
-                hi - lo for hi, lo in zip(columns[p], columns[i]) if hi > lo
-            )
-            tick(n)
+    totals, saving = axis_savings(matrix, axis, stats)
 
     unset = None
     z = [[unset] * (k + 1) for _ in range(m)]
     parent = [[-1] * (k + 1) for _ in range(m)]
     for i in range(m):
-        z[i][1] = sum(columns[i])
-        tick(n)
+        z[i][1] = totals[i]
+    work = 0
     for j in range(2, k + 1):
         for i in range(j - 1, m):
             best, best_p = unset, -1
+            gains = saving[i]
             for p in range(j - 2, i):
-                value = z[p][j - 1] - saving[p][i]
-                tick(1)
+                value = z[p][j - 1] - gains[p]
                 if best is unset or value < best:
                     best, best_p = value, p
+            work += i - j + 2
             z[i][j] = best
             parent[i][j] = best_p
+    if stats is not None:
+        stats.cell_updates += work
 
     final = min(range(k - 1, m), key=lambda i: (z[i][k], i))
     positions = [final]
@@ -252,7 +376,9 @@ def solve_cc_sum_sp(
 
 
 def solve_cc_minimax_sp(
-    instance: ProblemInstance, axis: Sequence[int]
+    instance: ProblemInstance,
+    axis: Sequence[int],
+    rows: Optional[AxisRows] = None,
 ) -> Optional[Solution]:
     """Minimax decision for the unconstrained rule on an axis.
 
@@ -260,27 +386,37 @@ def solve_cc_minimax_sp(
     instance bound; a committee meets the bound exactly when its positions
     stab every interval.  The fewest stabs come from the classic sweep:
     repeatedly stab the right endpoint of the earliest-ending interval not
-    yet covered.  Feasible when that needs at most k stabs.
+    yet covered.  Feasible when that needs at most k stabs.  With the rows
+    read along the axis (`AxisRows`, which a bound search builds once and
+    passes to every probe), a probe takes O(n log m + m) when every row is
+    a valley.
 
     Only the intervals at this one bound need to be contiguous, so the
     matrix is not checked for single-troughedness as a whole; a voter whose
-    accepted positions have a gap raises `ValueError`.
+    accepted positions have a gap raises `ValueError`.  Voters are read in
+    index order, so the first voter with no interval or with a gap decides.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the unconstrained rule, minimax objective")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     _require_permutation(matrix, axis)
-    intervals = []
+    if rows is None:
+        rows = AxisRows(matrix, axis)
+    m = matrix.m
+    # The sweep over intervals sorted by right end stabs at r exactly when
+    # some interval ending at r starts after the last stab.
+    latest_left = [-1] * m
     for v in range(matrix.n):
-        interval = representation_interval(v, matrix, axis, bound)
+        interval = rows.interval(v, bound)
         if interval is None:
             return None
-        intervals.append(interval)
-    intervals.sort(key=lambda iv: (iv.right, iv.left, iv.voter))
+        left, right = interval
+        if left > latest_left[right]:
+            latest_left[right] = left
     stabs: list[int] = []
-    for interval in intervals:
-        if not stabs or interval.left > stabs[-1]:
-            stabs.append(interval.right)
+    for right, left in enumerate(latest_left):
+        if left >= 0 and (not stabs or left > stabs[-1]):
+            stabs.append(right)
     if len(stabs) > k:
         return None
     committee = pad_committee((axis[i] for i in stabs), k, matrix.m)

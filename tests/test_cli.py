@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from proprep.cli import SOLVERS, build_parser, main
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
+    BudgetExceededError,
     Election,
     ExplicitMisrep,
     MisrepMatrix,
@@ -238,6 +240,36 @@ class TestSolve:
         lines = err.splitlines()
         assert lines[0] == "budget exceeded: wall-clock budget exhausted"
         assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
+    @pytest.mark.parametrize("spent, answered", [(2.0, False), (0.5, True)])
+    def test_auto_solvers_share_one_deadline(
+        self, tmp_path, capsys, monkeypatch, spent, answered
+    ):
+        path = str(tmp_path / "stab.elect")
+        assert main([
+            "gen", "single-peaked", "--m", "6", "--n", "24", "--k", "2",
+            "--rule", "monroe", "--misrep", "approval", "--seed", "1",
+            "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        clock = [100.0]
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+
+        def stabbing_that_runs_out(instance, axis, budget):
+            clock[0] += spent
+            raise BudgetExceededError("wall-clock budget exhausted")
+
+        monkeypatch.setattr(cli, "solve_monroe_sum_sp", stabbing_that_runs_out)
+        enumerations = counting(monkeypatch, cli, "solve_subset_enum")
+        code, out, err = run_cli(capsys, "solve", path, "--budget-seconds", "1.5")
+        if answered:
+            assert code == 0 and "solver subset-enum" in out
+            assert [budget.max_seconds for _, budget in enumerations] == [1.0]
+        else:
+            assert (code, out, enumerations) == (3, "", [])
+            lines = err.splitlines()
+            assert lines[0] == "budget exceeded: wall-clock budget exhausted"
+            assert sum(line.startswith("budget exceeded:") for line in lines) == 1
 
     def test_all_approve_profile_deeper_than_the_stack_is_answered(
         self, write, capsys
@@ -681,6 +713,20 @@ class TestSolverTable:
         assert name == "sp-greedy" and solution is not None
         assert len(probes) > 1
         assert len(calls) == 0
+
+    def test_sp_greedy_reads_the_rows_once_per_search(self, capsys, monkeypatch):
+        code, text, _ = run_cli(
+            capsys, "gen", "single-peaked", "--m", "8", "--n", "30", "--k", "2",
+            "--objective", "minimax", "--seed", "5",
+        )
+        assert code == 0
+        instance = parse_instance(text)
+        reads = counting(monkeypatch, cli, "AxisRows")
+        probes = counting(monkeypatch, cli, "solve_cc_minimax_sp")
+        solution = SOLVERS["sp-greedy"].run(instance, None, cli.DEFAULT_BUDGET)
+        assert solution is not None
+        assert len(probes) > 1 and len(reads) == 1
+        assert all(rows is probes[0][2] for _, _, rows in probes)
 
     @pytest.mark.parametrize(
         "rows, answered_by",

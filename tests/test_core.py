@@ -12,12 +12,14 @@ from proprep.core import (
     ApprovalMisrep,
     Assignment,
     BordaMisrep,
+    CandidateError,
     Election,
     ExplicitMisrep,
     Objective,
     ProblemInstance,
     Rule,
     Solution,
+    VoterError,
     balanced_loads,
     build_misrep,
     check_m_criterion,
@@ -60,6 +62,18 @@ class TestElection:
             Election(("-",), ((0,),))
         with pytest.raises(ValueError):
             Election(("#x",), ((0,),))
+
+    def test_errors_carry_the_index_they_blame(self):
+        with pytest.raises(CandidateError) as caught:
+            Election(("a", "b", "a"), ((0, 1, 2),))
+        assert caught.value.candidate == 2
+        assert str(caught.value) == "duplicate candidate name 'a'"
+        with pytest.raises(CandidateError) as caught:
+            Election(("a", "-", "#c"), ((0, 1, 2),))
+        assert caught.value.candidate == 1
+        with pytest.raises(VoterError) as caught:
+            Election(("a", "b"), ((0, 1), (1, 0), (1, 1), (0,)))
+        assert caught.value.voter == 2
 
     def test_positions_follow_votes(self):
         election = ranked("a b c", "c a b")

@@ -146,6 +146,24 @@ class TestParseInstance:
         assert error.line == 8
         assert "rank all 4" in str(error)
 
+    def test_vote_errors_are_reported_in_file_order(self):
+        bad_permutation, bad_name = "c2 c3 c4 c4", "c2 c3 c4 c9"
+        text = lines_replaced(lines_replaced(BASIC, 8, bad_permutation), 9, bad_name)
+        error = error_for(text)
+        assert (error.line, "rank all 4" in str(error)) == (8, True)
+        text = lines_replaced(lines_replaced(BASIC, 8, bad_name), 9, bad_permutation)
+        error = error_for(text)
+        assert (error.line, "unknown candidate 'c9'" in str(error)) == (8, True)
+
+    def test_name_errors_come_before_vote_errors(self):
+        text = lines_replaced(BASIC, 5, "#c3")
+        broken_vote = lines_replaced(text, 7, "c1 c1 c1 c1")
+        cut_short = "\n".join(text.splitlines()[:7]) + "\n"
+        spaced_name = lines_replaced(text, 6, "c 4")
+        for text in (broken_vote, cut_short, spaced_name):
+            error = error_for(text)
+            assert str(error) == "line 5: reserved candidate name '#c3'"
+
     def test_truncated_file(self):
         text = "\n".join(BASIC.splitlines()[:6]) + "\n"
         error = error_for(text)

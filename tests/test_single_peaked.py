@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from conftest import instance_for, ranked
 from proprep.core import (
     BordaMisrep,
+    Election,
     MisrepMatrix,
     Objective,
     Rule,
     build_misrep,
+    pad_committee,
 )
 from proprep.single_peaked import (
+    AxisRows,
     DPStats,
     RepresentationInterval,
+    axis_savings,
     check_compatible,
     check_single_troughed,
     detect_axis,
@@ -49,6 +53,84 @@ def axis_exists_by_brute_force(election):
         all(check_compatible(vote, axis) for vote in election.votes)
         for axis in itertools.permutations(range(election.m))
     )
+
+
+@st.composite
+def axis_tables(draw, valleys_only=True):
+    """A small table laid out on a random axis, with its election.
+
+    Rows read along the axis are valleys with plateaus, tied troughs and
+    all-equal rows; unless `valleys_only`, some rows are arbitrary.  The
+    votes rank candidates by value, lowest index first among ties.
+    """
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    top = draw(st.sampled_from([0, 1, 2, 6]))
+    value = st.integers(0, top)
+    axis = tuple(draw(st.permutations(range(m))))
+    rows = []
+    for _ in range(n):
+        shape = draw(st.sampled_from(
+            ["valley", "valley", "flat"] + ([] if valleys_only else ["any"])
+        ))
+        if shape == "any":
+            along = draw(st.lists(value, min_size=m, max_size=m))
+        elif shape == "flat":
+            along = [draw(value)] * m
+        else:
+            trough = draw(st.integers(0, m - 1))
+            falling = sorted(draw(st.lists(value, min_size=trough, max_size=trough)))
+            rising = sorted(draw(st.lists(
+                value, min_size=m - 1 - trough, max_size=m - 1 - trough
+            )))
+            low = draw(st.integers(0, min(falling[:1] + rising[:1] + [top])))
+            along = falling[::-1] + [low] + rising
+        row = [0] * m
+        for position, candidate in enumerate(axis):
+            row[candidate] = along[position]
+        rows.append(tuple(row))
+    votes = tuple(
+        tuple(sorted(range(m), key=lambda c, row=row: (row[c], c))) for row in rows
+    )
+    election = Election(tuple(f"c{i}" for i in range(m)), votes)
+    return election, MisrepMatrix(tuple(rows)), axis
+
+
+def savings_by_definition(matrix, axis):
+    """The O(n m^2) totals and saving table, entry by entry."""
+    along = [[row[c] for c in axis] for row in matrix.rows]
+    totals = [sum(values[i] for values in along) for i in range(len(axis))]
+    saving = [
+        [sum(max(0, values[p] - values[i]) for values in along) for p in range(i)]
+        for i in range(len(axis))
+    ]
+    return totals, saving
+
+
+def greedy_by_definition(instance, axis):
+    """The minimax decision from `representation_interval`, voter by voter."""
+    intervals = []
+    for v in range(instance.matrix.n):
+        interval = representation_interval(v, instance.matrix, axis, instance.bound)
+        if interval is None:
+            return None
+        intervals.append(interval)
+    intervals.sort(key=lambda iv: (iv.right, iv.left, iv.voter))
+    stabs = []
+    for interval in intervals:
+        if not stabs or interval.left > stabs[-1]:
+            stabs.append(interval.right)
+    if len(stabs) > instance.k:
+        return None
+    return pad_committee((axis[i] for i in stabs), instance.k, instance.matrix.m)
+
+
+def outcome(call):
+    """What a call returns, or the message of the `ValueError` it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return f"ValueError: {error}"
 
 
 def random_election(rng, num_candidates, num_voters):
@@ -209,6 +291,38 @@ class TestRepresentationInterval:
         assert 0 not in interval and 4 not in interval
 
 
+class TestAxisRows:
+    def test_valley_intervals_by_bisection(self):
+        matrix = MisrepMatrix(((4, 2, 2, 0, 0, 1, 3),))
+        rows = AxisRows(matrix, tuple(range(7)))
+        assert [rows.interval(0, bound) for bound in range(-1, 5)] == [
+            None, (3, 4), (3, 5), (1, 5), (1, 6), (0, 6),
+        ]
+
+    def test_gap_raises_like_representation_interval(self):
+        matrix = MisrepMatrix(((0, 1, 2), (0, 2, 0)))
+        rows = AxisRows(matrix, (0, 1, 2))
+        assert rows.interval(0, 0) == (0, 0)
+        with pytest.raises(ValueError, match="voter 1: .* not contiguous"):
+            rows.interval(1, 0)
+        assert rows.interval(1, 2) == (0, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis_tables(valleys_only=False))
+    def test_matches_representation_interval_at_every_value(self, table):
+        _, matrix, axis = table
+        rows = AxisRows(matrix, axis)
+        bounds = {-1, matrix.max_value() + 1, *matrix.distinct_values()}
+        for bound in sorted(bounds):
+            for v in range(matrix.n):
+                expected = outcome(
+                    lambda: representation_interval(v, matrix, axis, bound)
+                )
+                if isinstance(expected, RepresentationInterval):
+                    expected = (expected.left, expected.right)
+                assert outcome(lambda: rows.interval(v, bound)) == expected
+
+
 class TestSumDP:
     def test_single_seat(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=1)
@@ -278,6 +392,9 @@ class TestSumDP:
             assert forward.objective_value == backward.objective_value
 
     def test_counts_table_work_within_quadratic_budget(self):
+        # 2nm covers reading the table and the sweep's cut moves and cut
+        # entries, k m^2 the saving entries and the DP transitions.  With
+        # k <= n and m >= 2 the bound never exceeds 2 n m^2.
         rng = random.Random(107)
         for _ in range(25):
             m = rng.randrange(2, 8)
@@ -287,7 +404,36 @@ class TestSumDP:
             instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
             stats = DPStats()
             solve_cc_sum_sp(instance, axis, stats=stats)
-            assert stats.cell_updates <= 2 * n * m * m
+            assert stats.cell_updates <= 2 * n * m + k * m * m
+
+    def test_table_work_grows_with_nm_not_nm_squared(self):
+        m, n, k = 40, 200, 4
+        election, axis = sample_single_peaked_election(random.Random(139), m, n)
+        instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
+        stats = DPStats()
+        solve_cc_sum_sp(instance, axis, stats=stats)
+        assert stats.cell_updates <= 2 * n * m + k * m * m  # 22 400; n m^2 is 320 000
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis_tables())
+    def test_savings_match_their_definition(self, table):
+        _, matrix, axis = table
+        assert axis_savings(matrix, axis) == savings_by_definition(matrix, axis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(axis_tables(), st.data())
+    def test_explicit_valley_tables_match_enumeration(self, table, data):
+        election, matrix, axis = table
+        # k = m whenever there are as many voters as candidates.
+        k = data.draw(st.sampled_from([1, min(matrix.m, matrix.n)]))
+        instance = instance_for(election, Rule.CC, Objective.SUM, k=k, matrix=matrix)
+        fast = solve_cc_sum_sp(instance, axis)
+        assert fast.objective_value == solve_subset_enum(instance).objective_value
+
+    def test_rejects_a_bumpy_row_after_valleys(self):
+        matrix = MisrepMatrix(((0, 1, 2), (2, 1, 0), (1, 0, 1), (1, 2, 1)))
+        with pytest.raises(ValueError, match="single-troughed"):
+            axis_savings(matrix, (0, 1, 2))
 
 
 class TestMinimaxGreedy:
@@ -353,6 +499,23 @@ class TestMinimaxGreedy:
                 assert witness.objective_value <= bound
             else:
                 assert witness is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis_tables(valleys_only=False), st.data())
+    def test_prepared_rows_decide_like_the_definition(self, table, data):
+        election, matrix, axis = table
+        k = data.draw(st.integers(1, min(matrix.m, matrix.n)))
+        rows = AxisRows(matrix, axis)
+        for bound in matrix.distinct_values():
+            instance = instance_for(
+                election, Rule.CC, Objective.MINIMAX, k=k, bound=bound,
+                matrix=matrix,
+            )
+            expected = outcome(lambda: greedy_by_definition(instance, axis))
+            found = outcome(lambda: solve_cc_minimax_sp(instance, axis, rows))
+            if found is not None and not isinstance(found, str):
+                found = found.assignment.winner_set
+            assert found == expected
 
     def test_mirror_axis_gives_the_same_decision(self):
         rng = random.Random(113)
