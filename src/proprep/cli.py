@@ -768,9 +768,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 3
     except RecursionError as error:
-        # Only the axis search recurses as deep as the instance is large,
-        # once per placed candidate; an instance deeper than the
-        # interpreter's stack hits a resource cap like any other.
+        # No solver is meant to recurse as deep as the instance is large;
+        # should one still overflow the interpreter's stack, that is a
+        # resource cap like any other, not a traceback.
         print(f"recursion limit exceeded: {error}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as error:

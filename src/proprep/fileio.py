@@ -252,12 +252,7 @@ def parse_instance(text: str) -> ProblemInstance:
 
 def _detect_kind(instance: ProblemInstance) -> tuple[str, tuple[tuple[int, ...], ...]]:
     election, matrix = instance.election, instance.matrix
-    borda = all(
-        row[c] == election.position(v, c)
-        for v, row in enumerate(matrix.rows)
-        for c in range(election.m)
-    )
-    if borda:
+    if matrix == build_misrep(election, BordaMisrep()):
         return "borda", ()
     approvals = []
     for v, row in enumerate(matrix.rows):

@@ -70,13 +70,25 @@ def check_compatible(vote: Sequence[int], axis: Sequence[int]) -> bool:
 def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
     """Find an axis all votes are single-peaked on, or None if there is none.
 
-    Builds the axis from the outside in.  At every step, each voter's worst
-    remaining candidate must sit at one of the two open ends, which leaves at
-    most two placements to try; a per-voter replay of the elimination order
-    prunes wrong choices early and certifies the completed axis.
+    Builds the axis from the outside in, one step per pass of a single loop
+    over the open slots ``lo..hi``, and never undoes a step.  Each voter's
+    worst unconsumed candidate (the frontier) must take one of the two open
+    ends, which leaves at most two options per step: for two frontier
+    candidates, the smaller index at ``lo`` or at ``hi``; for one, ``lo`` or
+    ``hi``.  The first option that a per-voter replay of the elimination
+    order accepts is kept (Escoffier, Lang, Öztürk, ECAI 2008).  Keeping it
+    is safe, because an exhaustive search would return the same axis:
 
-    Of the two mirror orientations, the one whose first candidate has the
-    smaller index is returned.
+    - every completion of a partial axis puts the frontier at ``lo``/``hi``,
+      so the options are the only placements;
+    - the replay rejects only partial axes that no completion extends;
+    - if both options pass the replay, every voter has consumed every placed
+      candidate, so any completion's middle can be mirrored, and the first
+      option extends whenever the second does.
+
+    Each step costs O(n) plus the replay, which advances each voter at most
+    m times overall.  Of the two mirror orientations, the one whose first
+    candidate has the smaller index is returned.
     """
     m, n = election.m, election.n
     if m == 1:
@@ -107,43 +119,31 @@ def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
             state[v] = (taken_left, taken_right)
         return True
 
-    def search(lo: int, hi: int, state: list[tuple[int, int]]) -> bool:
-        if lo > hi:
-            return True
-        frontier = {
-            peel[v][state[v][0] + state[v][1]] for v in range(n)
-        }
+    lo, hi, state = 0, m - 1, [(0, 0)] * n
+    while lo <= hi:
+        frontier = sorted({peel[v][sum(state[v])] for v in range(n)})
         if len(frontier) > 2 or (len(frontier) == 2 and lo == hi):
-            return False
-        if len(frontier) == 2:
-            x, y = sorted(frontier)
-            options = [((x, lo), (y, hi)), ((y, lo), (x, hi))]
-        elif lo == hi:
-            options = [(((frontier.pop()), lo),)]
-        else:
-            x = frontier.pop()
+            return None
+        x, y = frontier[0], frontier[-1]
+        if x == y:
             options = [((x, lo),), ((x, hi),)]
+        else:
+            options = [((x, lo), (y, hi)), ((y, lo), (x, hi))]
         for placements in options:
             for candidate, slot in placements:
-                slot_of[candidate] = slot
-                axis[slot] = candidate
+                slot_of[candidate], axis[slot] = slot, candidate
             trial = state[:]
             if advance(trial):
-                new_lo = lo + sum(1 for _, s in placements if s == lo)
-                new_hi = hi - sum(1 for _, s in placements if s == hi)
-                if search(new_lo, new_hi, trial):
-                    return True
+                break
             for candidate, slot in placements:
-                slot_of[candidate] = -1
-                axis[slot] = -1
-        return False
-
-    if not search(0, m - 1, [(0, 0)] * n):
-        return None
+                slot_of[candidate], axis[slot] = -1, -1
+        else:
+            return None
+        state = trial
+        lo += sum(1 for _, s in placements if s == lo)
+        hi -= sum(1 for _, s in placements if s == hi)
     found = tuple(axis)
-    if found[-1] < found[0]:
-        found = tuple(reversed(found))
-    return found
+    return found if found[0] < found[-1] else found[::-1]
 
 
 def _axis_reader(axis: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from proprep.core import (
@@ -27,6 +30,33 @@ def ranked(candidates: str, *votes: str) -> Election:
         names,
         tuple(tuple(index[name] for name in vote.split()) for vote in votes),
     )
+
+
+def cycle_under_tail(tail: int) -> Election:
+    """Three voters over a Condorcet cycle on a, b, c, all ending in t0..t{tail-1}.
+
+    No axis exists, but every shared tail candidate fits either end of a
+    partial axis, so a search that backtracks tries both ends for each.
+    """
+    core = ("a b c", "b c a", "c a b")
+    names = " ".join(f"t{i}" for i in range(tail))
+    return ranked("a b c " + names, *(f"{votes} {names}" for votes in core))
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail the test, rather than hang, if the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def instance_for(

@@ -7,12 +7,19 @@ codes and captured streams, the same surface a shell user sees.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
+import os
 import random
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cycle_under_tail, instance_for, time_limit
 from proprep import cli, single_peaked
 from proprep.cli import SOLVERS, build_parser, main
 from proprep.core import (
@@ -294,16 +301,29 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
         assert code == 0
 
-    def test_recursion_past_the_stack_exits_3(self, write, capsys):
-        # One voter over 1200 candidates: the axis search recurses once per
-        # placed candidate, deeper than the interpreter's stack allows.
+    def test_one_voter_over_1200_candidates_is_answered(self, write, capsys):
+        # Axis detection places candidates in a loop, so an axis as long as
+        # this one needs no stack depth.
         names = [f"c{i}" for i in range(1200)]
         text = "proprep v1\n1200 1 1 - cc sum borda\n" + "\n".join(names) + "\n"
-        path = write("long-axis.elect", text + " ".join(names) + "\n")
-        code, out, err = run_cli(capsys, "solve", path)
-        assert code == 3
-        assert out == ""
-        assert len(err.splitlines()) == 1 and "recursion" in err
+        instance_path = write("long-axis.elect", text + " ".join(names) + "\n")
+        code, out, err = run_cli(capsys, "solve", instance_path)
+        assert code == 0, err
+        solution_path = write("long-axis.sol", out)
+        code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
+        assert code == 0
+        assert "all checks passed" in out
+
+    def test_recursion_error_exits_3(self, write, capsys, monkeypatch):
+        def too_deep(instance, budget):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "solve_subset_enum", too_deep)
+        path = write("f.elect", FIG1)
+        code, out, err = run_cli(capsys, "solve", path, "--solver", "subset-enum")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("recursion limit exceeded:")
 
     def test_auto_matches_enumeration_on_small_instances(self, write, capsys):
         cases = itertools.product(
@@ -364,6 +384,13 @@ class TestDetectAxis:
         code, out, _ = run_cli(capsys, "detect-axis", write("s.elect", text))
         assert code == 0
         assert out == "solo\n"
+
+    def test_cycle_under_a_long_tail_is_rejected_without_search(self, write, capsys):
+        instance = instance_for(cycle_under_tail(40), Rule.CC, Objective.SUM, 1)
+        path = write("cycle.elect", render_instance(instance))
+        with time_limit(5):
+            code, out, _ = run_cli(capsys, "detect-axis", path)
+        assert (code, out) == (1, "not single-peaked\n")
 
 
 # Each family's needed and rejected flags, in the order they are checked;
@@ -598,6 +625,52 @@ class TestVerify:
         )
         assert code == 2
         assert "u.sol" in err
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one run, for tests that cannot take capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestAnyRun:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.sampled_from(["random", "single-peaked"]),
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 999),
+        rule=st.sampled_from([rule.value for rule in Rule]),
+        objective=st.sampled_from([objective.value for objective in Objective]),
+        misrep=st.sampled_from(["borda", "approval"]),
+        solver=st.sampled_from(("auto",) + tuple(SOLVERS)),
+        bound=st.one_of(st.just("-"), st.integers(0, 12).map(str)),
+        data=st.data(),
+    )
+    def test_ends_in_an_exit_code_and_answers_verify(
+        self, family, m, n, seed, rule, objective, misrep, solver, bound, data
+    ):
+        k = data.draw(st.integers(1, min(m, n)), label="k")
+        with tempfile.TemporaryDirectory() as directory:
+            instance_path = os.path.join(directory, "case.elect")
+            code, _ = run_quietly([
+                "gen", family, "--m", str(m), "--n", str(n), "--k", str(k),
+                "--seed", str(seed), "--rule", rule, "--objective", objective,
+                "--misrep", misrep, "--out", instance_path,
+            ])
+            assert code == 0
+            code, out = run_quietly(
+                ["solve", instance_path, "--solver", solver, "--R", bound]
+            )
+            assert code in (0, 1, 2, 3)
+            if code == 0:
+                solution_path = os.path.join(directory, "case.sol")
+                with open(solution_path, "w") as handle:
+                    handle.write(out)
+                code, out = run_quietly(["verify", instance_path, solution_path])
+                assert (code, out.splitlines()[-1]) == (0, "all checks passed")
 
 
 class TestBench:

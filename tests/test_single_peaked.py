@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_for, ranked
+from conftest import cycle_under_tail, instance_for, ranked, time_limit
 from proprep.core import (
     BordaMisrep,
     Election,
@@ -173,6 +174,37 @@ class TestCheckCompatible:
         assert check_compatible(vote, axis) == compatible_by_triples(vote, axis)
 
 
+# Near-single-peaked profiles over the first m letters, one string per vote,
+# with the axis the backtracking search returned for each before axis
+# detection became a single outside-in pass.  The comment names the options
+# that pass keeps: the second pair option (the smaller index at the right
+# end), a single candidate at the right end, both, or neither ("plain").
+RECORDED_AXES = [
+    (("febcgda", "ecbgfda"), None),
+    (("dacb", "bdca", "adcb", "cbda"), None),
+    (("edcbaf", "afbecd"), None),
+    (("ceagfbd", "fdbecag"), None),
+    (("ebdac", "bedca", "cadbe", "cadbe"), None),
+    (("cdegbfa", "decgbfa", "afbgecd", "bfgecda"), None),
+    (("gbedfca", "gbedfca", "bgdfeca", "dgbfeca"), "acebgdf"),  # plain
+    (("cdbae", "cdbea"), "abdce"),  # plain
+    (("dbeac", "dbeac", "eabdc"), "caebd"),  # pair
+    (("cdabe", "ebacd", "ebacd"), "dcabe"),  # pair
+    (("badec", "ceabd", "ceabd"), "ceabd"),  # pair
+    (("dcefab", "cdefab", "fadbce"), "bafdce"),  # pair
+    (("gdcafbe", "fbgdcae", "acdegfb", "acdgfbe"), "bfgdcae"),  # pair
+    (("cafdegb", "agbcfde"), "bgacfde"),  # both
+    (("dcaebf", "cdaebf", "acebfd", "acdebf"), "dcaebf"),  # both
+    (("adfcbe", "bdafce"), "cfadbe"),  # both
+    (("dfaegcb", "adegfcb", "fdaegcb"), "bcfdaeg"),  # both
+    (("acbed", "acdbe"), "dcabe"),  # single
+    (("caebd", "ecbda"), "acebd"),  # single
+    (("abcd", "bcda"), "abcd"),  # single
+    (("cabd", "cbda"), "acbd"),  # single
+    (("abfcdge", "cfbdgea", "cfbdgae", "abfcdge"), "abfcdge"),  # single
+]
+
+
 class TestDetectAxis:
     def test_valley_profile_yields_index_axis(self, profile_3v4c):
         assert detect_axis(profile_3v4c) == (0, 1, 2, 3)
@@ -220,6 +252,46 @@ class TestDetectAxis:
                 assert all(
                     check_compatible(vote, found) for vote in election.votes
                 )
+
+    @pytest.mark.parametrize("votes, expected", RECORDED_AXES)
+    def test_returns_the_recorded_axis(self, votes, expected):
+        election = ranked(" ".join(sorted(votes[0])), *(" ".join(v) for v in votes))
+        axis = detect_axis(election)
+        names = None if axis is None else "".join(election.candidates[c] for c in axis)
+        assert names == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 6).flatmap(
+        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=4)
+    ))
+    def test_none_exactly_when_no_permutation_fits(self, votes):
+        election = Election(tuple(f"c{i}" for i in range(len(votes[0]))), tuple(
+            tuple(vote) for vote in votes
+        ))
+        axis = detect_axis(election)
+        if axis is None:
+            assert not axis_exists_by_brute_force(election)
+        else:
+            assert all(check_compatible(vote, axis) for vote in election.votes)
+            assert axis[0] < axis[-1]
+
+    def test_runs_without_recursion(self):
+        names = " ".join(f"c{i}" for i in range(1200))
+        election = ranked(names, names)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            axis = detect_axis(election)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert axis is not None
+        assert check_compatible(election.votes[0], axis)
+
+    def test_cycle_under_a_long_tail_has_no_axis(self):
+        election = cycle_under_tail(40)
+        assert election.m == 43
+        with time_limit(5):
+            assert detect_axis(election) is None
 
 
 class TestSingleTroughed:
