@@ -339,19 +339,6 @@ AUTO_ORDER = (
 )
 
 
-def _time_left(budget: SolverBudget, started: float) -> SolverBudget:
-    """The budget with only the seconds left since `started`.
-
-    Raises `BudgetExceededError` when none are left.
-    """
-    if budget.max_seconds is None:
-        return budget
-    left = budget.max_seconds - (time.monotonic() - started)
-    if left <= 0:
-        raise BudgetExceededError("wall-clock budget exhausted")
-    return replace(budget, max_seconds=left)
-
-
 def solve_auto(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> tuple[str, Optional[Solution]]:
@@ -360,20 +347,18 @@ def solve_auto(
     A solver that applies but then raises `ValueError` or exhausts its
     budget falls through to the next; an infeasible answer is final.
     Committee enumeration runs last whatever its `applies` says.  All of
-    them share one ``max_seconds``: each later solver gets only the time
-    left, and `BudgetExceededError` is raised when none is.  Returns the
-    name of the solver that answered, with its answer.
+    them run on the one `budget` and so on its one clock: a later solver
+    gets only the time left, and `BudgetExceededError` is raised when none
+    is.  Returns the name of the solver that answered, with its answer.
     """
-    started = time.monotonic()
-    share = budget
     *structured, fallback = (SOLVERS[name] for name in AUTO_ORDER)
     for spec in structured:
         if spec.applies(instance, axis, budget) is None:
             try:
-                return spec.name, spec.run(instance, axis, share)
+                return spec.name, spec.run(instance, axis, budget)
             except (BudgetExceededError, ValueError):
-                share = _time_left(budget, started)
-    return fallback.name, fallback.run(instance, axis, share)
+                budget.check()
+    return fallback.name, fallback.run(instance, axis, budget)
 
 
 def optimize(
@@ -392,6 +377,10 @@ def optimize(
 
 
 def _budget_from(args: argparse.Namespace) -> SolverBudget:
+    """A budget from the ``--budget-*`` flags; its clock starts now."""
+    seconds = args.budget_seconds
+    if seconds is not None and not seconds >= 0:  # NaN compares false
+        raise _Failure(2, "--budget-seconds must be a nonnegative number")
     return SolverBudget(
         max_subset_candidates=args.budget_subset_candidates,
         max_partition_voters=args.budget_partition_voters,
@@ -423,8 +412,8 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
         "--budget-seconds",
         type=float,
         default=DEFAULT_BUDGET.max_seconds,
-        help="wall-clock cap per solver run, shared by the solvers auto tries "
-        "(default: none)",
+        help="wall-clock cap per solve, covering every bound probe and every "
+        "solver auto tries; under bench, per row (default: none)",
     )
 
 
@@ -629,7 +618,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         raise _Failure(2, f"{args.dir}: not a directory")
     budget = _budget_from(args)
-    disagreements = []
+    problems = []
     for path in sorted(directory.glob("*.elect")):
         instance = _parse_instance_file(str(path))
         axis = detect_axis(instance.election)
@@ -644,7 +633,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for name, run in roster:
             started = time.perf_counter()
             try:
-                solution = run(instance, axis, budget)
+                # Each row gets its own budget, and so its own clock.
+                solution = run(instance, axis, _budget_from(args))
             except BudgetExceededError as error:
                 status = f"skipped (budget: {error})"
             except ValueError as error:
@@ -658,15 +648,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     outcomes[name] = solution.objective_value
             elapsed = (time.perf_counter() - started) * 1000.0
             print(f"{path.name} {name} {status} {elapsed:.1f}ms")
+            if status.startswith("ok"):
+                checks = verify_solution(instance, solution).checks
+                failed = ", ".join(check.name for check in checks if not check.passed)
+                if failed:
+                    problems.append(f"verify failed: {path.name} {name}: {failed}")
         if len(set(outcomes.values())) > 1:
             report = ", ".join(
                 f"{name}={'infeasible' if value is None else value}"
                 for name, value in sorted(outcomes.items())
             )
-            disagreements.append(f"{path.name}: {report}")
-    for line in disagreements:
-        print(f"disagreement: {line}", file=sys.stderr)
-    return 1 if disagreements else 0
+            problems.append(f"disagreement: {path.name}: {report}")
+    for line in problems:
+        print(line, file=sys.stderr)
+    return 1 if problems else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

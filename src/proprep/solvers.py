@@ -28,7 +28,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .assignment import (
@@ -58,13 +58,28 @@ class SolverBudget:
     """Resource caps for the exhaustive solvers.
 
     A solver never silently degrades to a heuristic: it either finishes
-    within these caps or raises `BudgetExceededError`.
+    within these caps or raises `BudgetExceededError`.  The wall clock
+    starts when the budget is made (``dataclasses.replace`` makes a new
+    one), so every solver call handed the same budget, and every probe of
+    a bound search, spends one ``max_seconds``.
     """
 
     max_subset_candidates: int = 20
     max_partition_voters: int = 9
     max_constant_bound: int = 3
     max_seconds: Optional[float] = None
+    # A lambda, so a clock patched onto this module's `time` is read.
+    started: float = field(
+        default_factory=lambda: time.monotonic(), init=False, compare=False, repr=False
+    )
+
+    def check(self) -> None:
+        """Raise `BudgetExceededError` once ``max_seconds`` have passed."""
+        if (
+            self.max_seconds is not None
+            and time.monotonic() - self.started > self.max_seconds
+        ):
+            raise BudgetExceededError("wall-clock budget exhausted")
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -79,16 +94,6 @@ class SearchStats:
     """
 
     leaf_calls: int = 0
-
-
-class _Deadline:
-    def __init__(self, budget: SolverBudget):
-        self._limit = budget.max_seconds
-        self._start = time.monotonic()
-
-    def check(self) -> None:
-        if self._limit is not None and time.monotonic() - self._start > self._limit:
-            raise BudgetExceededError("wall-clock budget exhausted")
 
 
 def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Solution:
@@ -111,7 +116,7 @@ def _committee_walk(
     pool: Sequence[int],
     k: int,
     objective: Objective,
-    deadline: _Deadline,
+    budget: SolverBudget,
     limit: float,
     leaf: Callable[[int, tuple[int, ...]], float],
 ) -> None:
@@ -140,7 +145,7 @@ def _committee_walk(
         seats = k - len(prefix)
         for j in range(start, len(pool) - seats + 1):
             if nodes % 1024 == 0:
-                deadline.check()
+                budget.check()
             nodes += 1
             if seats == 1:
                 value = combine([x if x < y else y for x, y in zip(minima, columns[j])])
@@ -195,7 +200,6 @@ def solve_subset_enum(
         )
     if len(pool) < instance.k:
         raise ValueError("candidate pool smaller than the committee size")
-    deadline = _Deadline(budget)
     matrix, objective, k = instance.matrix, instance.objective, instance.k
     found: list[tuple[int, ...]] = []
 
@@ -203,7 +207,7 @@ def solve_subset_enum(
         found[:] = [committee]
         return value - 1  # table entries are integers
 
-    _committee_walk(matrix, pool, k, objective, deadline, math.inf, keep_strictly_better)
+    _committee_walk(matrix, pool, k, objective, budget, math.inf, keep_strictly_better)
     solution = _committee_solution(instance, found[0])
     if instance.rule is Rule.CC:
         return solution
@@ -215,10 +219,10 @@ def solve_subset_enum(
             bounded.append((value, committee))
         return best[0]
 
-    _committee_walk(matrix, pool, k, objective, deadline, best[0], collect)
+    _committee_walk(matrix, pool, k, objective, budget, best[0], collect)
     heapq.heapify(bounded)
     while bounded and bounded[0] <= best[:2]:
-        deadline.check()
+        budget.check()
         _, committee = heapq.heappop(bounded)
         solution = _committee_solution(instance, committee)
         if (solution.objective_value, committee) < best[:2]:
@@ -311,7 +315,6 @@ def solve_partition_enum(
             f"partition enumeration over {n} voters exceeds the budget cap "
             f"of {budget.max_partition_voters}"
         )
-    deadline = _Deadline(budget)
     if instance.rule is Rule.MONROE:
         low, high, at_high = balanced_loads(n, k)
         required_sizes = sorted([high] * at_high + [low] * (k - at_high))
@@ -321,7 +324,7 @@ def solve_partition_enum(
 
     best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
     for blocks in _partitions(n, k):
-        deadline.check()
+        budget.check()
         if instance.rule is Rule.MONROE:
             if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
                 continue
@@ -368,7 +371,6 @@ def solve_cc_branch_rk(
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     _check_sparsity(matrix, bound)
     rows = matrix.rows
-    deadline = _Deadline(budget)
 
     def note_leaf() -> None:
         if stats is not None:
@@ -377,7 +379,7 @@ def solve_cc_branch_rk(
     def branch(
         remaining: tuple[int, ...], left: int, chosen: frozenset[int]
     ) -> Optional[frozenset[int]]:
-        deadline.check()
+        budget.check()
         if left < 0 or len(chosen) > k:
             note_leaf()
             return None
@@ -427,7 +429,6 @@ def solve_minimax_cc_branch_rk(
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     _check_sparsity(matrix, bound)
     rows = matrix.rows
-    deadline = _Deadline(budget)
 
     def note_leaf() -> None:
         if stats is not None:
@@ -436,7 +437,7 @@ def solve_minimax_cc_branch_rk(
     def branch(
         remaining: tuple[int, ...], seats: int, chosen: frozenset[int]
     ) -> Optional[frozenset[int]]:
-        deadline.check()
+        budget.check()
         if not remaining:
             note_leaf()
             return chosen
@@ -506,7 +507,6 @@ def solve_constantR(
         raise BudgetExceededError(
             f"bound {bound} exceeds the constant-bound cap of {budget.max_constant_bound}"
         )
-    deadline = _Deadline(budget)
     tables = _unique_value_candidates(matrix, bound)
     n = matrix.n
 
@@ -527,7 +527,7 @@ def solve_constantR(
     pinned = [tables[v][0] for v in range(n)]
     for size in range(0, min(bound, n) + 1):
         for voters in itertools.combinations(range(n), size):
-            deadline.check()
+            budget.check()
             for values in itertools.product(range(1, bound + 1), repeat=size):
                 if sum(values) > bound:
                     continue

@@ -61,7 +61,7 @@ from .core import (
 )
 from .flows import feasible_min_cost
 from .single_peaked import representation_interval
-from .solvers import DEFAULT_BUDGET, SolverBudget, _Deadline
+from .solvers import DEFAULT_BUDGET, SolverBudget
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,13 @@ class _BalancedTable:
         """Whether the budgets allow a fresh line of either class."""
         return full >= 1 or (lean >= 1 and self.lo >= 1)
 
-    def run(self, node, table: dict, key: tuple, deadline: _Deadline):
+    def run(self, node, table: dict, key: tuple, budget: SolverBudget):
         """Fill ``table[key]`` and everything below it; return its value.
 
-        The deadline is checked before the first node and then once every
-        256 nodes opened.
+        The budget's clock is checked before the first node and then once
+        every 256 nodes opened.
         """
-        deadline.check()
+        budget.check()
         stack = [(table, key, node(key))]
         sent = None
         opened = 1
@@ -228,7 +228,7 @@ class _BalancedTable:
             sent = None
             opened += 1
             if not opened % 256:
-                deadline.check()
+                budget.check()
 
     def layout(self, i: int, x1: int, x2: int) -> tuple:
         """Where the ranges an entry (i, x1, x2) reads start after interval i.
@@ -401,7 +401,8 @@ def solve_max_bal_1rs(
 
     Fills the tables described in the module docstring top-down from the
     best first line, then replays the stored choices into a cover.  Raises
-    `BudgetExceededError` once ``budget.max_seconds`` have passed.
+    `BudgetExceededError` once ``budget.max_seconds`` have passed since the
+    budget was made, which may be before this call.
     """
     if not instance.intervals:
         return 0, StabbingCover(())
@@ -409,7 +410,7 @@ def solve_max_bal_1rs(
     # Every interval ends in (0, num_lines], so the top tail ranges over all
     # of them; with an interval to cover, k >= 1 seats always open a line.
     top = (0, instance.num_lines, 0, instance.full_lines, instance.lean_lines)
-    covered, top_key = table.run(table.tail, table.tails, top, _Deadline(budget))
+    covered, top_key = table.run(table.tail, table.tails, top, budget)
     placements = table.replay(top_key)
     assert len(placements) == covered
     by_line: dict[int, list[int]] = {}

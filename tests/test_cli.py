@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -271,12 +272,59 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", path, "--budget-seconds", "1.5")
         if answered:
             assert code == 0 and "solver subset-enum" in out
-            assert [budget.max_seconds for _, budget in enumerations] == [1.0]
+            # subset-enum gets the solve's own budget, whose clock started
+            # at 100.0, so its 1.5 s run out at 101.5.
+            ((_, budget),) = enumerations
+            clock[0] = 101.4
+            budget.check()
+            clock[0] = 101.6
+            with pytest.raises(BudgetExceededError):
+                budget.check()
         else:
             assert (code, out, enumerations) == (3, "", [])
             lines = err.splitlines()
             assert lines[0] == "budget exceeded: wall-clock budget exhausted"
             assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
+    def test_bound_probes_share_one_deadline(self, tmp_path, capsys, monkeypatch):
+        # Each branch-rk probe takes 0.4 s on a fake clock; the bound search
+        # needs a dozen, so a 1 s budget runs out on the third.
+        path = str(tmp_path / "cc.elect")
+        assert main([
+            "gen", "random", "--m", "12", "--n", "14", "--k", "3", "--seed", "1",
+            "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        clock = [100.0]
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+        probes = []
+        original = cli.solve_cc_branch_rk
+
+        def slow_probe(instance, budget):
+            probes.append(instance.bound)
+            clock[0] += 0.4
+            return original(instance, budget)
+
+        monkeypatch.setattr(cli, "solve_cc_branch_rk", slow_probe)
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", "branch-rk", "--budget-seconds", "1.0"
+        )
+        assert (code, out) == (3, "")
+        assert len(probes) <= 3
+        lines = err.splitlines()
+        assert lines[0] == "budget exceeded: wall-clock budget exhausted"
+        assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("seconds", ["nan", "-1"])
+    def test_budget_seconds_must_be_nonnegative(
+        self, tmp_path, capsys, command, seconds
+    ):
+        (tmp_path / "fig.elect").write_text(FIG1)
+        target = str(tmp_path / "fig.elect" if command == "solve" else tmp_path)
+        code, out, err = run_cli(capsys, command, target, "--budget-seconds", seconds)
+        assert (code, out) == (2, "")
+        assert err == "--budget-seconds must be a nonnegative number\n"
 
     def test_all_approve_profile_deeper_than_the_stack_is_answered(
         self, write, capsys
@@ -724,6 +772,55 @@ class TestBench:
         assert code == 0
         assert "big.elect auto skipped (budget" in out
         assert "big.elect partition-enum ok" in out
+
+
+    def test_every_row_gets_the_whole_budget(self, tmp_path, capsys, monkeypatch):
+        # Both enumerations take 0.6 s on a fake clock: together they pass
+        # the 1 s budget, but each row has a clock of its own.
+        (tmp_path / "a_fig.elect").write_text(FIG1)
+        clock = [100.0]
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+        for name in ("solve_subset_enum", "solve_partition_enum"):
+            original = getattr(cli, name)
+
+            def slow(instance, budget, original=original):
+                clock[0] += 0.6
+                return original(instance, budget)
+
+            monkeypatch.setattr(cli, name, slow)
+        code, out, _ = run_cli(
+            capsys, "bench", str(tmp_path), "--budget-seconds", "1.0"
+        )
+        assert code == 0
+        assert "a_fig.elect subset-enum ok value=2" in out
+        assert "a_fig.elect partition-enum ok value=2" in out
+        assert "skipped" not in out
+
+    def test_every_witness_is_verified(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a_fig.elect").write_text(FIG1)
+        (tmp_path / "b_bal.elect").write_text(BALANCED6)
+        verified = counting(monkeypatch, cli, "verify_solution")
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert len(verified) == sum(" ok value=" in line for line in out.splitlines())
+
+    def test_a_wrong_witness_fails_the_bench(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a_fig.elect").write_text(FIG1)
+        original = cli.solve_subset_enum
+
+        def overclaiming(instance, budget):
+            solution = original(instance, budget)
+            return dataclasses.replace(
+                solution, objective_value=solution.objective_value + 1
+            )
+
+        monkeypatch.setattr(cli, "solve_subset_enum", overclaiming)
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 1
+        assert "a_fig.elect subset-enum ok value=3" in out
+        assert "verify failed: a_fig.elect subset-enum: objective-value" in (
+            err.splitlines()
+        )
 
 
 def counting(monkeypatch, module, name: str) -> list:

@@ -305,6 +305,20 @@ class TestSubsetEnum:
             solve_subset_enum(instance, SolverBudget(max_seconds=total // 2))
         assert len(steps) <= total // 2 + instance.matrix.m + 2 * 1024
 
+    def test_one_budget_is_one_clock_across_calls(self, tmp_path, monkeypatch):
+        # The clock starts when the budget is made, not when a solver is
+        # called: the second call on the same budget finds it spent.
+        instance = generated_monroe(tmp_path, "sum")
+        now = [0.0]
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        budget = SolverBudget(max_seconds=1.0)
+        now[0] = 0.6
+        solve_subset_enum(instance, budget)
+        now[0] = 1.2
+        with pytest.raises(BudgetExceededError, match="wall-clock"):
+            solve_subset_enum(instance, budget)
+        solve_subset_enum(instance, SolverBudget(max_seconds=1.0))
+
     @pytest.mark.parametrize(
         "pool", [[0, 0, 1], [-1, 0], [0, 1, 4]], ids=["duplicate", "negative", "past-m"]
     )
