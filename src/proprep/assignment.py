@@ -7,27 +7,27 @@ balanced rule the optimal assignment is a minimum-cost flow in which every
 winner must receive between floor(n/k) and ceil(n/k) voters; the minimax
 variant restricts the flow to entries within the bound, asks only for
 feasibility, and finds a committee's value as the first feasible bound at or
-above its best-representative minimax value.  That value comes from
-``cc_value``, whose one caller is ``monroe_minimax_value``; subset
-enumeration in :mod:`proprep.solvers` keeps per-voter minima of its own.
+above its best-representative minimax value (``cc_value``).
 
-``transport`` is the one bipartite flow network in the package: left nodes
-with load ranges, right nodes taking one unit each, optional costs between.
-Balanced assignments use it with winners on the left and voters on the
-right; partition enumeration in :mod:`proprep.solvers` uses it to match
-voter blocks to candidates.
-
-``enumerate_balanced_assignments`` is the independent oracle against which
-the flow-based routines are tested; it is deliberately naive and guarded.
+Values and witnesses come from two places.  ``balanced_cost`` is the value
+scorer: successive shortest paths on the k winner nodes, with no flow
+network and no witness; ``monroe_minimax_bound`` bisects with it, and
+subset enumeration in :mod:`proprep.solvers` scores every committee it
+tries with these two.  ``transport`` builds every witness: it is the one
+bipartite flow network in the package, with left nodes taking load ranges,
+right nodes taking one unit each, and optional costs between.  Balanced
+assignments use it with winners on the left and voters on the right;
+partition enumeration in :mod:`proprep.solvers` uses it to match voter
+blocks to candidates.  Its tie-breaks fix which witness is printed.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+import math
+from typing import Optional, Sequence
 
 from .core import (
     Assignment,
-    BudgetExceededError,
     MisrepMatrix,
     Objective,
     Solution,
@@ -96,6 +96,92 @@ def transport(
     return total, owner
 
 
+def balanced_cost(
+    winners: Sequence[int], matrix: MisrepMatrix, bound: Optional[int] = None
+) -> Optional[int]:
+    """Cost of the cheapest balanced assignment using only entries within the bound.
+
+    Returns None when no balanced assignment uses only such entries.  This
+    is the value ``_balanced_assignment`` finds, without its witness and
+    without a general flow network: successive shortest paths on the k
+    winner nodes and a sink.  Voters are inserted one at a time, each along
+    a cheapest path that starts at one of its entries, where the arc from
+    winner w to w' costs the cheapest move of one of w's voters to w'.  The
+    first floor(n/k) voters at a winner cost ``-big`` on its arc to the
+    sink, and ``big`` exceeds every assignment's cost, so a cheapest flow
+    fills as many floors as it can before it weighs any entry; a winner
+    left below its floor means no balanced assignment exists.  Dijkstra runs on reduced costs, which no
+    arc makes negative: the sink's potential starts at ``-big`` and the
+    winners' at 0.  Its start labels, a new voter's entries less the
+    winners' potentials, may be negative, which Dijkstra allows.  Costs
+    and potentials are exact integers; ``math.inf`` only marks a winner
+    not reached yet.
+    """
+    k, n = len(winners), matrix.n
+    low, high, _ = balanced_loads(n, k)
+    costs = [[row[w] for w in winners] for row in matrix.rows]
+    if bound is None:
+        options = [list(enumerate(entries)) for entries in costs]
+        top = max(map(max, costs))
+    else:
+        options = [
+            [(i, x) for i, x in enumerate(entries) if x <= bound] for entries in costs
+        ]
+        if not all(options):
+            return None
+        top = bound
+    big = n * top + 1
+    potential = [0] * k
+    sink = -big
+    members: list[list[int]] = [[] for _ in range(k)]
+    unreached = math.inf
+    for voter, allowed in enumerate(options):
+        dist = [unreached] * k
+        came = [-1] * k  # the winner the moved voter leaves, -1 for `voter`
+        moved = [voter] * k
+        for i, x in allowed:
+            dist[i] = x - potential[i]
+        settled = [False] * k
+        reach, last = unreached, -1
+        while True:
+            i, d = -1, reach
+            for j in range(k):
+                if dist[j] < d and not settled[j]:
+                    i, d = j, dist[j]
+            if i < 0:
+                break
+            settled[i] = True
+            load = len(members[i])
+            if load < high:
+                through = d + (-big if load < low else 0) + potential[i] - sink
+                if through < reach:
+                    reach, last = through, i
+                    if reach <= d:  # no path through i's voters is shorter
+                        break
+            for u in members[i]:
+                base = d + potential[i] - costs[u][i]
+                for j, x in options[u]:
+                    if not settled[j]:
+                        step = base + x - potential[j]
+                        if step < dist[j]:
+                            dist[j], came[j], moved[j] = step, i, u
+        if last < 0:
+            return None
+        potential = [p + (d if d < reach else reach) for p, d in zip(potential, dist)]
+        sink += reach
+        j = last
+        while True:
+            members[j].append(moved[j])
+            i = came[j]
+            if i < 0:
+                break
+            members[i].remove(moved[j])
+            j = i
+    if any(len(held) < low for held in members):
+        return None
+    return sum(costs[u][i] for i, held in enumerate(members) for u in held)
+
+
 def _balanced_assignment(
     winners: tuple[int, ...], matrix: MisrepMatrix, bound: Optional[int]
 ) -> Optional[tuple[int, Assignment]]:
@@ -134,58 +220,42 @@ def assign_monroe_minimax(
     return None if result is None else result[1]
 
 
+def monroe_minimax_bound(
+    winner_set: Sequence[int], matrix: MisrepMatrix, limit: Optional[int] = None
+) -> Optional[int]:
+    """Smallest bound admitting a balanced assignment, or None if above `limit`.
+
+    No bound below the committee's best-representative minimax value can
+    serve every voter, so the bisection starts at that value.  With a
+    limit, one test at the limit comes first, and the bisection runs only
+    below it when that test passes.
+    """
+    floor = cc_value(matrix, winner_set, Objective.MINIMAX)
+    if limit is not None and (
+        floor > limit or balanced_cost(winner_set, matrix, limit) is None
+    ):
+        return None
+    entries = {row[w] for row in matrix.rows for w in winner_set}
+    values = sorted(
+        x for x in entries if x >= floor and (limit is None or x < limit)
+    )
+    found = first_feasible(values, lambda bound: balanced_cost(winner_set, matrix, bound))
+    if found is not None:
+        return found[0]
+    assert limit is not None, "maximal bound is always feasible when k <= n"
+    return limit
+
+
 def monroe_minimax_value(
     matrix: MisrepMatrix, winner_set: tuple[int, ...]
 ) -> tuple[int, Assignment]:
-    """Smallest bound admitting a balanced assignment for this committee.
+    """Smallest bound admitting a balanced assignment, with one such assignment.
 
-    No bound below the committee's best-representative minimax value can
-    serve every voter, so the bisection starts at that value.
+    The bound comes from ``monroe_minimax_bound``; the witness is built
+    once, by ``transport`` at that bound.
     """
-    floor = cc_value(matrix, winner_set, Objective.MINIMAX)
-    entries = {row[w] for row in matrix.rows for w in winner_set}
-    values = sorted(x for x in entries if x >= floor)
-    found = first_feasible(
-        values, lambda bound: assign_monroe_minimax(winner_set, matrix, bound)
-    )
-    assert found is not None, "maximal bound is always feasible when k <= n"
-    return found
-
-
-def enumerate_balanced_assignments(
-    winner_set: tuple[int, ...], n: int
-) -> Iterator[tuple[int, ...]]:
-    """Yield every balanced voter-to-winner map, voters in index order.
-
-    Oracle helper: exponential in n, guarded at n <= 10.
-    """
-    if n > 10:
-        raise BudgetExceededError(
-            f"balanced-assignment enumeration capped at n <= 10, got {n}"
-        )
-    winners = tuple(sorted(winner_set))
-    low, high, _ = balanced_loads(n, len(winners))
-    mapping = [-1] * n
-    taken = {w: 0 for w in winners}
-
-    def generate(voter: int) -> Iterator[tuple[int, ...]]:
-        if voter == n:
-            yield tuple(mapping)
-            return
-        left = n - voter
-        for w in winners:
-            if taken[w] >= high:
-                continue
-            # Prune branches that can no longer fill every winner to `low`.
-            shortfall = sum(max(0, low - taken[x]) for x in winners)
-            if taken[w] < low:
-                shortfall -= 1
-            if shortfall > left - 1:
-                continue
-            mapping[voter] = w
-            taken[w] += 1
-            yield from generate(voter + 1)
-            taken[w] -= 1
-        mapping[voter] = -1
-
-    yield from generate(0)
+    bound = monroe_minimax_bound(winner_set, matrix)
+    assert bound is not None
+    witness = assign_monroe_minimax(winner_set, matrix, bound)
+    assert witness is not None
+    return bound, witness

@@ -6,18 +6,19 @@ the reference oracles for everything else.  Subset enumeration walks the
 committees depth-first in lexicographic order, sharing each prefix's
 per-voter minima, and prunes every prefix whose best-representative bound
 cannot win, which needs no flow; under the balanced rule it then scores the
-committees left under the rule in bound order until the next one can no
-longer win.  Partition enumeration matches every admissible partition.
+committees left by value alone, in bound order until the next one can no
+longer win, and assigns voters only to the CC-optimal committee and to the
+one it returns.  Partition enumeration matches every admissible partition.
 The remaining solvers are decision procedures: given the bound stored on
 the instance they either produce a witness solution meeting it or report
 that none exists by returning ``None``.  The bound search that turns a
 decision procedure into an optimizer, and the table of named solvers, live
 in :mod:`proprep.cli`.
 
-No solver here builds a flow network itself: committees are scored by
-:mod:`proprep.assignment`, and partition enumeration matches voter blocks
-to candidates with ``assignment.transport``, bisecting over bottleneck
-values with ``core.first_feasible`` under minimax.
+No solver here builds a flow network itself: committees are scored and
+assigned by :mod:`proprep.assignment`, and partition enumeration matches
+voter blocks to candidates with ``assignment.transport``, bisecting over
+bottleneck values with ``core.first_feasible`` under minimax.
 
 All solvers are pure functions of their arguments.
 """
@@ -34,6 +35,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from .assignment import (
     assign_cc,
     assign_monroe_sum,
+    balanced_cost,
+    monroe_minimax_bound,
     monroe_minimax_value,
     transport,
 )
@@ -111,6 +114,20 @@ def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> So
     return Solution(assignment, value, True)
 
 
+def _committee_value(
+    instance: ProblemInstance, winners: tuple[int, ...], limit: Optional[int] = None
+) -> Optional[int]:
+    """A committee's value under the balanced rule if it is at most `limit`.
+
+    Returns None above the limit.  Only the value is found, never a witness.
+    """
+    if instance.objective is Objective.MINIMAX:
+        return monroe_minimax_bound(winners, instance.matrix, limit)
+    value = balanced_cost(winners, instance.matrix)
+    assert value is not None, "a balanced assignment exists when k <= n"
+    return value if limit is None or value <= limit else None
+
+
 def _committee_walk(
     matrix: MisrepMatrix,
     pool: Sequence[int],
@@ -184,8 +201,12 @@ def solve_subset_enum(
     committee with CC value <= U.  Those are scored in ascending `(bound,
     committee)` order until the next pair is above the best `(value,
     committee)` pair so far; every committee not scored has value >= bound,
-    so the answer is the plain minimum over all pairs.  Memory holds two
-    columns per pool candidate and, under Monroe, the collected pairs.
+    so the answer is the plain minimum over all pairs.  Only the CC-optimal
+    committee is assigned voters when it is scored; the collected ones are
+    scored by value alone, a minimax value only once the committee is known
+    to beat the best pair, and the committee that wins is assigned voters
+    again only if it is not the CC-optimal one.  Memory holds two columns
+    per pool candidate and, under Monroe, the collected pairs.
     """
     m = instance.matrix.m
     pool = sorted(range(m) if candidate_pool is None else candidate_pool)
@@ -211,7 +232,7 @@ def solve_subset_enum(
     solution = _committee_solution(instance, found[0])
     if instance.rule is Rule.CC:
         return solution
-    best = (solution.objective_value, found[0], solution)
+    best = (solution.objective_value, found[0])
     bounded: list[tuple[int, tuple[int, ...]]] = []
 
     def collect(value: int, committee: tuple[int, ...]) -> int:
@@ -221,13 +242,17 @@ def solve_subset_enum(
 
     _committee_walk(matrix, pool, k, objective, budget, best[0], collect)
     heapq.heapify(bounded)
-    while bounded and bounded[0] <= best[:2]:
+    while bounded and bounded[0] <= best:
         budget.check()
         _, committee = heapq.heappop(bounded)
-        solution = _committee_solution(instance, committee)
-        if (solution.objective_value, committee) < best[:2]:
-            best = (solution.objective_value, committee, solution)
-    return best[2]
+        # Only a value <= limit makes (value, committee) beat the best pair.
+        limit = best[0] if committee < best[1] else best[0] - 1
+        value = _committee_value(instance, committee, limit)
+        if value is not None:
+            best = (value, committee)
+    if best[1] == found[0]:
+        return solution
+    return _committee_solution(instance, best[1])
 
 
 def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:

@@ -6,14 +6,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proprep import assignment
 from proprep.assignment import (
+    _balanced_assignment,
     assign_cc,
     assign_monroe_minimax,
     assign_monroe_sum,
+    balanced_cost,
     cc_value,
-    enumerate_balanced_assignments,
+    monroe_minimax_bound,
     monroe_minimax_value,
     transport,
 )
@@ -22,6 +26,7 @@ from proprep.core import (
     BordaMisrep,
     BudgetExceededError,
     Election,
+    MisrepMatrix,
     Objective,
     balanced_loads,
     build_misrep,
@@ -32,6 +37,7 @@ from proprep.flows import feasible_min_cost
 from proprep.generators import random_prefix_approvals
 
 from conftest import ranked
+from oracles import enumerate_balanced_assignments
 
 
 def borda(election):
@@ -278,3 +284,64 @@ class TestMonroeAssignments:
             probed.clear()
             assert monroe_minimax_value(matrix, winners) == expected
             assert min(probed) >= cc_value(matrix, winners, Objective.MINIMAX)
+
+
+@st.composite
+def committee_tables(draw):
+    """A table of n <= 12 voters with entries from 0..1, 0..4 or 0..30, and k <= 6 winners."""
+    top = draw(st.sampled_from([1, 4, 30]))
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 12))
+    entry = st.integers(0, top)
+    rows = draw(st.lists(st.tuples(*[entry] * m), min_size=n, max_size=n))
+    k = draw(st.integers(1, min(m, n, 6)))
+    winners = tuple(sorted(draw(st.permutations(range(m)))[:k]))
+    return MisrepMatrix(tuple(rows)), winners
+
+
+def cheapest_balanced_map(matrix, winners, bound):
+    """Smallest sum over balanced maps using only entries within the bound."""
+    costs = [
+        sum(matrix.rows[v][w] for v, w in enumerate(mapping))
+        for mapping in enumerate_balanced_assignments(winners, matrix.n)
+        if bound is None or all(matrix.rows[v][w] <= bound for v, w in enumerate(mapping))
+    ]
+    return min(costs, default=None)
+
+
+class TestBalancedCost:
+    @settings(max_examples=200, deadline=None)
+    @given(committee_tables())
+    def test_equals_the_flow_value_at_every_bound(self, table):
+        matrix, winners = table
+        entries = sorted({x for row in matrix.rows for x in row})
+        for bound in [None, *entries]:
+            flow = _balanced_assignment(winners, matrix, bound)
+            expected = None if flow is None else flow[0]
+            assert balanced_cost(winners, matrix, bound) == expected
+            if matrix.n <= 8:
+                assert expected == cheapest_balanced_map(matrix, winners, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(committee_tables())
+    def test_minimax_bound_within_a_limit(self, table):
+        matrix, winners = table
+        value, _ = monroe_minimax_value(matrix, winners)
+        assert monroe_minimax_bound(winners, matrix) == value
+        for limit in range(-1, max(max(row) for row in matrix.rows) + 2):
+            expected = value if value <= limit else None
+            assert monroe_minimax_bound(winners, matrix, limit) == expected
+
+    def test_a_winner_below_its_floor_is_infeasible(self):
+        # Every voter has an entry within 3, but winner 3 has none, so it
+        # cannot get its one voter.
+        rows = ((3, 3, 0, 4), (3, 4, 4, 4), (2, 1, 4, 4), (3, 2, 4, 4), (4, 3, 3, 4))
+        matrix = MisrepMatrix(rows)
+        assert balanced_cost((0, 1, 2, 3), matrix, 3) is None
+        assert _balanced_assignment((0, 1, 2, 3), matrix, 3) is None
+        assert balanced_cost((0, 1, 2, 3), matrix, 4) == 10
+
+    def test_a_voter_without_an_entry_is_infeasible(self):
+        matrix = MisrepMatrix(((0, 1), (2, 2)))
+        assert balanced_cost((0, 1), matrix, 1) is None
+        assert balanced_cost((0, 1), matrix) == 2

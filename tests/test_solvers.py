@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -164,12 +165,12 @@ def generated_cc(tmp_path, m, n, k, objective):
     return parse_instance(path.read_text())
 
 
-def generated_monroe(tmp_path, objective):
-    """The seeded 9-candidate, 24-voter, 3-seat Monroe file from `proprep gen`."""
-    path = tmp_path / f"random-{objective}.elect"
+def generated_monroe(tmp_path, objective, seed=0):
+    """A seeded 9-candidate, 24-voter, 3-seat Monroe file from `proprep gen`."""
+    path = tmp_path / f"random-{objective}-{seed}.elect"
     code = main([
         "gen", "random", "--m", "9", "--n", "24", "--k", "3", "--rule", "monroe",
-        "--objective", objective, "--seed", "0", "--out", str(path),
+        "--objective", objective, "--seed", str(seed), "--out", str(path),
     ])
     assert code == 0
     return parse_instance(path.read_text())
@@ -258,15 +259,15 @@ class TestSubsetEnum:
         instance = generated_monroe(tmp_path, "sum")
         now = [0.0]
         scored = []
-        score = solvers._committee_solution
+        score = solvers._committee_value
 
-        def slow(instance, committee):
+        def slow(instance, committee, limit=None):
             scored.append(committee)
             now[0] += 1.0
-            return score(instance, committee)
+            return score(instance, committee, limit)
 
         monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        monkeypatch.setattr(solvers, "_committee_solution", slow)
+        monkeypatch.setattr(solvers, "_committee_value", slow)
         solve_subset_enum(instance)
         assert len(scored) > 1
         scored.clear()
@@ -279,16 +280,47 @@ class TestSubsetEnum:
         # The CC-optimal committee is scored before the other committees
         # within its value are collected; it must not be scored again.
         instance = generated_monroe(tmp_path, objective)
-        scored = []
-        score = solvers._committee_solution
+        scored, built = [], []
+        score, build = solvers._committee_value, solvers._committee_solution
 
-        def recorded(instance, committee):
+        def recorded(instance, committee, limit=None):
             scored.append(committee)
-            return score(instance, committee)
+            return score(instance, committee, limit)
 
-        monkeypatch.setattr(solvers, "_committee_solution", recorded)
+        def recorded_build(instance, committee):
+            built.append(tuple(committee))
+            return build(instance, committee)
+
+        monkeypatch.setattr(solvers, "_committee_value", recorded)
+        monkeypatch.setattr(solvers, "_committee_solution", recorded_build)
         solve_subset_enum(instance)
         assert len(set(scored)) == len(scored)
+        assert built[0] not in scored
+
+    @pytest.mark.parametrize("rule", ["cc", "monroe"])
+    @pytest.mark.parametrize(
+        "objective, seed", [("sum", 0), ("sum", 4), ("minimax", 0), ("minimax", 1)]
+    )
+    def test_at_most_two_assignments_per_solve(
+        self, tmp_path, monkeypatch, rule, objective, seed
+    ):
+        # Voters are assigned to the CC-optimal committee and, only when
+        # another committee wins, to the winner; every other committee is
+        # scored by value alone.  Under Monroe, seeds 4 (sum) and 1
+        # (minimax) return a committee other than the CC-optimal one.
+        instance = generated_monroe(tmp_path, objective, seed)
+        instance = dataclasses.replace(instance, rule=Rule(rule))
+        built = []
+        build = solvers._committee_solution
+
+        def recorded(instance, committee):
+            built.append(tuple(committee))
+            return build(instance, committee)
+
+        monkeypatch.setattr(solvers, "_committee_solution", recorded)
+        solution = solve_subset_enum(instance)
+        assert built[-1] == solution.assignment.winner_set
+        assert len(built) == (1 if built[0] == built[-1] else 2)
 
     def test_deadline_holds_while_walking_cc_committees(self, tmp_path, monkeypatch):
         # The fake clock reads the walk steps taken so far, so a budget of
