@@ -5,7 +5,6 @@ and minimax objectives, plus single-peaked fast paths, hardness-reduction
 generators, and a batch CLI.
 """
 
-from .cli import optimize
 from .core import (
     ApprovalMisrep,
     Assignment,
@@ -37,8 +36,6 @@ from .generators import random_election, random_prefix_approvals
 from .hardness import (
     HittingSetInstance,
     RX3CInstance,
-    brute_exact_3_cover,
-    brute_hitting_set,
     gen_hs_approval,
     gen_hs_borda,
     gen_rx3c_monroe,
@@ -47,7 +44,6 @@ from .hardness import (
 from .single_peaked import (
     check_single_troughed,
     detect_axis,
-    representation_interval,
     sample_single_peaked_election,
     solve_cc_minimax_sp,
     solve_cc_sum_sp,
@@ -68,13 +64,13 @@ from .stabbing import (
     MonroeStabbingReduction,
     StabbingCover,
     StabbingInstance,
-    brute_force_stabbing,
     complete_assignment,
     reduce_m_mw_sp,
     solve_max_bal_1rs,
     solve_minimax_m_mw_sp,
     solve_monroe_sum_sp,
 )
+from .solving import optimize
 
 __all__ = [
     "ApprovalMisrep",
@@ -98,9 +94,6 @@ __all__ = [
     "StabbingInstance",
     "VerifyReport",
     "balanced_loads",
-    "brute_exact_3_cover",
-    "brute_force_stabbing",
-    "brute_hitting_set",
     "build_misrep",
     "check_m_criterion",
     "check_single_troughed",
@@ -119,7 +112,6 @@ __all__ = [
     "reduce_m_mw_sp",
     "render_instance",
     "render_solution",
-    "representation_interval",
     "sample_single_peaked_election",
     "solve_cc_branch_rk",
     "solve_cc_minimax_sp",

@@ -110,12 +110,12 @@ def balanced_cost(
     first floor(n/k) voters at a winner cost ``-big`` on its arc to the
     sink, and ``big`` exceeds every assignment's cost, so a cheapest flow
     fills as many floors as it can before it weighs any entry; a winner
-    left below its floor means no balanced assignment exists.  Dijkstra runs on reduced costs, which no
-    arc makes negative: the sink's potential starts at ``-big`` and the
-    winners' at 0.  Its start labels, a new voter's entries less the
-    winners' potentials, may be negative, which Dijkstra allows.  Costs
-    and potentials are exact integers; ``math.inf`` only marks a winner
-    not reached yet.
+    left below its floor means no balanced assignment exists.  Dijkstra
+    runs on reduced costs, which no arc makes negative: the sink's
+    potential starts at ``-big`` and the winners' at 0.  Its start labels,
+    a new voter's entries less the winners' potentials, may be negative,
+    which Dijkstra allows.  Costs and potentials are exact integers;
+    ``math.inf`` only marks a winner not reached yet.
     """
     k, n = len(winners), matrix.n
     low, high, _ = balanced_loads(n, k)

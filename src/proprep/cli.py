@@ -7,11 +7,8 @@ stays within the instance bound (reporting the best value reachable within
 it), and exits 1 when none does.  Timing goes to stderr so stdout stays
 byte-stable and pipeable into ``verify``.
 
-Which solver suits which instance is written down once, in `SOLVERS`:
-``--solver NAME`` runs one entry, ``auto`` tries those in `AUTO_ORDER`,
-``bench`` runs ``auto`` and every entry marked for it that applies, and
-`optimize` runs one at the worst bound.  Decision procedures share one
-bound search, `search_bound`.
+Which solver runs is decided in :mod:`proprep.solving`: ``solve`` hands it
+the ``--solver`` name, and ``bench`` runs its roster for each file.
 
 Exit codes: 0 success (and feasible), 1 infeasible or failed verification
 or not single-peaked, 2 usage and input errors, 3 a resource cap was hit.
@@ -23,10 +20,11 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from . import solving
 from .core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -35,9 +33,7 @@ from .core import (
     Objective,
     ProblemInstance,
     Rule,
-    Solution,
     build_misrep,
-    first_feasible,
     verify_solution,
 )
 from .fileio import (
@@ -57,26 +53,9 @@ from .hardness import (
     gen_rx3c_monroe,
     gen_vc_minimax,
 )
-from .single_peaked import (
-    AxisRows,
-    detect_axis,
-    sample_single_peaked_election,
-    solve_cc_minimax_sp,
-    solve_cc_sum_sp,
-)
-from .solvers import (
-    DEFAULT_BUDGET,
-    SolverBudget,
-    solve_cc_branch_rk,
-    solve_constantR,
-    solve_m_mw_rk,
-    solve_minimax_cc_branch_rk,
-    solve_minimax_m_mw_rk,
-    solve_minimax_R0,
-    solve_partition_enum,
-    solve_subset_enum,
-)
-from .stabbing import solve_minimax_m_mw_sp, solve_monroe_sum_sp
+from .single_peaked import detect_axis, sample_single_peaked_election
+from .solvers import DEFAULT_BUDGET, SolverBudget
+
 
 class _Failure(Exception):
     """Abort the command with a message on stderr and a fixed exit code."""
@@ -99,281 +78,6 @@ def _parse_instance_file(path: str) -> ProblemInstance:
         return parse_instance(_read_text(path))
     except ParseError as error:
         raise _Failure(2, f"{path}: {error}") from None
-
-
-def _within_bound(solution: Solution, bound: int) -> Optional[Solution]:
-    return solution if solution.objective_value <= bound else None
-
-
-def search_bound(
-    instance: ProblemInstance,
-    decide: Callable[[ProblemInstance], Optional[Solution]],
-) -> Optional[Solution]:
-    """Best solution within the instance bound, via a decision procedure.
-
-    Probes candidate bounds from below: a short linear ramp, then doubling
-    until feasible, never probing past the instance bound; then
-    ``core.first_feasible`` bisects between the last infeasible and the
-    first feasible probe.  Working upward keeps every probed bound close to
-    the optimum, which matters for solvers whose cost grows quickly with
-    the bound.  Under minimax only the values in the table are probed;
-    under sum every integer is eligible.
-    """
-    points: Sequence[int]
-    if instance.objective is Objective.MINIMAX:
-        values = instance.matrix.distinct_values()
-        points = [value for value in values if value <= instance.bound]
-    else:
-        points = range(instance.bound + 1)
-    if not points:
-        return None
-    limit = len(points) - 1
-
-    def probe(index: int) -> Optional[Solution]:
-        return decide(replace(instance, bound=points[index]))
-
-    best: Optional[Solution] = None
-    last_infeasible = -1
-    step = 0
-    while True:
-        point = min(step, limit)
-        best = probe(point)
-        if best is not None or point >= limit:
-            break
-        last_infeasible = point
-        step = step + 1 if step < 4 else step * 2
-    if best is None:
-        return None
-    found = first_feasible(range(last_infeasible + 1, min(step, limit)), probe)
-    return best if found is None else found[1]
-
-
-Axis = tuple[int, ...]
-Applies = Callable[[ProblemInstance, Optional[Axis], SolverBudget], Optional[str]]
-Run = Callable[[ProblemInstance, Optional[Axis], SolverBudget], Optional[Solution]]
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """One named solver: when it suits an instance, and how to run it.
-
-    ``applies`` gets the instance's axis (None when it has none) and
-    returns None when the solver suits the instance within the budget, or
-    else the reason it does not.  ``run`` returns the best solution within
-    the instance bound, or None, and raises ``ValueError`` when the solver
-    cannot handle the instance; the sp-* runs look for the axis themselves
-    when given None.  Runs look their solver functions up on this module
-    when called, so a wrapper installed there sees every call.
-    """
-
-    name: str
-    applies: Applies
-    run: Run
-    bench: bool = False
-
-
-def _require_axis(instance: ProblemInstance, axis: Optional[Axis]) -> Axis:
-    if axis is None:
-        axis = detect_axis(instance.election)
-    if axis is None:
-        raise ValueError("the election is not single-peaked; sp-* solvers need an axis")
-    return axis
-
-
-def _needs(
-    rule: Rule, objective: Optional[Objective] = None, axis: bool = False
-) -> Applies:
-    """An `applies` that checks the rule, maybe the objective and the axis."""
-
-    def applies(
-        instance: ProblemInstance, found: Optional[Axis], budget: SolverBudget
-    ) -> Optional[str]:
-        if axis and found is None:
-            return "the election is not single-peaked"
-        if instance.rule is not rule:
-            return f"needs rule={rule.value}"
-        if objective is not None and instance.objective is not objective:
-            return f"needs objective={objective.value}"
-        return None
-
-    return applies
-
-
-def _subset_enum_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[str]:
-    if instance.matrix.m > budget.max_subset_candidates:
-        return f"more than {budget.max_subset_candidates} candidates"
-    return None
-
-
-def _partition_enum_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[str]:
-    if instance.matrix.n > budget.max_partition_voters:
-        return f"more than {budget.max_partition_voters} voters"
-    return None
-
-
-def _constant_r_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[str]:
-    if instance.objective is not Objective.SUM:
-        return "needs objective=sum"
-    if instance.bound > budget.max_constant_bound:
-        return f"bound above {budget.max_constant_bound}"
-    return None
-
-
-def _minimax_r0_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[str]:
-    if instance.objective is not Objective.MINIMAX or instance.bound != 0:
-        return "needs objective=minimax at bound 0"
-    return None
-
-
-def _run_subset_enum(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    return _within_bound(solve_subset_enum(instance, budget), instance.bound)
-
-
-def _run_partition_enum(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    return _within_bound(solve_partition_enum(instance, budget), instance.bound)
-
-
-def _run_branch_rk(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    if instance.objective is Objective.SUM:
-        decide = solve_cc_branch_rk
-    else:
-        decide = solve_minimax_cc_branch_rk
-    return search_bound(instance, lambda probed: decide(probed, budget))
-
-
-def _run_constant_r(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    return search_bound(instance, lambda probed: solve_constantR(probed, budget))
-
-
-def _run_monroe_rk(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    if instance.objective is Objective.SUM:
-        decide = solve_m_mw_rk
-    else:
-        decide = solve_minimax_m_mw_rk
-    return search_bound(instance, lambda probed: decide(probed, budget))
-
-
-def _run_minimax_r0(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    return solve_minimax_R0(instance)
-
-
-def _run_sp_dp(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    solution = solve_cc_sum_sp(instance, _require_axis(instance, axis))
-    return _within_bound(solution, instance.bound)
-
-
-def _run_sp_greedy(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    line = _require_axis(instance, axis)
-    rows = AxisRows(instance.matrix, line)
-    return search_bound(
-        instance, lambda probed: solve_cc_minimax_sp(probed, line, rows)
-    )
-
-
-def _run_sp_stab(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> Optional[Solution]:
-    line = _require_axis(instance, axis)
-    if instance.objective is Objective.SUM:
-        solution = solve_monroe_sum_sp(instance, line, budget)
-        return _within_bound(solution, instance.bound)
-    return search_bound(
-        instance, lambda probed: solve_minimax_m_mw_sp(probed, line, budget)
-    )
-
-
-SOLVERS = {
-    spec.name: spec
-    for spec in (
-        SolverSpec("subset-enum", _subset_enum_applies, _run_subset_enum, bench=True),
-        SolverSpec(
-            "partition-enum", _partition_enum_applies, _run_partition_enum, bench=True
-        ),
-        SolverSpec("branch-rk", _needs(Rule.CC), _run_branch_rk),
-        SolverSpec("constant-r", _constant_r_applies, _run_constant_r),
-        SolverSpec("monroe-rk", _needs(Rule.MONROE), _run_monroe_rk),
-        SolverSpec("minimax-r0", _minimax_r0_applies, _run_minimax_r0),
-        SolverSpec(
-            "sp-dp", _needs(Rule.CC, Objective.SUM, axis=True), _run_sp_dp, bench=True
-        ),
-        SolverSpec(
-            "sp-greedy",
-            _needs(Rule.CC, Objective.MINIMAX, axis=True),
-            _run_sp_greedy,
-            bench=True,
-        ),
-        SolverSpec(
-            "sp-stab", _needs(Rule.MONROE, axis=True), _run_sp_stab, bench=True
-        ),
-    )
-}
-
-# The order auto tries: the axis methods, then the small-bound methods, and
-# committee enumeration last, as the fallback.
-AUTO_ORDER = (
-    "sp-dp", "sp-greedy", "sp-stab", "constant-r", "minimax-r0", "subset-enum"
-)
-
-
-def solve_auto(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
-) -> tuple[str, Optional[Solution]]:
-    """Run the first solver in `AUTO_ORDER` that applies and succeeds.
-
-    A solver that applies but then raises `ValueError` or exhausts its
-    budget falls through to the next; an infeasible answer is final.
-    Committee enumeration runs last whatever its `applies` says.  All of
-    them run on the one `budget` and so on its one clock: a later solver
-    gets only the time left, and `BudgetExceededError` is raised when none
-    is.  Returns the name of the solver that answered, with its answer.
-    """
-    *structured, fallback = (SOLVERS[name] for name in AUTO_ORDER)
-    for spec in structured:
-        if spec.applies(instance, axis, budget) is None:
-            try:
-                return spec.name, spec.run(instance, axis, budget)
-            except (BudgetExceededError, ValueError):
-                budget.check()
-    return fallback.name, fallback.run(instance, axis, budget)
-
-
-def optimize(
-    instance: ProblemInstance,
-    solver: str = "subset-enum",
-    budget: SolverBudget = DEFAULT_BUDGET,
-) -> Solution:
-    """Optimal solution by the named solver: its run at the worst bound."""
-    worst = replace(instance, bound=worst_bound(instance.matrix, instance.objective))
-    try:
-        solution = SOLVERS[solver].run(worst, None, budget)
-    except ValueError as error:
-        raise ValueError(f"solver {solver!r} does not support this instance: {error}")
-    assert solution is not None, "the worst bound is always feasible"
-    return solution
 
 
 def _budget_from(args: argparse.Namespace) -> SolverBudget:
@@ -441,10 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _apply_overrides(_parse_instance_file(args.path), args)
     budget = _budget_from(args)
     started = time.perf_counter()
-    if args.solver == "auto":
-        name, solution = solve_auto(instance, detect_axis(instance.election), budget)
-    else:
-        name, solution = args.solver, SOLVERS[args.solver].run(instance, None, budget)
+    name, solution = solving.solve(instance, args.solver, budget)
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"wall-time-ms {elapsed:.1f}", file=sys.stderr)
     if solution is None:
@@ -622,15 +323,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for path in sorted(directory.glob("*.elect")):
         instance = _parse_instance_file(str(path))
         axis = detect_axis(instance.election)
-        roster: list[tuple[str, Run]] = [
-            ("auto", lambda *args: solve_auto(*args)[1])
-        ] + [
-            (spec.name, spec.run)
-            for spec in SOLVERS.values()
-            if spec.bench and spec.applies(instance, axis, budget) is None
-        ]
         outcomes: dict[str, Optional[int]] = {}
-        for name, run in roster:
+        for name, run in solving.bench_roster(instance, axis, budget):
             started = time.perf_counter()
             try:
                 # Each row gets its own budget, and so its own clock.
@@ -675,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="solve an instance file and print a solution record"
     )
     solve.add_argument("path", help="instance file")
-    solve.add_argument(
-        "--solver",
-        choices=("auto",) + tuple(SOLVERS),
-        default="auto",
-    )
+    solve.add_argument("--solver", choices=solving.SOLVER_NAMES, default="auto")
     solve.add_argument("--rule", choices=[rule.value for rule in Rule])
     solve.add_argument(
         "--objective", choices=[objective.value for objective in Objective]

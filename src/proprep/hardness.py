@@ -4,15 +4,14 @@ Each generator maps a small covering question (hitting set, vertex cover on
 a low-degree graph, exact cover by 3-sets) to a committee-selection problem
 whose optimum answers the original question.  The constructions serve two
 purposes: they produce benchmark families that are provably hard to scale,
-and they give end-to-end correctness checks, because the module also ships
-exhaustive deciders for the covering side.  Tests confirm the round trip:
+and they give end-to-end correctness checks, because the covering side is
+easy to decide exhaustively at small sizes.  Tests confirm the round trip:
 a cover of the requested size exists exactly when the generated election
 clears its misrepresentation bound.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -107,36 +106,6 @@ class RX3CInstance:
     def cover_size(self) -> int:
         """How many disjoint sets an exact cover must use."""
         return self.num_elements // 3
-
-
-def brute_hitting_set(hs: HittingSetInstance) -> bool:
-    """Exhaustive decision for small hitting-set instances."""
-    if hs.universe_size > 12:
-        raise BudgetExceededError(
-            f"exhaustive hitting-set search over {hs.universe_size} elements "
-            "exceeds the cap of 12"
-        )
-    members = [frozenset(s) for s in hs.family]
-    for size in range(min(hs.budget, hs.universe_size) + 1):
-        for choice in itertools.combinations(range(hs.universe_size), size):
-            chosen = frozenset(choice)
-            if all(chosen & s for s in members):
-                return True
-    return False
-
-
-def brute_exact_3_cover(rx3c: RX3CInstance) -> bool:
-    """Exhaustive decision for small exact-cover instances."""
-    if rx3c.num_elements > 9:
-        raise BudgetExceededError(
-            f"exhaustive cover search over {rx3c.num_elements} elements "
-            "exceeds the cap of 9"
-        )
-    everything = frozenset(range(rx3c.num_elements))
-    for picks in itertools.combinations(rx3c.sets, rx3c.cover_size):
-        if frozenset(itertools.chain.from_iterable(picks)) == everything:
-            return True
-    return False
 
 
 def gen_hs_approval(

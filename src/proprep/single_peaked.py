@@ -32,39 +32,11 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RepresentationInterval:
-    """Contiguous axis range of candidates a voter accepts within a bound."""
-
-    voter: int
-    left: int
-    right: int
-
-    def __contains__(self, position: int) -> bool:
-        return self.left <= position <= self.right
-
-
 @dataclass
 class DPStats:
     """Mutable counter for the table-filling work of `solve_cc_sum_sp`."""
 
     cell_updates: int = 0
-
-
-def check_compatible(vote: Sequence[int], axis: Sequence[int]) -> bool:
-    """Is this ranking single-peaked with respect to the axis?
-
-    Linear-time test: reading the voter's ranks along the axis must descend
-    strictly to the top choice and then ascend strictly.
-    """
-    if sorted(vote) != sorted(axis):
-        raise ValueError("vote and axis must cover the same candidates")
-    rank = {c: r for r, c in enumerate(vote)}
-    values = [rank[c] for c in axis]
-    trough = values.index(0)
-    descending = all(values[i] > values[i + 1] for i in range(trough))
-    ascending = all(values[i] < values[i + 1] for i in range(trough, len(values) - 1))
-    return descending and ascending
 
 
 def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
@@ -195,34 +167,22 @@ def _scan_interval(
     return left, right
 
 
-def representation_interval(
-    voter: int, matrix: MisrepMatrix, axis: Sequence[int], bound: int
-) -> Optional[RepresentationInterval]:
-    """Axis positions where the voter's misrepresentation is within the bound.
-
-    Returns None when no candidate qualifies.  Raises if the qualifying
-    positions are not contiguous, which means the matrix is not
-    single-troughed on this axis.
-    """
-    found = _scan_interval(voter, _axis_reader(axis)(matrix.rows[voter]), bound)
-    return None if found is None else RepresentationInterval(voter, *found)
-
-
 class AxisRows:
     """Every voter's row read along an axis once, for many bounds.
 
     A valley row's positions within a bound are found by bisection on its
-    two monotone sides, in O(log m); any other row is scanned, and raises
-    where `representation_interval` would.
+    two monotone sides, in O(log m); any other row is scanned.  Raises
+    `ValueError` when the axis is not a permutation of the candidates.
     """
 
     def __init__(self, matrix: MisrepMatrix, axis: Sequence[int]) -> None:
+        _require_permutation(matrix, axis)
         read = _axis_reader(axis)
         self.values = [read(row) for row in matrix.rows]
         self.troughs = [_trough(values) for values in self.values]
 
     def interval(self, voter: int, bound: int) -> Optional[tuple[int, int]]:
-        """``(left, right)`` as `representation_interval` gives it, or None."""
+        """First and last position within the bound, or None; `ValueError` on a gap."""
         values, trough = self.values[voter], self.troughs[voter]
         if trough < 0:
             return _scan_interval(voter, values, bound)
@@ -387,9 +347,9 @@ def solve_cc_minimax_sp(
     stab every interval.  The fewest stabs come from the classic sweep:
     repeatedly stab the right endpoint of the earliest-ending interval not
     yet covered.  Feasible when that needs at most k stabs.  With the rows
-    read along the axis (`AxisRows`, which a bound search builds once and
-    passes to every probe), a probe takes O(n log m + m) when every row is
-    a valley.
+    read along the axis (`AxisRows`, which checks the axis and which a
+    bound search builds once and passes to every probe), a probe takes
+    O(n log m + m) when every row is a valley.
 
     Only the intervals at this one bound need to be contiguous, so the
     matrix is not checked for single-troughedness as a whole; a voter whose
@@ -399,7 +359,6 @@ def solve_cc_minimax_sp(
     if instance.rule is not Rule.CC or instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the unconstrained rule, minimax objective")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
-    _require_permutation(matrix, axis)
     if rows is None:
         rows = AxisRows(matrix, axis)
     m = matrix.m

@@ -13,7 +13,7 @@ The remaining solvers are decision procedures: given the bound stored on
 the instance they either produce a witness solution meeting it or report
 that none exists by returning ``None``.  The bound search that turns a
 decision procedure into an optimizer, and the table of named solvers, live
-in :mod:`proprep.cli`.
+in :mod:`proprep.solving`.
 
 No solver here builds a flow network itself: committees are scored and
 assigned by :mod:`proprep.assignment`, and partition enumeration matches

@@ -41,15 +41,12 @@ counted, and ties go to the first option in the order the update lists them.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     Assignment,
-    BudgetExceededError,
-    MisrepMatrix,
     Objective,
     ProblemInstance,
     Rule,
@@ -59,8 +56,7 @@ from .core import (
     evaluate,
     pad_committee,
 )
-from .flows import feasible_min_cost
-from .single_peaked import representation_interval
+from .single_peaked import AxisRows
 from .solvers import DEFAULT_BUDGET, SolverBudget
 
 
@@ -426,48 +422,6 @@ def solve_max_bal_1rs(
     return covered, cover
 
 
-def brute_force_stabbing(instance: StabbingInstance) -> int:
-    """Exhaustive maximum coverage; the oracle the solver is tested against.
-
-    Tries every subset of at most k lines and finds the best capacity-
-    respecting assignment by a small flow: intervals either route through a
-    containing chosen line (free) or bypass to the sink at cost 1, each line
-    forwards up to cap_low plus at most one bonus unit, and the bonus pool is
-    capped by how many lines may run at cap_high.
-    """
-    if len(instance.intervals) > 8 or instance.num_lines > 6:
-        raise BudgetExceededError(
-            "brute-force stabbing is limited to 8 intervals and 6 lines"
-        )
-    count = len(instance.intervals)
-    if count == 0:
-        return 0
-    hi, lo = instance.cap_high, instance.cap_low
-    bonus_each = hi - lo
-    best = 0
-    for size in range(1, instance.k + 1):
-        for lines in itertools.combinations(range(1, instance.num_lines + 1), size):
-            source = 0
-            first_line = count + 1
-            bonus = first_line + size
-            sink = bonus + 1
-            arcs = []
-            for idx, (left, right) in enumerate(instance.intervals):
-                arcs.append((source, 1 + idx, 0, 1, 0))
-                arcs.append((1 + idx, sink, 0, 1, 1))
-                for pos, line in enumerate(lines):
-                    if left <= line <= right:
-                        arcs.append((1 + idx, first_line + pos, 0, 1, 0))
-            for pos in range(size):
-                arcs.append((first_line + pos, sink, 0, lo, 0))
-                arcs.append((first_line + pos, bonus, 0, bonus_each, 0))
-            arcs.append((bonus, sink, 0, instance.full_lines * bonus_each, 0))
-            result = feasible_min_cost(sink + 1, arcs, source, sink, count)
-            assert result is not None, "bypass arcs make every amount feasible"
-            best = max(best, count - result[0])
-    return best
-
-
 @dataclass(frozen=True)
 class MonroeStabbingReduction:
     """A balanced-rule question rephrased as interval stabbing.
@@ -486,19 +440,19 @@ class MonroeStabbingReduction:
 
 
 def _reduction(
-    problem: ProblemInstance, axis, bound: int
+    problem: ProblemInstance, axis, bound: int, rows: Optional[AxisRows] = None
 ) -> MonroeStabbingReduction:
     """Each voter as the 1-based axis interval of candidates within the bound."""
     matrix = problem.matrix
-    if sorted(axis) != list(range(matrix.m)):
-        raise ValueError("axis must be a permutation of the candidate indices")
+    if rows is None:
+        rows = AxisRows(matrix, axis)
     spans, unplaceable = [], []
     for v in range(matrix.n):
-        interval = representation_interval(v, matrix, axis, bound)
+        interval = rows.interval(v, bound)
         if interval is None:
             unplaceable.append(v)
         else:
-            spans.append((interval.left + 1, interval.right + 1, v))
+            spans.append((interval[0] + 1, interval[1] + 1, v))
     spans.sort(key=lambda span: span[0])
     stabbing = StabbingInstance(
         intervals=tuple((left, right) for left, right, _ in spans),
@@ -597,17 +551,21 @@ def solve_monroe_sum_sp(
 
 
 def solve_minimax_m_mw_sp(
-    problem: ProblemInstance, axis, budget: SolverBudget = DEFAULT_BUDGET
+    problem: ProblemInstance,
+    axis,
+    budget: SolverBudget = DEFAULT_BUDGET,
+    rows: Optional[AxisRows] = None,
 ) -> Optional[Solution]:
     """Balanced-rule minimax decision on an axis at the instance bound.
 
     Thresholding at the bound turns each voter into the interval of
     candidates within reach; the bound is met exactly when every interval
-    can be covered, which forces exactly k fully balanced lines.
+    can be covered, which forces exactly k fully balanced lines.  `rows`
+    are the table's rows read along the axis, built here when not given.
     """
     if problem.rule is not Rule.MONROE or problem.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the balanced rule, minimax objective")
-    reduction = _reduction(problem, axis, problem.bound)
+    reduction = _reduction(problem, axis, problem.bound, rows)
     if reduction.unplaceable_voters:
         return None
     covered, cover = solve_max_bal_1rs(reduction.stabbing, budget)

@@ -1,14 +1,18 @@
 """Naive reference methods that only the tests call.
 
-Each one is exponential and guarded; the library's routines are tested
-against them.
+The exhaustive ones are guarded by a size cap; the library's routines are
+tested against them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
+from typing import Iterator, Sequence
 
 from proprep.core import BudgetExceededError, balanced_loads
+from proprep.flows import feasible_min_cost
+from proprep.hardness import HittingSetInstance, RX3CInstance
+from proprep.stabbing import StabbingInstance
 
 
 def enumerate_balanced_assignments(
@@ -48,3 +52,91 @@ def enumerate_balanced_assignments(
         mapping[voter] = -1
 
     yield from generate(0)
+
+
+def check_compatible(vote: Sequence[int], axis: Sequence[int]) -> bool:
+    """Is this ranking single-peaked with respect to the axis?
+
+    Linear-time test: reading the voter's ranks along the axis must descend
+    strictly to the top choice and then ascend strictly.
+    """
+    if sorted(vote) != sorted(axis):
+        raise ValueError("vote and axis must cover the same candidates")
+    rank = {c: r for r, c in enumerate(vote)}
+    values = [rank[c] for c in axis]
+    trough = values.index(0)
+    descending = all(values[i] > values[i + 1] for i in range(trough))
+    ascending = all(values[i] < values[i + 1] for i in range(trough, len(values) - 1))
+    return descending and ascending
+
+
+def brute_hitting_set(hs: HittingSetInstance) -> bool:
+    """Exhaustive decision for small hitting-set instances."""
+    if hs.universe_size > 12:
+        raise BudgetExceededError(
+            f"exhaustive hitting-set search over {hs.universe_size} elements "
+            "exceeds the cap of 12"
+        )
+    members = [frozenset(s) for s in hs.family]
+    for size in range(min(hs.budget, hs.universe_size) + 1):
+        for choice in itertools.combinations(range(hs.universe_size), size):
+            chosen = frozenset(choice)
+            if all(chosen & s for s in members):
+                return True
+    return False
+
+
+def brute_exact_3_cover(rx3c: RX3CInstance) -> bool:
+    """Exhaustive decision for small exact-cover instances."""
+    if rx3c.num_elements > 9:
+        raise BudgetExceededError(
+            f"exhaustive cover search over {rx3c.num_elements} elements "
+            "exceeds the cap of 9"
+        )
+    everything = frozenset(range(rx3c.num_elements))
+    for picks in itertools.combinations(rx3c.sets, rx3c.cover_size):
+        if frozenset(itertools.chain.from_iterable(picks)) == everything:
+            return True
+    return False
+
+
+def brute_force_stabbing(instance: StabbingInstance) -> int:
+    """Exhaustive maximum coverage; the oracle the solver is tested against.
+
+    Tries every subset of at most k lines and finds the best capacity-
+    respecting assignment by a small flow: intervals either route through a
+    containing chosen line (free) or bypass to the sink at cost 1, each line
+    forwards up to cap_low plus at most one bonus unit, and the bonus pool is
+    capped by how many lines may run at cap_high.
+    """
+    if len(instance.intervals) > 8 or instance.num_lines > 6:
+        raise BudgetExceededError(
+            "brute-force stabbing is limited to 8 intervals and 6 lines"
+        )
+    count = len(instance.intervals)
+    if count == 0:
+        return 0
+    hi, lo = instance.cap_high, instance.cap_low
+    bonus_each = hi - lo
+    best = 0
+    for size in range(1, instance.k + 1):
+        for lines in itertools.combinations(range(1, instance.num_lines + 1), size):
+            source = 0
+            first_line = count + 1
+            bonus = first_line + size
+            sink = bonus + 1
+            arcs = []
+            for idx, (left, right) in enumerate(instance.intervals):
+                arcs.append((source, 1 + idx, 0, 1, 0))
+                arcs.append((1 + idx, sink, 0, 1, 1))
+                for pos, line in enumerate(lines):
+                    if left <= line <= right:
+                        arcs.append((1 + idx, first_line + pos, 0, 1, 0))
+            for pos in range(size):
+                arcs.append((first_line + pos, sink, 0, lo, 0))
+                arcs.append((first_line + pos, bonus, 0, bonus_each, 0))
+            arcs.append((bonus, sink, 0, instance.full_lines * bonus_each, 0))
+            result = feasible_min_cost(sink + 1, arcs, source, sink, count)
+            assert result is not None, "bypass arcs make every amount feasible"
+            best = max(best, count - result[0])
+    return best

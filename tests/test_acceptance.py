@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from conftest import ranked
-from proprep.cli import optimize
+from oracles import brute_exact_3_cover, brute_force_stabbing, brute_hitting_set
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -30,8 +30,6 @@ from proprep.generators import random_election, random_prefix_approvals
 from proprep.hardness import (
     HittingSetInstance,
     RX3CInstance,
-    brute_exact_3_cover,
-    brute_hitting_set,
     gen_hs_approval,
     gen_hs_borda,
     gen_rx3c_monroe,
@@ -53,9 +51,9 @@ from proprep.solvers import (
     solve_partition_enum,
     solve_subset_enum,
 )
+from proprep.solving import optimize
 from proprep.stabbing import (
     StabbingInstance,
-    brute_force_stabbing,
     solve_max_bal_1rs,
     solve_minimax_m_mw_sp,
     solve_monroe_sum_sp,

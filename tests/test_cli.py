@@ -13,16 +13,20 @@ import io
 import itertools
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, time_limit
-from proprep import cli, single_peaked
-from proprep.cli import SOLVERS, build_parser, main
+import proprep
+from proprep import cli, single_peaked, solving
+from proprep.cli import build_parser, main
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -42,6 +46,7 @@ from proprep.solvers import (
     solve_minimax_m_mw_rk,
     solve_subset_enum,
 )
+from proprep.solving import SOLVERS
 
 FIG1 = """\
 proprep v1
@@ -267,8 +272,8 @@ class TestSolve:
             clock[0] += spent
             raise BudgetExceededError("wall-clock budget exhausted")
 
-        monkeypatch.setattr(cli, "solve_monroe_sum_sp", stabbing_that_runs_out)
-        enumerations = counting(monkeypatch, cli, "solve_subset_enum")
+        monkeypatch.setattr(solving, "solve_monroe_sum_sp", stabbing_that_runs_out)
+        enumerations = counting(monkeypatch, solving, "solve_subset_enum")
         code, out, err = run_cli(capsys, "solve", path, "--budget-seconds", "1.5")
         if answered:
             assert code == 0 and "solver subset-enum" in out
@@ -298,14 +303,14 @@ class TestSolve:
         clock = [100.0]
         monkeypatch.setattr(time, "monotonic", lambda: clock[0])
         probes = []
-        original = cli.solve_cc_branch_rk
+        original = solving.solve_cc_branch_rk
 
         def slow_probe(instance, budget):
             probes.append(instance.bound)
             clock[0] += 0.4
             return original(instance, budget)
 
-        monkeypatch.setattr(cli, "solve_cc_branch_rk", slow_probe)
+        monkeypatch.setattr(solving, "solve_cc_branch_rk", slow_probe)
         code, out, err = run_cli(
             capsys, "solve", path, "--solver", "branch-rk", "--budget-seconds", "1.0"
         )
@@ -366,7 +371,7 @@ class TestSolve:
         def too_deep(instance, budget):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(cli, "solve_subset_enum", too_deep)
+        monkeypatch.setattr(solving, "solve_subset_enum", too_deep)
         path = write("f.elect", FIG1)
         code, out, err = run_cli(capsys, "solve", path, "--solver", "subset-enum")
         assert (code, out) == (3, "")
@@ -781,13 +786,13 @@ class TestBench:
         clock = [100.0]
         monkeypatch.setattr(time, "monotonic", lambda: clock[0])
         for name in ("solve_subset_enum", "solve_partition_enum"):
-            original = getattr(cli, name)
+            original = getattr(solving, name)
 
             def slow(instance, budget, original=original):
                 clock[0] += 0.6
                 return original(instance, budget)
 
-            monkeypatch.setattr(cli, name, slow)
+            monkeypatch.setattr(solving, name, slow)
         code, out, _ = run_cli(
             capsys, "bench", str(tmp_path), "--budget-seconds", "1.0"
         )
@@ -806,7 +811,7 @@ class TestBench:
 
     def test_a_wrong_witness_fails_the_bench(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "a_fig.elect").write_text(FIG1)
-        original = cli.solve_subset_enum
+        original = solving.solve_subset_enum
 
         def overclaiming(instance, budget):
             solution = original(instance, budget)
@@ -814,7 +819,7 @@ class TestBench:
                 solution, objective_value=solution.objective_value + 1
             )
 
-        monkeypatch.setattr(cli, "solve_subset_enum", overclaiming)
+        monkeypatch.setattr(solving, "solve_subset_enum", overclaiming)
         code, out, err = run_cli(capsys, "bench", str(tmp_path))
         assert code == 1
         assert "a_fig.elect subset-enum ok value=3" in out
@@ -861,7 +866,7 @@ class TestSolverTable:
 
     def test_solve_looks_for_the_axis_only_when_needed(self, write, capsys, monkeypatch):
         path = write("f.elect", FIG1)
-        calls = counting(monkeypatch, cli, "detect_axis")
+        calls = counting(monkeypatch, solving, "detect_axis")
         for solver, looked in (("auto", 1), ("sp-dp", 1), ("subset-enum", 0)):
             calls.clear()
             code, _, _ = run_cli(capsys, "solve", path, "--solver", solver)
@@ -876,9 +881,9 @@ class TestSolverTable:
         assert code == 0
         instance = parse_instance(text)
         calls = counting(monkeypatch, single_peaked, "check_single_troughed")
-        probes = counting(monkeypatch, cli, "solve_cc_minimax_sp")
-        name, solution = cli.solve_auto(
-            instance, single_peaked.detect_axis(instance.election), cli.DEFAULT_BUDGET
+        probes = counting(monkeypatch, solving, "solve_cc_minimax_sp")
+        name, solution = solving.solve_auto(
+            instance, single_peaked.detect_axis(instance.election), solving.DEFAULT_BUDGET
         )
         assert name == "sp-greedy" and solution is not None
         assert len(probes) > 1
@@ -891,12 +896,27 @@ class TestSolverTable:
         )
         assert code == 0
         instance = parse_instance(text)
-        reads = counting(monkeypatch, cli, "AxisRows")
-        probes = counting(monkeypatch, cli, "solve_cc_minimax_sp")
-        solution = SOLVERS["sp-greedy"].run(instance, None, cli.DEFAULT_BUDGET)
+        reads = counting(monkeypatch, solving, "AxisRows")
+        probes = counting(monkeypatch, solving, "solve_cc_minimax_sp")
+        solution = SOLVERS["sp-greedy"].run(instance, None, solving.DEFAULT_BUDGET)
         assert solution is not None
         assert len(probes) > 1 and len(reads) == 1
         assert all(rows is probes[0][2] for _, _, rows in probes)
+
+    def test_sp_stab_reads_the_rows_once_per_search(self, capsys, monkeypatch):
+        code, text, _ = run_cli(
+            capsys, "gen", "single-peaked", "--m", "6", "--n", "24", "--k", "2",
+            "--rule", "monroe", "--misrep", "approval", "--objective", "minimax",
+            "--seed", "1",
+        )
+        assert code == 0
+        instance = parse_instance(text)
+        reads = counting(monkeypatch, solving, "AxisRows")
+        probes = counting(monkeypatch, solving, "solve_minimax_m_mw_sp")
+        solution = SOLVERS["sp-stab"].run(instance, None, solving.DEFAULT_BUDGET)
+        assert solution is not None
+        assert len(probes) > 1 and len(reads) == 1
+        assert all(rows is probes[0][3] for *_, rows in probes)
 
     @pytest.mark.parametrize(
         "rows, answered_by",
@@ -916,8 +936,8 @@ class TestSolverTable:
         instance = ProblemInstance(
             election, matrix, Rule.CC, Objective.MINIMAX, 1, matrix.max_value()
         )
-        name, solution = cli.solve_auto(
-            instance, single_peaked.detect_axis(election), cli.DEFAULT_BUDGET
+        name, solution = solving.solve_auto(
+            instance, single_peaked.detect_axis(election), solving.DEFAULT_BUDGET
         )
         assert name == answered_by
         assert solution.objective_value == solve_subset_enum(instance).objective_value
@@ -961,7 +981,7 @@ class TestSearchBound:
             seen.append(instance.bound)
             return instance.bound if instance.bound >= threshold else None
 
-        result = cli.search_bound(line_instance(objective, bound), decide)
+        result = solving.search_bound(line_instance(objective, bound), decide)
         assert seen == probed
         feasible = [b for b in probed if b >= threshold]
         assert result == (min(feasible) if feasible else None)
@@ -985,5 +1005,30 @@ class TestSearchBound:
             seen.append(probe.bound)
             return decide(probe)
 
-        assert cli.search_bound(instance, record).objective_value == value
+        assert solving.search_bound(instance, record).objective_value == value
         assert seen == probed
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds this checkout's proprep first."""
+    path = [str(Path(proprep.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True
+    )
+
+
+class TestImports:
+    def test_the_library_does_not_load_the_cli(self):
+        result = run_python(
+            "-c",
+            "import sys, proprep; "
+            "print('argparse' in sys.modules, 'proprep.cli' in sys.modules)",
+        )
+        assert (result.returncode, result.stdout) == (0, "False False\n"), result.stderr
+
+    def test_the_cli_runs_as_a_module_without_warnings(self):
+        result = run_python(
+            "-W", "error::RuntimeWarning", "-m", "proprep.cli", "--help"
+        )
+        assert result.returncode == 0, result.stderr

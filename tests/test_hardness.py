@@ -5,12 +5,11 @@ import random
 
 import pytest
 
+from oracles import brute_exact_3_cover, brute_hitting_set
 from proprep.core import BudgetExceededError, Objective, Rule
 from proprep.hardness import (
     HittingSetInstance,
     RX3CInstance,
-    brute_exact_3_cover,
-    brute_hitting_set,
     gen_hs_approval,
     gen_hs_borda,
     gen_rx3c_monroe,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, ranked, time_limit
+from oracles import check_compatible
 from proprep.core import (
     BordaMisrep,
     Election,
@@ -23,12 +24,10 @@ from proprep.core import (
 from proprep.single_peaked import (
     AxisRows,
     DPStats,
-    RepresentationInterval,
+    _scan_interval,
     axis_savings,
-    check_compatible,
     check_single_troughed,
     detect_axis,
-    representation_interval,
     sample_single_peaked_election,
     solve_cc_minimax_sp,
     solve_cc_sum_sp,
@@ -109,18 +108,19 @@ def savings_by_definition(matrix, axis):
 
 
 def greedy_by_definition(instance, axis):
-    """The minimax decision from `representation_interval`, voter by voter."""
+    """The minimax decision from a linear scan of each row, voter by voter."""
     intervals = []
-    for v in range(instance.matrix.n):
-        interval = representation_interval(v, instance.matrix, axis, instance.bound)
+    for v, row in enumerate(instance.matrix.rows):
+        interval = _scan_interval(v, [row[c] for c in axis], instance.bound)
         if interval is None:
             return None
-        intervals.append(interval)
-    intervals.sort(key=lambda iv: (iv.right, iv.left, iv.voter))
+        left, right = interval
+        intervals.append((right, left, v))
+    intervals.sort()
     stabs = []
-    for interval in intervals:
-        if not stabs or interval.left > stabs[-1]:
-            stabs.append(interval.right)
+    for right, left, _ in intervals:
+        if not stabs or left > stabs[-1]:
+            stabs.append(right)
     if len(stabs) > instance.k:
         return None
     return pad_committee((axis[i] for i in stabs), instance.k, instance.matrix.m)
@@ -333,34 +333,24 @@ class TestSingleTroughed:
 class TestRepresentationInterval:
     def test_prefix_of_the_axis(self, profile_3v4c):
         matrix = build_misrep(profile_3v4c, BordaMisrep())
-        interval = representation_interval(0, matrix, (0, 1, 2, 3), 1)
-        assert interval == RepresentationInterval(voter=0, left=0, right=1)
+        assert AxisRows(matrix, (0, 1, 2, 3)).interval(0, 1) == (0, 1)
 
     def test_middle_of_the_axis(self, profile_3v4c):
         matrix = build_misrep(profile_3v4c, BordaMisrep())
-        assert representation_interval(1, matrix, (0, 1, 2, 3), 1) == (
-            RepresentationInterval(1, 1, 2)
-        )
+        assert AxisRows(matrix, (0, 1, 2, 3)).interval(1, 1) == (1, 2)
 
     def test_generous_bound_spans_everything(self, profile_3v4c):
         matrix = build_misrep(profile_3v4c, BordaMisrep())
-        assert representation_interval(2, matrix, (0, 1, 2, 3), 3) == (
-            RepresentationInterval(2, 0, 3)
-        )
+        assert AxisRows(matrix, (0, 1, 2, 3)).interval(2, 3) == (0, 3)
 
     def test_no_candidate_within_bound(self):
         matrix = MisrepMatrix(((2, 3, 2),))
-        assert representation_interval(0, matrix, (0, 1, 2), 1) is None
+        assert AxisRows(matrix, (0, 1, 2)).interval(0, 1) is None
 
     def test_gap_raises(self):
         matrix = MisrepMatrix(((0, 2, 0),))
         with pytest.raises(ValueError, match="not contiguous"):
-            representation_interval(0, matrix, (0, 1, 2), 0)
-
-    def test_membership_helper(self):
-        interval = RepresentationInterval(0, 1, 3)
-        assert 1 in interval and 3 in interval
-        assert 0 not in interval and 4 not in interval
+            AxisRows(matrix, (0, 1, 2)).interval(0, 0)
 
 
 class TestAxisRows:
@@ -387,11 +377,8 @@ class TestAxisRows:
         bounds = {-1, matrix.max_value() + 1, *matrix.distinct_values()}
         for bound in sorted(bounds):
             for v in range(matrix.n):
-                expected = outcome(
-                    lambda: representation_interval(v, matrix, axis, bound)
-                )
-                if isinstance(expected, RepresentationInterval):
-                    expected = (expected.left, expected.right)
+                along = [matrix.rows[v][c] for c in axis]
+                expected = outcome(lambda: _scan_interval(v, along, bound))
                 assert outcome(lambda: rows.interval(v, bound)) == expected
 
 

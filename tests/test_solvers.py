@@ -19,7 +19,7 @@ from proprep.assignment import (
     assign_monroe_sum,
     monroe_minimax_value,
 )
-from proprep.cli import main, optimize
+from proprep.cli import main
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -48,6 +48,7 @@ from proprep.solvers import (
     solve_partition_enum,
     solve_subset_enum,
 )
+from proprep.solving import SOLVERS, optimize, solve
 
 from conftest import instance_for, ranked
 
@@ -686,6 +687,14 @@ class TestOptimize:
                 instance_for(profile_3v4c, Rule.CC, Objective.MINIMAX, k=1),
                 "minimax-r0",
             )
+
+    def test_unknown_solver_names_the_choices(self, profile_3v4c):
+        instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=1)
+        choices = ", ".join(SOLVERS)
+        for run in (optimize, solve):
+            with pytest.raises(ValueError) as raised:
+                run(instance, "nope")
+            assert str(raised.value) == f"unknown solver 'nope'; choose from {choices}"
 
 
 class TestCrossSolverAgreement:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_for, ranked
+from oracles import brute_force_stabbing
 from proprep import stabbing
 from proprep.core import (
     ApprovalMisrep,
@@ -24,7 +25,6 @@ from proprep.single_peaked import sample_single_peaked_election
 from proprep.solvers import DEFAULT_BUDGET, SolverBudget, solve_subset_enum
 from proprep.stabbing import (
     StabbingInstance,
-    brute_force_stabbing,
     complete_assignment,
     reduce_m_mw_sp,
     solve_max_bal_1rs,
