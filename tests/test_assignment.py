@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -143,6 +144,38 @@ class TestTransport:
     def test_owner_marks_unserved_right_nodes(self):
         total, owner = transport([(0, 1), (0, 1)], [[5, 1, None], [2, None, 0]], 2)
         assert (total, owner) == (1, [-1, 0, 1])
+
+    def test_witnesses_are_pinned(self):
+        # Printed witnesses follow transport's tie-breaks, so its exact
+        # (cost, owner) on tie-heavy tables is fixed by this digest.
+        rng = random.Random(1402)
+        digest = hashlib.sha256()
+        infeasible = with_lows = 0
+        for trial in range(500):
+            top = 1 if trial % 2 else 3
+            left, right = rng.randint(1, 4), rng.randint(2, 8)
+            costs = [
+                [None if rng.random() < 0.15 else rng.randint(0, top) for _ in range(right)]
+                for _ in range(left)
+            ]
+            loads = []
+            for _ in range(left):
+                low = rng.choice((0, 0, 1, 2))
+                loads.append((low, rng.randint(low, 4)))
+            least = sum(low for low, _ in loads)
+            most = min(right, sum(high for _, high in loads))
+            if trial % 4 == 0 or least > most:
+                amount = rng.randint(0, right)
+            else:
+                amount = rng.randint(least, most)
+            result = transport(loads, costs, amount)
+            infeasible += result is None
+            with_lows += result is not None and least > 0
+            digest.update(repr(result).encode())
+        assert (infeasible, with_lows) == (95, 282)
+        assert digest.hexdigest() == (
+            "39bc1f976976671f8b78bca4518702710c7e83c6fdeda455787790e79cea1011"
+        )
 
 
 class TestAssignCC:
