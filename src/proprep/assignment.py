@@ -13,16 +13,18 @@ Values and witnesses come from two places.  ``balanced_cost`` is the value
 scorer: successive shortest paths on the k winner nodes, with no flow
 network and no witness; ``monroe_minimax_bound`` bisects with it, and
 subset enumeration in :mod:`proprep.solvers` scores every committee it
-tries with these two.  ``transport`` builds every witness: it is the one
-bipartite flow network in the package, with left nodes taking load ranges,
-right nodes taking one unit each, and optional costs between.  Balanced
-assignments use it with winners on the left and voters on the right;
-partition enumeration in :mod:`proprep.solvers` uses it to match voter
-blocks to candidates.  Its tie-breaks fix which witness is printed.
+tries with these two.  ``transport`` builds every witness: it is the
+package's one min-cost flow, successive shortest paths on its own
+bipartite residual network, with left nodes taking load ranges, right
+nodes taking one unit each, and optional costs between.
+``balanced_assignment`` calls it with winners on the left and voters on the
+right; partition enumeration in :mod:`proprep.solvers` calls it to match
+voter blocks to candidates.  Its tie-breaks fix which witness is printed.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Optional, Sequence
 
@@ -30,11 +32,9 @@ from .core import (
     Assignment,
     MisrepMatrix,
     Objective,
-    Solution,
     balanced_loads,
     first_feasible,
 )
-from .flows import feasible_min_cost
 
 
 def assign_cc(winner_set: tuple[int, ...], matrix: MisrepMatrix) -> Assignment:
@@ -69,31 +69,97 @@ def transport(
 
     Left node ``i`` sends between ``loads[i][0]`` and ``loads[i][1]`` units.
     Each right node ``r`` takes at most one unit, from a left node ``i``
-    with ``costs[i][r]`` not None, at that cost.  Returns ``(total_cost,
-    owner)``, where ``owner[r]`` is the left node serving ``r`` or -1, or
-    None when no such flow exists.  The network's arcs run source to left,
-    left to right row by row, then right to sink; the flow engine's
-    tie-breaks between equally cheap flows follow that order.
+    with ``costs[i][r]`` not None, at that cost (which must be >= 0).
+    Returns ``(total_cost, owner)``, where ``owner[r]`` is the left node
+    serving ``r`` or -1, or None when no such flow exists.
+
+    This is successive shortest paths: Dijkstra with node potentials, valid
+    because every cost is nonnegative, finds each cheapest augmenting path
+    in the residual network.  The network's arcs run source to left, left
+    to right row by row, then right to sink; ties between equally cheap
+    flows follow that order.  Lower bounds are removed the usual way: a
+    super source supplies each left node its low, the source's balance
+    (``amount`` less the lows) is settled with the super source or the
+    super sink, and the sink owes ``amount`` to the super sink; a flow
+    exists when the super source can send everything it supplies.
     """
     left, right = len(loads), len(costs[0])
     sink = 1 + left + right
-    arcs = [(0, 1 + i, low, high, 0) for i, (low, high) in enumerate(loads)]
+    start, end = sink + 1, sink + 2  # the super source and super sink
+    adjacent: list[list[int]] = [[] for _ in range(sink + 3)]
+    head: list[int] = []  # arc a runs into head[a]; a ^ 1 is its residual twin
+    room: list[int] = []
+    price: list[int] = []
+
+    def add(tail: int, to: int, capacity: int, cost: int) -> None:
+        adjacent[tail].append(len(head))
+        adjacent[to].append(len(head) + 1)
+        head.extend((to, tail))
+        room.extend((capacity, 0))
+        price.extend((cost, -cost))
+
+    for i, (low, high) in enumerate(loads):
+        if not 0 <= low <= high:
+            raise ValueError("need 0 <= low <= high")
+        add(0, 1 + i, high - low, 0)
     pairs = []
     for i, row in enumerate(costs):
         for r, cost in enumerate(row):
             if cost is not None:
-                arcs.append((1 + i, 1 + left + r, 0, 1, cost))
-                pairs.append((i, r))
-    arcs.extend((1 + left + r, sink, 0, 1, 0) for r in range(right))
-    result = feasible_min_cost(sink + 1, arcs, 0, sink, amount)
-    if result is None:
-        return None
-    total, flows = result
+                if cost < 0:
+                    raise ValueError("costs must be >= 0")
+                pairs.append((i, r, len(head)))
+                add(1 + i, 1 + left + r, 1, cost)
+    for r in range(right):
+        add(1 + left + r, sink, 1, 0)
+    spare = amount - sum(low for low, _ in loads)
+    if spare > 0:
+        add(start, 0, spare, 0)
+    elif spare < 0:
+        add(0, end, -spare, 0)
+    for i, (low, _) in enumerate(loads):
+        if low:
+            add(start, 1 + i, low, 0)
+    add(sink, end, amount, 0)
+    supply = sum(room[arc] for arc in adjacent[start])
+    pushed = 0
+    potential = [0] * len(adjacent)
+    while pushed < supply:
+        dist = [math.inf] * len(adjacent)
+        via = [-1] * len(adjacent)
+        dist[start] = 0
+        heap = [(0, start)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for arc in adjacent[node]:
+                if room[arc] > 0:
+                    other = head[arc]
+                    reduced = d + price[arc] + potential[node] - potential[other]
+                    if reduced < dist[other]:
+                        dist[other] = reduced
+                        via[other] = arc
+                        heapq.heappush(heap, (reduced, other))
+        if dist[end] == math.inf:
+            return None
+        potential = [p + d if d < math.inf else p for p, d in zip(potential, dist)]
+        path = []
+        node = end
+        while node != start:
+            arc = via[node]
+            path.append(arc)
+            node = head[arc ^ 1]
+        step = min(room[arc] for arc in path)
+        for arc in path:
+            room[arc] -= step
+            room[arc ^ 1] += step
+        pushed += step
     owner = [-1] * right
-    for (i, r), flow in zip(pairs, flows[left:]):
-        if flow:
+    for i, r, arc in pairs:
+        if room[arc ^ 1]:
             owner[r] = i
-    return total, owner
+    return sum(costs[i][r] for r, i in enumerate(owner) if i >= 0), owner
 
 
 def balanced_cost(
@@ -102,8 +168,8 @@ def balanced_cost(
     """Cost of the cheapest balanced assignment using only entries within the bound.
 
     Returns None when no balanced assignment uses only such entries.  This
-    is the value ``_balanced_assignment`` finds, without its witness and
-    without a general flow network: successive shortest paths on the k
+    is the value ``balanced_assignment`` finds, without its witness and
+    without ``transport``'s network: successive shortest paths on the k
     winner nodes and a sink.  Voters are inserted one at a time, each along
     a cheapest path that starts at one of its entries, where the arc from
     winner w to w' costs the cheapest move of one of w's voters to w'.  The
@@ -182,10 +248,15 @@ def balanced_cost(
     return sum(costs[u][i] for i, held in enumerate(members) for u in held)
 
 
-def _balanced_assignment(
-    winners: tuple[int, ...], matrix: MisrepMatrix, bound: Optional[int]
+def balanced_assignment(
+    winners: tuple[int, ...], matrix: MisrepMatrix, bound: Optional[int] = None
 ) -> Optional[tuple[int, Assignment]]:
-    """Cheapest balanced assignment using only entries within the bound."""
+    """Cheapest balanced assignment using only entries within the bound.
+
+    ``winners`` is sorted.  Returns ``(cost, assignment)``, or None when no
+    balanced assignment uses only such entries.  The witness is
+    ``transport``'s, with winners on the left and voters on the right.
+    """
     low, high, _ = balanced_loads(matrix.n, len(winners))
     costs = [
         [
@@ -199,25 +270,6 @@ def _balanced_assignment(
         return None
     cost, owner = result
     return cost, Assignment(winners, tuple(winners[i] for i in owner))
-
-
-def assign_monroe_sum(
-    winner_set: tuple[int, ...], matrix: MisrepMatrix
-) -> Solution:
-    """Cheapest balanced assignment of all voters to the given committee."""
-    result = _balanced_assignment(tuple(sorted(winner_set)), matrix, None)
-    if result is None:
-        raise ValueError("balanced assignment infeasible; need k <= n")
-    cost, assignment = result
-    return Solution(assignment, cost, True)
-
-
-def assign_monroe_minimax(
-    winner_set: tuple[int, ...], matrix: MisrepMatrix, bound: int
-) -> Assignment | None:
-    """A balanced assignment whose every entry is within the bound, if any."""
-    result = _balanced_assignment(tuple(sorted(winner_set)), matrix, bound)
-    return None if result is None else result[1]
 
 
 def monroe_minimax_bound(
@@ -244,18 +296,3 @@ def monroe_minimax_bound(
         return found[0]
     assert limit is not None, "maximal bound is always feasible when k <= n"
     return limit
-
-
-def monroe_minimax_value(
-    matrix: MisrepMatrix, winner_set: tuple[int, ...]
-) -> tuple[int, Assignment]:
-    """Smallest bound admitting a balanced assignment, with one such assignment.
-
-    The bound comes from ``monroe_minimax_bound``; the witness is built
-    once, by ``transport`` at that bound.
-    """
-    bound = monroe_minimax_bound(winner_set, matrix)
-    assert bound is not None
-    witness = assign_monroe_minimax(winner_set, matrix, bound)
-    assert witness is not None
-    return bound, witness

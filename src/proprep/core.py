@@ -123,10 +123,6 @@ class Election:
     def n(self) -> int:
         return len(self.votes)
 
-    def position(self, voter: int, candidate: int) -> int:
-        """Zero-based rank of ``candidate`` in ``voter``'s preference order."""
-        return self._positions[voter][candidate]
-
 
 @dataclass(frozen=True)
 class BordaMisrep:
@@ -176,14 +172,6 @@ class MisrepMatrix:
     def distinct_values(self) -> tuple[int, ...]:
         """All values appearing anywhere in the table, ascending."""
         return tuple(sorted({x for row in self.rows for x in row}))
-
-    def threshold(self, bound: int) -> "MisrepMatrix":
-        """Dichotomize: entries at most ``bound`` become 0, the rest 1."""
-        return MisrepMatrix(
-            tuple(
-                tuple(0 if x <= bound else 1 for x in row) for row in self.rows
-            )
-        )
 
 
 def table_scale(rows: Iterable[Iterable[Union[int, Fraction]]]) -> int:

@@ -102,11 +102,6 @@ class RX3CInstance:
                     f"element {e} occurs {count} times, expected exactly 3"
                 )
 
-    @property
-    def cover_size(self) -> int:
-        """How many disjoint sets an exact cover must use."""
-        return self.num_elements // 3
-
 
 def gen_hs_approval(
     hs: HittingSetInstance,

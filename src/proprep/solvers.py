@@ -7,18 +7,20 @@ committees depth-first in lexicographic order, sharing each prefix's
 per-voter minima, and prunes every prefix whose best-representative bound
 cannot win, which needs no flow; under the balanced rule it then scores the
 committees left by value alone, in bound order until the next one can no
-longer win, and assigns voters only to the CC-optimal committee and to the
-one it returns.  Partition enumeration matches every admissible partition.
-The remaining solvers are decision procedures: given the bound stored on
-the instance they either produce a witness solution meeting it or report
-that none exists by returning ``None``.  The bound search that turns a
-decision procedure into an optimizer, and the table of named solvers, live
-in :mod:`proprep.solving`.
+longer win, and assigns voters only to the committee it returns.  Partition
+enumeration matches every admissible partition.  The remaining solvers are
+decision procedures: given the bound stored on the instance they either
+produce a witness solution meeting it or report that none exists by
+returning ``None``.  The bound search that turns a decision procedure into
+an optimizer, and the table of named solvers, live in
+:mod:`proprep.solving`.
 
-No solver here builds a flow network itself: committees are scored and
-assigned by :mod:`proprep.assignment`, and partition enumeration matches
-voter blocks to candidates with ``assignment.transport``, bisecting over
-bottleneck values with ``core.first_feasible`` under minimax.
+No solver here runs a flow itself: committees are scored by value with
+``assignment.balanced_cost`` and ``assignment.monroe_minimax_bound``, and
+assigned voters with ``assignment.balanced_assignment``; partition
+enumeration matches voter blocks to candidates with
+``assignment.transport``, bisecting over bottleneck values with
+``core.first_feasible`` under minimax.
 
 All solvers are pure functions of their arguments.
 """
@@ -34,10 +36,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .assignment import (
     assign_cc,
-    assign_monroe_sum,
+    balanced_assignment,
     balanced_cost,
     monroe_minimax_bound,
-    monroe_minimax_value,
     transport,
 )
 from .core import (
@@ -108,10 +109,13 @@ def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> So
         value = evaluate(matrix, assignment.mapping, instance.objective)
         balanced = check_m_criterion(assignment, matrix.n, instance.k)
         return Solution(assignment, value, balanced)
-    if instance.objective is Objective.SUM:
-        return assign_monroe_sum(winners, matrix)
-    value, assignment = monroe_minimax_value(matrix, winners)
-    return Solution(assignment, value, True)
+    bound = None
+    if instance.objective is Objective.MINIMAX:
+        bound = monroe_minimax_bound(winners, matrix)
+    found = balanced_assignment(winners, matrix, bound)
+    assert found is not None, "a balanced assignment exists when k <= n"
+    cost, assignment = found
+    return Solution(assignment, cost if bound is None else bound, True)
 
 
 def _committee_value(
@@ -201,12 +205,11 @@ def solve_subset_enum(
     committee with CC value <= U.  Those are scored in ascending `(bound,
     committee)` order until the next pair is above the best `(value,
     committee)` pair so far; every committee not scored has value >= bound,
-    so the answer is the plain minimum over all pairs.  Only the CC-optimal
-    committee is assigned voters when it is scored; the collected ones are
-    scored by value alone, a minimax value only once the committee is known
-    to beat the best pair, and the committee that wins is assigned voters
-    again only if it is not the CC-optimal one.  Memory holds two columns
-    per pool candidate and, under Monroe, the collected pairs.
+    so the answer is the plain minimum over all pairs.  Every committee,
+    the CC-optimal one included, is scored by value alone, a collected
+    minimax value only once the committee is known to beat the best pair;
+    only the committee returned is assigned voters, once.  Memory holds two
+    columns per pool candidate and, under Monroe, the collected pairs.
     """
     m = instance.matrix.m
     pool = sorted(range(m) if candidate_pool is None else candidate_pool)
@@ -229,10 +232,9 @@ def solve_subset_enum(
         return value - 1  # table entries are integers
 
     _committee_walk(matrix, pool, k, objective, budget, math.inf, keep_strictly_better)
-    solution = _committee_solution(instance, found[0])
     if instance.rule is Rule.CC:
-        return solution
-    best = (solution.objective_value, found[0])
+        return _committee_solution(instance, found[0])
+    best = (_committee_value(instance, found[0]), found[0])
     bounded: list[tuple[int, tuple[int, ...]]] = []
 
     def collect(value: int, committee: tuple[int, ...]) -> int:
@@ -250,8 +252,6 @@ def solve_subset_enum(
         value = _committee_value(instance, committee, limit)
         if value is not None:
             best = (value, committee)
-    if best[1] == found[0]:
-        return solution
     return _committee_solution(instance, best[1])
 
 
@@ -312,7 +312,7 @@ def _match_blocks_minimax(
         # Every pair within the limit costs 0, not its bottleneck: among
         # several matchings at the optimum, the committee chosen for a
         # partition (and so the tie-break between partitions) is the one
-        # the flow engine finds on this zero-cost network.
+        # `transport` finds on this zero-cost network.
         costs = [[0 if x <= limit else None for x in row] for row in bottleneck]
         result = transport([(0, 1)] * b, costs, b)
         return None if result is None else result[1]

@@ -113,10 +113,6 @@ class StabbingCover:
     assigned: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
-    def lines(self) -> tuple[int, ...]:
-        return tuple(line for line, _ in self.assigned)
-
-    @property
     def covered_count(self) -> int:
         return sum(len(ids) for _, ids in self.assigned)
 

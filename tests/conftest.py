@@ -59,6 +59,11 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def threshold(matrix: MisrepMatrix, bound: int) -> MisrepMatrix:
+    """Dichotomize: entries at most ``bound`` become 0, the rest 1."""
+    return MisrepMatrix(tuple(tuple(int(x > bound) for x in row) for row in matrix.rows))
+
+
 def instance_for(
     election: Election,
     rule: Rule,

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+from proprep.assignment import transport
 from proprep.core import BudgetExceededError, balanced_loads
-from proprep.flows import feasible_min_cost
 from proprep.hardness import HittingSetInstance, RX3CInstance
 from proprep.stabbing import StabbingInstance
 
@@ -94,7 +94,7 @@ def brute_exact_3_cover(rx3c: RX3CInstance) -> bool:
             "exceeds the cap of 9"
         )
     everything = frozenset(range(rx3c.num_elements))
-    for picks in itertools.combinations(rx3c.sets, rx3c.cover_size):
+    for picks in itertools.combinations(rx3c.sets, rx3c.num_elements // 3):
         if frozenset(itertools.chain.from_iterable(picks)) == everything:
             return True
     return False
@@ -103,11 +103,11 @@ def brute_exact_3_cover(rx3c: RX3CInstance) -> bool:
 def brute_force_stabbing(instance: StabbingInstance) -> int:
     """Exhaustive maximum coverage; the oracle the solver is tested against.
 
-    Tries every subset of at most k lines and finds the best capacity-
-    respecting assignment by a small flow: intervals either route through a
-    containing chosen line (free) or bypass to the sink at cost 1, each line
-    forwards up to cap_low plus at most one bonus unit, and the bonus pool is
-    capped by how many lines may run at cap_high.
+    Tries every subset of at most k lines and every choice of which of them
+    run at cap_high (as many as may: more capacity never covers fewer), and
+    finds the best capacity-respecting assignment with ``transport``.  Each
+    interval goes to a containing chosen line for free or to a bypass node
+    at cost 1, so the cost counts the intervals left uncovered.
     """
     if len(instance.intervals) > 8 or instance.num_lines > 6:
         raise BudgetExceededError(
@@ -116,27 +116,19 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
     count = len(instance.intervals)
     if count == 0:
         return 0
-    hi, lo = instance.cap_high, instance.cap_low
-    bonus_each = hi - lo
     best = 0
     for size in range(1, instance.k + 1):
         for lines in itertools.combinations(range(1, instance.num_lines + 1), size):
-            source = 0
-            first_line = count + 1
-            bonus = first_line + size
-            sink = bonus + 1
-            arcs = []
-            for idx, (left, right) in enumerate(instance.intervals):
-                arcs.append((source, 1 + idx, 0, 1, 0))
-                arcs.append((1 + idx, sink, 0, 1, 1))
-                for pos, line in enumerate(lines):
-                    if left <= line <= right:
-                        arcs.append((1 + idx, first_line + pos, 0, 1, 0))
-            for pos in range(size):
-                arcs.append((first_line + pos, sink, 0, lo, 0))
-                arcs.append((first_line + pos, bonus, 0, bonus_each, 0))
-            arcs.append((bonus, sink, 0, instance.full_lines * bonus_each, 0))
-            result = feasible_min_cost(sink + 1, arcs, source, sink, count)
-            assert result is not None, "bypass arcs make every amount feasible"
-            best = max(best, count - result[0])
+            costs = [
+                [0 if left <= line <= right else None for left, right in instance.intervals]
+                for line in lines
+            ] + [[1] * count]
+            for full in itertools.combinations(range(size), min(instance.full_lines, size)):
+                loads = [
+                    (0, instance.cap_high if pos in full else instance.cap_low)
+                    for pos in range(size)
+                ]
+                result = transport(loads + [(0, count)], costs, count)
+                assert result is not None, "the bypass node takes every interval"
+                best = max(best, count - result[0])
     return best

@@ -13,7 +13,7 @@ import random
 from dataclasses import replace
 from typing import Callable, Optional
 
-from conftest import ranked
+from conftest import ranked, threshold
 from oracles import brute_exact_3_cover, brute_force_stabbing, brute_hitting_set
 from proprep.core import (
     ApprovalMisrep,
@@ -401,7 +401,7 @@ def test_criterion_7_structural_identities():
         # thresholded table.
         for bound in matrix.distinct_values():
             thresholded = ProblemInstance(
-                election, matrix.threshold(bound), rule, Objective.SUM,
+                election, threshold(matrix, bound), rule, Objective.SUM,
                 instance.k, 0,
             )
             zero_reachable = solve_subset_enum(thresholded).objective_value == 0

@@ -12,14 +12,11 @@ from hypothesis import strategies as st
 
 from proprep import assignment
 from proprep.assignment import (
-    _balanced_assignment,
     assign_cc,
-    assign_monroe_minimax,
-    assign_monroe_sum,
+    balanced_assignment,
     balanced_cost,
     cc_value,
     monroe_minimax_bound,
-    monroe_minimax_value,
     transport,
 )
 from proprep.core import (
@@ -34,7 +31,6 @@ from proprep.core import (
     check_m_criterion,
     evaluate,
 )
-from proprep.flows import feasible_min_cost
 from proprep.generators import random_prefix_approvals
 
 from conftest import ranked
@@ -51,41 +47,6 @@ def random_election(rng: random.Random, m: int, n: int) -> Election:
         tuple(rng.sample(range(m), m)) for _ in range(n)
     )
     return Election(names, votes)
-
-
-class TestFlowEngine:
-    def test_min_cost_prefers_cheap_arc(self):
-        # 0 -> 1 via two parallel arcs of different cost.
-        arcs = [(0, 1, 0, 1, 5), (0, 1, 0, 1, 2)]
-        cost, flows = feasible_min_cost(2, arcs, 0, 1, 1)
-        assert cost == 2
-        assert flows == [0, 1]
-
-    def test_lower_bound_forces_expensive_arc(self):
-        arcs = [(0, 1, 1, 1, 5), (0, 1, 0, 1, 2)]
-        cost, flows = feasible_min_cost(2, arcs, 0, 1, 1)
-        assert cost == 5
-        assert flows == [1, 0]
-
-    def test_infeasible_returns_none(self):
-        arcs = [(0, 1, 0, 1, 0)]
-        assert feasible_min_cost(2, arcs, 0, 1, 2) is None
-
-    def test_lower_bound_above_demand_is_infeasible(self):
-        arcs = [(0, 1, 2, 3, 0)]
-        assert feasible_min_cost(2, arcs, 0, 1, 1) is None
-
-    def test_two_stage_network(self):
-        # 0 -> {1,2} -> 3, middle node 1 capped at one unit.
-        arcs = [
-            (0, 1, 0, 1, 0),
-            (0, 2, 0, 2, 3),
-            (1, 3, 0, 2, 1),
-            (2, 3, 0, 2, 1),
-        ]
-        cost, flows = feasible_min_cost(4, arcs, 0, 3, 3)
-        assert cost == 0 * 1 + 3 * 2 + 1 * 3
-        assert flows == [1, 2, 1, 2]
 
 
 def brute_force_transport(loads, costs, amount):
@@ -233,27 +194,26 @@ class TestEnumerateBalanced:
 class TestMonroeAssignments:
     def test_sum_on_skewed_profile(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        solution = assign_monroe_sum((0, 1, 2), matrix)
-        assert solution.objective_value == 2
-        assert solution.m_criterion_satisfied
-        assert check_m_criterion(solution.assignment, 6, 3)
-        assert evaluate(matrix, solution.assignment.mapping, Objective.SUM) == 2
+        cost, witness = balanced_assignment((0, 1, 2), matrix)
+        assert cost == 2
+        assert check_m_criterion(witness, 6, 3)
+        assert evaluate(matrix, witness.mapping, Objective.SUM) == 2
 
     def test_minimax_zero_feasible_with_distinct_tops(self, profile_3v4c):
         matrix = borda(profile_3v4c)
-        assignment = assign_monroe_minimax((0, 1, 2), matrix, 0)
-        assert assignment is not None
-        assert assignment.mapping == (0, 1, 2)
+        found = balanced_assignment((0, 1, 2), matrix, 0)
+        assert found is not None
+        assert found[1].mapping == (0, 1, 2)
 
     def test_minimax_zero_infeasible_without_top(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        assert assign_monroe_minimax((0, 1, 3), matrix, 0) is None
+        assert balanced_assignment((0, 1, 3), matrix, 0) is None
 
     def test_minimax_max_value_always_feasible(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        assignment = assign_monroe_minimax((0, 1, 3), matrix, matrix.max_value())
-        assert assignment is not None
-        assert check_m_criterion(assignment, 6, 3)
+        found = balanced_assignment((0, 1, 3), matrix, matrix.max_value())
+        assert found is not None
+        assert check_m_criterion(found[1], 6, 3)
 
     def test_flow_matches_enumeration_oracle(self):
         rng = random.Random(90125)
@@ -272,30 +232,33 @@ class TestMonroeAssignments:
                 evaluate(matrix, mapping, Objective.MINIMAX)
                 for mapping in enumerate_balanced_assignments(winners, n)
             )
-            solution = assign_monroe_sum(winners, matrix)
-            assert solution.objective_value == best_sum
-            value, witness = monroe_minimax_value(matrix, winners)
+            cost, witness = balanced_assignment(winners, matrix)
+            assert cost == best_sum
+            assert check_m_criterion(witness, n, k)
+            value = monroe_minimax_bound(winners, matrix)
             assert value == best_max
+            _, witness = balanced_assignment(winners, matrix, value)
             assert check_m_criterion(witness, n, k)
 
     def test_minimax_bound_search_is_tight(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        value, witness = monroe_minimax_value(matrix, (0, 1, 2))
+        value = monroe_minimax_bound((0, 1, 2), matrix)
         assert value == 1
+        _, witness = balanced_assignment((0, 1, 2), matrix, value)
         assert evaluate(matrix, witness.mapping, Objective.MINIMAX) == 1
-        assert assign_monroe_minimax((0, 1, 2), matrix, value - 1) is None
+        assert balanced_assignment((0, 1, 2), matrix, value - 1) is None
 
     def test_minimax_value_is_the_first_feasible_table_value(self, monkeypatch):
         # The bisection starts at the committee's CC minimax value; its
-        # answer and witness are those of a scan over every table value.
+        # answer is that of a scan over every table value with the flow.
         probed = []
-        within = assignment.assign_monroe_minimax
+        scorer = assignment.balanced_cost
 
-        def recorded(winners, matrix, bound):
+        def recorded(winners, matrix, bound=None):
             probed.append(bound)
-            return within(winners, matrix, bound)
+            return scorer(winners, matrix, bound)
 
-        monkeypatch.setattr(assignment, "assign_monroe_minimax", recorded)
+        monkeypatch.setattr(assignment, "balanced_cost", recorded)
         rng = random.Random(1729)
         for trial in range(120):
             m = rng.randint(2, 6)
@@ -310,12 +273,12 @@ class TestMonroeAssignments:
             winners = tuple(sorted(rng.sample(range(m), k)))
             entries = sorted({row[w] for row in matrix.rows for w in winners})
             expected = next(
-                (bound, witness)
+                bound
                 for bound in entries
-                if (witness := within(winners, matrix, bound)) is not None
+                if balanced_assignment(winners, matrix, bound) is not None
             )
             probed.clear()
-            assert monroe_minimax_value(matrix, winners) == expected
+            assert monroe_minimax_bound(winners, matrix) == expected
             assert min(probed) >= cc_value(matrix, winners, Objective.MINIMAX)
 
 
@@ -349,7 +312,7 @@ class TestBalancedCost:
         matrix, winners = table
         entries = sorted({x for row in matrix.rows for x in row})
         for bound in [None, *entries]:
-            flow = _balanced_assignment(winners, matrix, bound)
+            flow = balanced_assignment(winners, matrix, bound)
             expected = None if flow is None else flow[0]
             assert balanced_cost(winners, matrix, bound) == expected
             if matrix.n <= 8:
@@ -359,7 +322,10 @@ class TestBalancedCost:
     @given(committee_tables())
     def test_minimax_bound_within_a_limit(self, table):
         matrix, winners = table
-        value, _ = monroe_minimax_value(matrix, winners)
+        entries = sorted({x for row in matrix.rows for x in row})
+        value = next(
+            b for b in entries if balanced_assignment(winners, matrix, b) is not None
+        )
         assert monroe_minimax_bound(winners, matrix) == value
         for limit in range(-1, max(max(row) for row in matrix.rows) + 2):
             expected = value if value <= limit else None
@@ -371,7 +337,7 @@ class TestBalancedCost:
         rows = ((3, 3, 0, 4), (3, 4, 4, 4), (2, 1, 4, 4), (3, 2, 4, 4), (4, 3, 3, 4))
         matrix = MisrepMatrix(rows)
         assert balanced_cost((0, 1, 2, 3), matrix, 3) is None
-        assert _balanced_assignment((0, 1, 2, 3), matrix, 3) is None
+        assert balanced_assignment((0, 1, 2, 3), matrix, 3) is None
         assert balanced_cost((0, 1, 2, 3), matrix, 4) == 10
 
     def test_a_voter_without_an_entry_is_infeasible(self):

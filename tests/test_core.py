@@ -28,7 +28,7 @@ from proprep.core import (
     verify_solution,
 )
 
-from conftest import instance_for, ranked
+from conftest import instance_for, ranked, threshold
 
 
 @st.composite
@@ -77,9 +77,7 @@ class TestElection:
 
     def test_positions_follow_votes(self):
         election = ranked("a b c", "c a b")
-        assert election.position(0, 2) == 0
-        assert election.position(0, 0) == 1
-        assert election.position(0, 1) == 2
+        assert election._positions[0] == (1, 2, 0)
 
 
 class TestBuildMisrep:
@@ -135,7 +133,7 @@ class TestBuildMisrep:
 
     def test_threshold_dichotomizes(self, profile_3v4c):
         matrix = build_misrep(profile_3v4c, BordaMisrep())
-        cut = matrix.threshold(1)
+        cut = threshold(matrix, 1)
         assert cut.rows == ((0, 0, 1, 1), (1, 0, 0, 1), (1, 0, 0, 1))
 
 

@@ -87,10 +87,10 @@ class TestBruteHittingSet:
 
 class TestRX3CInstance:
     def test_accepts_repeated_identical_sets(self):
-        assert ALL_SAME_3.cover_size == 1
+        assert ALL_SAME_3.num_elements // 3 == 1
 
     def test_accepts_the_cyclic_family(self):
-        assert CYCLIC_6.cover_size == 2
+        assert CYCLIC_6.num_elements // 3 == 2
 
     def test_rejects_element_counts_not_divisible_by_three(self):
         with pytest.raises(ValueError, match="multiple of 3"):

@@ -14,11 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proprep import assignment, solvers
-from proprep.assignment import (
-    assign_cc,
-    assign_monroe_sum,
-    monroe_minimax_value,
-)
+from proprep.assignment import assign_cc, balanced_assignment, monroe_minimax_bound
 from proprep.cli import main
 from proprep.core import (
     ApprovalMisrep,
@@ -50,7 +46,7 @@ from proprep.solvers import (
 )
 from proprep.solving import SOLVERS, optimize, solve
 
-from conftest import instance_for, ranked
+from conftest import instance_for, ranked, threshold
 
 
 def random_borda_instance(rng, rule, objective, max_m=5, max_n=6, bound=0):
@@ -95,10 +91,11 @@ def best_by_scoring_every_committee(instance, pool):
         if instance.rule is Rule.CC:
             chosen = assign_cc(committee, matrix)
             return evaluate(matrix, chosen.mapping, instance.objective), chosen
-        if instance.objective is Objective.SUM:
-            solution = assign_monroe_sum(committee, matrix)
-            return solution.objective_value, solution.assignment
-        return monroe_minimax_value(matrix, committee)
+        bound = None
+        if instance.objective is Objective.MINIMAX:
+            bound = monroe_minimax_bound(committee, matrix)
+        cost, chosen = balanced_assignment(committee, matrix, bound)
+        return cost if bound is None else bound, chosen
 
     committees = itertools.combinations(sorted(pool), instance.k)
     value, committee = min((score(c)[0], c) for c in committees)
@@ -278,8 +275,9 @@ class TestSubsetEnum:
 
     @pytest.mark.parametrize("objective", ["sum", "minimax"])
     def test_no_committee_is_scored_twice(self, tmp_path, monkeypatch, objective):
-        # The CC-optimal committee is scored before the other committees
-        # within its value are collected; it must not be scored again.
+        # The CC-optimal committee is scored by value before the other
+        # committees within its value are collected; it must not be scored
+        # again, and voters are assigned only to the committee returned.
         instance = generated_monroe(tmp_path, objective)
         scored, built = [], []
         score, build = solvers._committee_value, solvers._committee_solution
@@ -294,9 +292,9 @@ class TestSubsetEnum:
 
         monkeypatch.setattr(solvers, "_committee_value", recorded)
         monkeypatch.setattr(solvers, "_committee_solution", recorded_build)
-        solve_subset_enum(instance)
+        solution = solve_subset_enum(instance)
         assert len(set(scored)) == len(scored)
-        assert built[0] not in scored
+        assert built == [solution.assignment.winner_set]
 
     @pytest.mark.parametrize("rule", ["cc", "monroe"])
     @pytest.mark.parametrize(
@@ -305,10 +303,9 @@ class TestSubsetEnum:
     def test_at_most_two_assignments_per_solve(
         self, tmp_path, monkeypatch, rule, objective, seed
     ):
-        # Voters are assigned to the CC-optimal committee and, only when
-        # another committee wins, to the winner; every other committee is
-        # scored by value alone.  Under Monroe, seeds 4 (sum) and 1
-        # (minimax) return a committee other than the CC-optimal one.
+        # Voters are assigned once, to the committee returned; every other
+        # committee is scored by value alone.  Under Monroe, seeds 4 (sum)
+        # and 1 (minimax) return a committee other than the CC-optimal one.
         instance = generated_monroe(tmp_path, objective, seed)
         instance = dataclasses.replace(instance, rule=Rule(rule))
         built = []
@@ -320,8 +317,7 @@ class TestSubsetEnum:
 
         monkeypatch.setattr(solvers, "_committee_solution", recorded)
         solution = solve_subset_enum(instance)
-        assert built[-1] == solution.assignment.winner_set
-        assert len(built) == (1 if built[0] == built[-1] else 2)
+        assert built == [solution.assignment.winner_set]
 
     def test_deadline_holds_while_walking_cc_committees(self, tmp_path, monkeypatch):
         # The fake clock reads the walk steps taken so far, so a budget of
@@ -743,7 +739,7 @@ class TestCrossSolverAgreement:
                 original = solve_subset_enum(instance).objective_value <= cut
                 thresholded = ProblemInstance(
                     instance.election,
-                    instance.matrix.threshold(cut),
+                    threshold(instance.matrix, cut),
                     rule,
                     Objective.MINIMAX,
                     instance.k,

@@ -183,7 +183,7 @@ class TestSolveMaxBal:
         instance = make_instance([(1, 1), (3, 3), (5, 5)], 5, 2, extra_targets=1)
         covered, cover = solve_max_bal_1rs(instance)
         assert covered == 2
-        assert len(cover.lines) == 2
+        assert len(cover.assigned) == 2
 
     @settings(max_examples=150, deadline=None)
     @given(stabbing_instances())
