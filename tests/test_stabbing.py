@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from dataclasses import replace
@@ -475,3 +476,57 @@ class TestMinimaxPipeline:
         problem = instance_for(profile_3v4c, Rule.MONROE, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="minimax"):
             solve_minimax_m_mw_sp(problem, (0, 1, 2, 3))
+
+
+class TestPinnedWitnesses:
+    def test_witnesses_are_pinned(self):
+        # Printed sp-stab witnesses follow the DP's tie-breaks and the way
+        # uncovered voters are seated, so every (value, winners, mapping)
+        # over these profiles is fixed by this digest.  Every fifth profile
+        # approves nobody, every fifth everybody; minimax is probed at each
+        # table value, on a Borda table too for every fifth profile.
+        rng = random.Random(1402)
+        digest = hashlib.sha256()
+        solved = infeasible = 0
+        for trial in range(300):
+            m, n = rng.randint(1, 6), rng.randint(1, 8)
+            election, axis = sample_single_peaked_election(rng, m, n)
+            kind = trial % 5
+            lengths = [
+                0 if kind == 0 else m if kind == 1 else rng.randint(0, m)
+                for _ in range(n)
+            ]
+            approvals = tuple(
+                tuple(vote[:length]) for vote, length in zip(election.votes, lengths)
+            )
+            tables = [build_misrep(election, ApprovalMisrep(approvals))]
+            if kind == 4:
+                tables.append(build_misrep(election, BordaMisrep()))
+            for k in range(1, min(m, n) + 1):
+                problem = instance_for(
+                    election, Rule.MONROE, Objective.SUM, k=k, matrix=tables[0]
+                )
+                results = [solve_monroe_sum_sp(problem, axis)]
+                for matrix in tables:
+                    for bound in matrix.distinct_values():
+                        probe = replace(
+                            problem,
+                            matrix=matrix,
+                            objective=Objective.MINIMAX,
+                            bound=bound,
+                        )
+                        results.append(solve_minimax_m_mw_sp(probe, axis))
+                for result in results:
+                    solved += 1
+                    infeasible += result is None
+                    if result is not None:
+                        result = (
+                            result.objective_value,
+                            result.assignment.winner_set,
+                            result.assignment.mapping,
+                        )
+                    digest.update(repr(result).encode())
+        assert (solved, infeasible) == (2965, 541)
+        assert digest.hexdigest() == (
+            "628813bf35146c103d82d0b9b227a1cec2538fe9853339c5751b7c7dbedf00b1"
+        )
