@@ -61,11 +61,8 @@ from .solvers import (
     solve_subset_enum,
 )
 from .stabbing import (
-    MonroeStabbingReduction,
     StabbingCover,
     StabbingInstance,
-    complete_assignment,
-    reduce_m_mw_sp,
     solve_max_bal_1rs,
     solve_minimax_m_mw_sp,
     solve_monroe_sum_sp,
@@ -82,7 +79,6 @@ __all__ = [
     "ExplicitMisrep",
     "HittingSetInstance",
     "MisrepMatrix",
-    "MonroeStabbingReduction",
     "Objective",
     "ParseError",
     "ProblemInstance",
@@ -97,7 +93,6 @@ __all__ = [
     "build_misrep",
     "check_m_criterion",
     "check_single_troughed",
-    "complete_assignment",
     "detect_axis",
     "evaluate",
     "gen_hs_approval",
@@ -109,7 +104,6 @@ __all__ = [
     "parse_solution",
     "random_election",
     "random_prefix_approvals",
-    "reduce_m_mw_sp",
     "render_instance",
     "render_solution",
     "sample_single_peaked_election",

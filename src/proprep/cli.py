@@ -446,11 +446,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return failure.code
     except BudgetExceededError as error:
         print(f"budget exceeded: {error}", file=sys.stderr)
-        print(
-            "raise the matching --budget-* cap, pick another --solver, "
-            "or shrink the instance",
-            file=sys.stderr,
-        )
+        if args.command in ("solve", "bench"):  # the commands with the flags
+            print(
+                "raise the matching --budget-* cap, pick another --solver, "
+                "or shrink the instance",
+                file=sys.stderr,
+            )
         return 3
     except RecursionError as error:
         # No solver is meant to recurse as deep as the instance is large;

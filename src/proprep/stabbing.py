@@ -1,16 +1,10 @@
-"""Capacitated interval stabbing and the balanced-rule pipeline built on it.
+"""Capacitated interval stabbing and the balanced rule solved on top of it.
 
 The combinatorial core: given horizontal integer intervals and vertical lines
 at coordinates 1..m, pick at most k lines and assign each covered interval to
 a line passing through it, maximizing the number of covered intervals.  The
 capacities are balanced: with n targets overall, (n mod k) chosen lines may
 take ceil(n/k) intervals and the rest floor(n/k).
-
-For the balanced (fixed-load) committee rule on a single-peaked profile with
-0/1 misrepresentation, candidates become lines on the axis and each voter
-becomes the interval of candidates she approves; maximizing covered intervals
-minimizes the total misrepresentation, and requiring full coverage decides
-the minimax question after thresholding.
 
 The solver is a dynamic program over table entries keyed by (lowest coverable
 interval, anchor line, right edge of the line range, remaining full/lean line
@@ -37,6 +31,15 @@ stack rather than by recursion, so the depth of the instance is not bounded
 by the interpreter's stack; the wall-clock budget is checked as entries are
 opened.  Choices are recorded so a witness cover can be replayed, not just
 counted, and ties go to the first option in the order the update lists them.
+
+The balanced (fixed-load) committee rule on a single-peaked profile takes one
+path through the solver, `_axis_cover`: candidates become lines at their
+axis positions and each voter becomes the interval of candidates within a
+bound.  The covered lines, padded to k winners, then seat the voters the
+cover left out.  Under the sum objective on 0/1 misrepresentation the bound
+is 0 and the most intervals covered give the least total misrepresentation;
+under minimax the instance bound is met exactly when every interval is
+covered.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ from .solvers import DEFAULT_BUDGET, SolverBudget
 class StabbingInstance:
     """Intervals to cover, lines at 1..num_lines, and balanced capacities.
 
-    ``num_targets`` is the capacity base: it may exceed the interval count
-    when some targets produced no interval but still occupy capacity.
+    The capacities are ``balanced_loads(num_targets, k)``; ``num_targets``
+    may exceed the interval count when some targets produced no interval but
+    still occupy capacity.
     """
 
     intervals: tuple[tuple[int, int], ...]
@@ -88,23 +92,6 @@ class StabbingInstance:
                 raise ValueError("intervals must be sorted by left endpoint")
             previous_left = left
 
-    @property
-    def cap_high(self) -> int:
-        return -(-self.num_targets // self.k)
-
-    @property
-    def cap_low(self) -> int:
-        return self.num_targets // self.k
-
-    @property
-    def full_lines(self) -> int:
-        """How many chosen lines may carry cap_high intervals."""
-        return self.num_targets % self.k
-
-    @property
-    def lean_lines(self) -> int:
-        return self.k - self.full_lines
-
 
 @dataclass(frozen=True)
 class StabbingCover:
@@ -112,15 +99,12 @@ class StabbingCover:
 
     assigned: tuple[tuple[int, tuple[int, ...]], ...]
 
-    @property
-    def covered_count(self) -> int:
-        return sum(len(ids) for _, ids in self.assigned)
-
 
 def validate_cover(instance: StabbingInstance, cover: StabbingCover) -> None:
     """Raise unless the cover respects containment and balanced capacities."""
     if len(cover.assigned) > instance.k:
         raise ValueError("cover uses more lines than allowed")
+    low, high, full = balanced_loads(instance.num_targets, instance.k)
     seen_ids: set[int] = set()
     at_high = 0
     for line, ids in cover.assigned:
@@ -133,11 +117,11 @@ def validate_cover(instance: StabbingInstance, cover: StabbingCover) -> None:
             if idx in seen_ids:
                 raise ValueError(f"interval {idx} assigned twice")
             seen_ids.add(idx)
-        if len(ids) > instance.cap_high:
+        if len(ids) > high:
             raise ValueError(f"line {line} overloaded")
-        if len(ids) == instance.cap_high and instance.cap_high > instance.cap_low:
+        if len(ids) == high > low:
             at_high += 1
-    if at_high > instance.full_lines:
+    if at_high > full:
         raise ValueError("too many lines at the higher capacity")
 
 
@@ -163,7 +147,7 @@ class _BalancedTable:
 
     def __init__(self, instance: StabbingInstance):
         self.intervals = instance.intervals
-        self.hi, self.lo = instance.cap_high, instance.cap_low
+        self.lo, self.hi, _ = balanced_loads(instance.num_targets, instance.k)
         self.entries: dict[tuple, tuple[int, tuple]] = {}
         self.chains: dict[tuple, tuple[int, Optional[tuple]]] = {}
         self.tails: dict[tuple, tuple[int, Optional[tuple]]] = {}
@@ -401,7 +385,8 @@ def solve_max_bal_1rs(
     table = _BalancedTable(instance)
     # Every interval ends in (0, num_lines], so the top tail ranges over all
     # of them; with an interval to cover, k >= 1 seats always open a line.
-    top = (0, instance.num_lines, 0, instance.full_lines, instance.lean_lines)
+    full = balanced_loads(instance.num_targets, instance.k)[2]
+    top = (0, instance.num_lines, 0, full, instance.k - full)
     covered, top_key = table.run(table.tail, table.tails, top, budget)
     placements = table.replay(top_key)
     assert len(placements) == covered
@@ -418,121 +403,64 @@ def solve_max_bal_1rs(
     return covered, cover
 
 
-@dataclass(frozen=True)
-class MonroeStabbingReduction:
-    """A balanced-rule question rephrased as interval stabbing.
+def _axis_cover(
+    problem: ProblemInstance,
+    axis,
+    bound: int,
+    rows: Optional[AxisRows],
+    budget: SolverBudget,
+) -> Optional[tuple[int, Solution]]:
+    """How many voters a best cover within the bound places, and the solution.
 
-    One line per candidate at its axis position (1-based); one interval per
-    voter spanning the candidates she accepts.  Voters accepting nobody get
-    no interval; they pay 1 whoever represents them and are listed here so
-    the assignment step can seat them.
+    Each voter becomes the 1-based interval of axis positions within the
+    bound; the intervals are sorted by left end, ties in voter order, which
+    the table's tie-breaks follow.  Under minimax a voter with no candidate
+    within the bound makes the bound unreachable: None, before the table is
+    filled.  The covered lines, padded to k with the smallest unused
+    candidates, are the winners; those carrying the most voters take the
+    higher load, and the voters left out fill the free seats in voter order.
+    The solution is scored under the instance's objective.  `rows` are the
+    table's rows read along the axis, built here when not given.
     """
-
-    problem: ProblemInstance
-    axis: tuple[int, ...]
-    stabbing: StabbingInstance
-    interval_voters: tuple[int, ...]
-    unplaceable_voters: tuple[int, ...]
-
-
-def _reduction(
-    problem: ProblemInstance, axis, bound: int, rows: Optional[AxisRows] = None
-) -> MonroeStabbingReduction:
-    """Each voter as the 1-based axis interval of candidates within the bound."""
-    matrix = problem.matrix
-    if rows is None:
-        rows = AxisRows(matrix, axis)
-    spans, unplaceable = [], []
-    for v in range(matrix.n):
-        interval = rows.interval(v, bound)
-        if interval is None:
-            unplaceable.append(v)
-        else:
-            spans.append((interval[0] + 1, interval[1] + 1, v))
-    spans.sort(key=lambda span: span[0])
-    stabbing = StabbingInstance(
-        intervals=tuple((left, right) for left, right, _ in spans),
-        num_lines=matrix.m,
-        k=problem.k,
-        num_targets=matrix.n,
-    )
-    return MonroeStabbingReduction(
-        problem=problem,
-        axis=tuple(axis),
-        stabbing=stabbing,
-        interval_voters=tuple(v for _, _, v in spans),
-        unplaceable_voters=tuple(unplaceable),
-    )
-
-
-def reduce_m_mw_sp(
-    problem: ProblemInstance, axis
-) -> MonroeStabbingReduction:
-    """Rephrase a balanced-rule sum question with 0/1 misrepresentation."""
-    if problem.rule is not Rule.MONROE:
-        raise ValueError("this reduction handles the balanced rule")
-    for row in problem.matrix.rows:
-        if any(x not in (0, 1) for x in row):
-            raise ValueError("misrepresentation values must all be 0 or 1")
-    return _reduction(problem, axis, 0)
-
-
-def _seat_cover(
-    reduction: MonroeStabbingReduction, cover: StabbingCover
-) -> tuple[tuple[int, ...], list[Optional[int]]]:
-    """The cover's lines as a committee padded to k, and each voter's line.
-
-    Voters whose interval the cover leaves out map to None.
-    """
-    problem = reduction.problem
-    mapping: list[Optional[int]] = [None] * problem.matrix.n
-    for line, ids in cover.assigned:
-        candidate = reduction.axis[line - 1]
-        for idx in ids:
-            mapping[reduction.interval_voters[idx]] = candidate
-    winners = pad_committee(
-        (reduction.axis[line - 1] for line, _ in cover.assigned),
-        problem.k,
-        problem.matrix.m,
-    )
-    return winners, mapping
-
-
-def complete_assignment(
-    reduction: MonroeStabbingReduction, cover: StabbingCover
-) -> Solution:
-    """Turn a cover into a full balanced committee assignment.
-
-    Pads the chosen lines to k winners with the smallest unused candidates,
-    then seats uncovered voters into the remaining capacity so that exactly
-    (n mod k) winners carry the higher load.  Total capacity equals n, so
-    the distribution always works out.
-    """
-    validate_cover(reduction.stabbing, cover)
-    problem = reduction.problem
     matrix, k = problem.matrix, problem.k
     n = matrix.n
-    winners, mapping = _seat_cover(reduction, cover)
-    load = {w: 0 for w in winners}
-    for candidate in mapping:
-        if candidate is not None:
-            load[candidate] += 1
+    if rows is None:
+        rows = AxisRows(matrix, axis)
+    spans = []
+    for v in range(n):
+        interval = rows.interval(v, bound)
+        if interval is not None:
+            spans.append((interval[0] + 1, interval[1] + 1, v))
+    if len(spans) < n and problem.objective is Objective.MINIMAX:
+        return None
+    spans.sort(key=lambda span: span[0])
+    stabbing = StabbingInstance(
+        tuple((left, right) for left, right, _ in spans), matrix.m, k, n
+    )
+    covered, cover = solve_max_bal_1rs(stabbing, budget)
+    winners = pad_committee(
+        (axis[line - 1] for line, _ in cover.assigned), k, matrix.m
+    )
+    mapping: list[Optional[int]] = [None] * n
+    load = dict.fromkeys(winners, 0)
+    for line, ids in cover.assigned:
+        candidate = axis[line - 1]
+        load[candidate] = len(ids)
+        for idx in ids:
+            mapping[spans[idx][2]] = candidate
     low, high, at_high = balanced_loads(n, k)
     by_load = sorted(winners, key=lambda w: (-load[w], w))
     target = {w: high if rank < at_high else low for rank, w in enumerate(by_load)}
-    spare = [v for v in range(n) if mapping[v] is None]
+    spare = iter([v for v in range(n) if mapping[v] is None])
     for winner in winners:
-        while load[winner] < target[winner]:
-            mapping[spare.pop(0)] = winner
-            load[winner] += 1
-    assert not spare
-    final = tuple(mapping)
-    assignment = Assignment(tuple(winners), final)
-    value = evaluate(matrix, final, Objective.SUM)
-    assert value == n - cover.covered_count
+        for _ in range(target[winner] - load[winner]):
+            mapping[next(spare)] = winner
+    assert next(spare, None) is None
+    assignment = Assignment(winners, tuple(mapping))
     balanced = check_m_criterion(assignment, n, k)
     assert balanced
-    return Solution(assignment, value, balanced)
+    value = evaluate(matrix, assignment.mapping, problem.objective)
+    return covered, Solution(assignment, value, balanced)
 
 
 def solve_monroe_sum_sp(
@@ -541,9 +469,13 @@ def solve_monroe_sum_sp(
     """Optimal balanced-rule sum committee (0/1 values, contiguous on axis)."""
     if problem.objective is not Objective.SUM:
         raise ValueError("this pipeline handles the sum objective")
-    reduction = reduce_m_mw_sp(problem, axis)
-    _, cover = solve_max_bal_1rs(reduction.stabbing, budget)
-    return complete_assignment(reduction, cover)
+    if problem.rule is not Rule.MONROE:
+        raise ValueError("this reduction handles the balanced rule")
+    if any(x not in (0, 1) for row in problem.matrix.rows for x in row):
+        raise ValueError("misrepresentation values must all be 0 or 1")
+    covered, solution = _axis_cover(problem, axis, 0, None, budget)
+    assert solution.objective_value == problem.matrix.n - covered
+    return solution
 
 
 def solve_minimax_m_mw_sp(
@@ -556,25 +488,14 @@ def solve_minimax_m_mw_sp(
 
     Thresholding at the bound turns each voter into the interval of
     candidates within reach; the bound is met exactly when every interval
-    can be covered, which forces exactly k fully balanced lines.  `rows`
-    are the table's rows read along the axis, built here when not given.
+    can be covered.  `rows` are the table's rows read along the axis, built
+    here when not given.
     """
     if problem.rule is not Rule.MONROE or problem.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the balanced rule, minimax objective")
-    reduction = _reduction(problem, axis, problem.bound, rows)
-    if reduction.unplaceable_voters:
+    found = _axis_cover(problem, axis, problem.bound, rows, budget)
+    if found is None or found[0] < problem.matrix.n:
         return None
-    covered, cover = solve_max_bal_1rs(reduction.stabbing, budget)
-    matrix, k = problem.matrix, problem.k
-    n = matrix.n
-    if covered < n:
-        return None
-    assert len(cover.assigned) == k, "full coverage needs every seat"
-    winners, mapping = _seat_cover(reduction, cover)
-    final = tuple(mapping)
-    assignment = Assignment(winners, final)
-    value = evaluate(matrix, final, Objective.MINIMAX)
-    assert value <= problem.bound
-    balanced = check_m_criterion(assignment, n, k)
-    assert balanced
-    return Solution(assignment, value, balanced)
+    solution = found[1]
+    assert solution.objective_value <= problem.bound
+    return solution

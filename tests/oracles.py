@@ -104,10 +104,11 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
     """Exhaustive maximum coverage; the oracle the solver is tested against.
 
     Tries every subset of at most k lines and every choice of which of them
-    run at cap_high (as many as may: more capacity never covers fewer), and
-    finds the best capacity-respecting assignment with ``transport``.  Each
-    interval goes to a containing chosen line for free or to a bypass node
-    at cost 1, so the cost counts the intervals left uncovered.
+    take the higher of the `balanced_loads` (as many as may: more capacity
+    never covers fewer), and finds the best capacity-respecting assignment
+    with ``transport``.  Each interval goes to a containing chosen line for
+    free or to a bypass node at cost 1, so the cost counts the intervals
+    left uncovered.
     """
     if len(instance.intervals) > 8 or instance.num_lines > 6:
         raise BudgetExceededError(
@@ -116,6 +117,7 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
     count = len(instance.intervals)
     if count == 0:
         return 0
+    low, high, at_high = balanced_loads(instance.num_targets, instance.k)
     best = 0
     for size in range(1, instance.k + 1):
         for lines in itertools.combinations(range(1, instance.num_lines + 1), size):
@@ -123,11 +125,8 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
                 [0 if left <= line <= right else None for left, right in instance.intervals]
                 for line in lines
             ] + [[1] * count]
-            for full in itertools.combinations(range(size), min(instance.full_lines, size)):
-                loads = [
-                    (0, instance.cap_high if pos in full else instance.cap_low)
-                    for pos in range(size)
-                ]
+            for full in itertools.combinations(range(size), min(at_high, size)):
+                loads = [(0, high if pos in full else low) for pos in range(size)]
                 result = transport(loads + [(0, count)], costs, count)
                 assert result is not None, "the bypass node takes every interval"
                 best = max(best, count - result[0])

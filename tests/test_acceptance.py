@@ -207,7 +207,7 @@ def test_criterion_3_stabbing_oracle():
         covered, cover = solve_max_bal_1rs(instance)
         assert covered == brute_force_stabbing(instance)
         validate_cover(instance, cover)
-        assert cover.covered_count == covered
+        assert sum(len(ids) for _, ids in cover.assigned) == covered
     worked = StabbingInstance(((1, 2), (1, 1), (2, 3)), 3, 2, 3)
     assert solve_max_bal_1rs(worked)[0] == 3
 

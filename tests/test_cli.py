@@ -636,7 +636,10 @@ class TestGen:
             capsys, "gen", "hs-borda", "--universe", "5", "--set", "0", "--k", "1"
         )
         assert code == 3
-        assert "budget" in err.lower()
+        assert err.startswith("budget exceeded: ")
+        # gen has neither --budget-* caps nor --solver to suggest.
+        assert "--budget" not in err
+        assert "--solver" not in err
 
 
 class TestVerify:

@@ -32,3 +32,11 @@ def test_every_definition_is_referenced_or_exported():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_every_export_exists_once():
+    # A stale or repeated entry would break `from proprep import *` or hide
+    # a name that was meant to go.
+    missing = [name for name in proprep.__all__ if not hasattr(proprep, name)]
+    assert missing == []
+    assert len(set(proprep.__all__)) == len(proprep.__all__)

@@ -20,14 +20,13 @@ from proprep.core import (
     BudgetExceededError,
     Objective,
     Rule,
+    balanced_loads,
     build_misrep,
 )
 from proprep.single_peaked import sample_single_peaked_election
 from proprep.solvers import DEFAULT_BUDGET, SolverBudget, solve_subset_enum
 from proprep.stabbing import (
     StabbingInstance,
-    complete_assignment,
-    reduce_m_mw_sp,
     solve_max_bal_1rs,
     solve_minimax_m_mw_sp,
     solve_monroe_sum_sp,
@@ -43,6 +42,28 @@ def make_instance(intervals, num_lines, k, extra_targets=0):
         k=k,
         num_targets=len(ordered) + extra_targets,
     )
+
+
+def capacities(instance: StabbingInstance) -> tuple[int, int, int]:
+    return balanced_loads(instance.num_targets, instance.k)
+
+
+def covered_count(cover) -> int:
+    return sum(len(ids) for _, ids in cover.assigned)
+
+
+def axis_cover(problem, axis, monkeypatch):
+    """`_axis_cover` at bound 0, with the stabbing instances it solved."""
+    solved = []
+    solve = stabbing.solve_max_bal_1rs
+
+    def record(instance, budget):
+        solved.append(instance)
+        return solve(instance, budget)
+
+    monkeypatch.setattr(stabbing, "solve_max_bal_1rs", record)
+    found = stabbing._axis_cover(problem, axis, 0, None, DEFAULT_BUDGET)
+    return found, solved
 
 
 def random_instance(rng: random.Random) -> StabbingInstance:
@@ -111,13 +132,13 @@ def repeated_interval_instances(draw):
 class TestStabbingInstance:
     def test_balanced_capacities(self):
         instance = make_instance([(1, 1)] * 7, 4, 3)
-        assert (instance.cap_high, instance.cap_low) == (3, 2)
-        assert (instance.full_lines, instance.lean_lines) == (1, 2)
+        low, high, full = capacities(instance)
+        assert (high, low) == (3, 2)
+        assert (full, instance.k - full) == (1, 2)
 
     def test_even_split_has_no_full_lines(self):
         instance = make_instance([(1, 2)] * 6, 4, 3)
-        assert (instance.cap_high, instance.cap_low) == (2, 2)
-        assert instance.full_lines == 0
+        assert capacities(instance) == (2, 2, 0)
 
     def test_rejects_unsorted_intervals(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -149,7 +170,7 @@ class TestBruteForce:
 
     def test_capacity_binds_when_intervals_share_one_line(self):
         instance = make_instance([(2, 2)] * 5, 3, 2)
-        assert instance.cap_high == 3
+        assert capacities(instance)[1] == 3
         assert brute_force_stabbing(instance) == 3
 
     def test_unit_capacities_with_more_seats_than_targets(self):
@@ -167,7 +188,7 @@ class TestSolveMaxBal:
         instance = make_instance([(1, 2), (1, 1), (2, 3)], 3, 2)
         covered, cover = solve_max_bal_1rs(instance)
         assert covered == 3
-        assert cover.covered_count == 3
+        assert covered_count(cover) == 3
         validate_cover(instance, cover)
 
     def test_empty_instance_yields_empty_cover(self):
@@ -178,7 +199,7 @@ class TestSolveMaxBal:
     def test_capacity_binds_when_intervals_share_one_line(self):
         instance = make_instance([(2, 2)] * 5, 3, 2)
         covered, _ = solve_max_bal_1rs(instance)
-        assert covered == instance.cap_high == 3
+        assert covered == capacities(instance)[1] == 3
 
     def test_disjoint_intervals_need_separate_lines(self):
         instance = make_instance([(1, 1), (3, 3), (5, 5)], 5, 2, extra_targets=1)
@@ -231,7 +252,7 @@ class TestSolveMaxBal:
         instance = StabbingInstance(tuple(intervals), num_lines, k, num_targets)
         covered, cover = solve_max_bal_1rs(instance)
         assert cover.assigned == assigned
-        assert covered == cover.covered_count
+        assert covered == covered_count(cover)
 
     def test_runs_without_recursion(self):
         instance = make_instance([(1, 3)] * 1500, 3, 1)
@@ -270,46 +291,67 @@ class TestSolveMaxBal:
             instance = random_instance(rng)
             _, cover = solve_max_bal_1rs(instance)
             validate_cover(instance, cover)
+            low, high, full = capacities(instance)
             loads = sorted((len(ids) for _, ids in cover.assigned), reverse=True)
-            assert all(load <= instance.cap_high for load in loads)
-            if instance.cap_high > instance.cap_low:
-                at_high = sum(1 for load in loads if load == instance.cap_high)
-                assert at_high <= instance.full_lines
+            assert all(load <= high for load in loads)
+            if high > low:
+                at_high = sum(1 for load in loads if load == high)
+                assert at_high <= full
 
 
 class TestReduction:
-    def test_prefix_approvals_become_axis_intervals(self, profile_3v4c):
+    def test_prefix_approvals_become_axis_intervals(self, profile_3v4c, monkeypatch):
         approvals = tuple(vote[:2] for vote in profile_3v4c.votes)
         matrix = build_misrep(profile_3v4c, ApprovalMisrep(approvals))
         problem = instance_for(
             profile_3v4c, Rule.MONROE, Objective.SUM, k=2, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1, 2, 3))
-        assert reduction.stabbing.intervals == ((1, 2), (2, 3), (2, 3))
-        assert reduction.interval_voters == (0, 1, 2)
-        assert reduction.unplaceable_voters == ()
-        assert reduction.stabbing.num_targets == 3
+        (covered, solution), (instance,) = axis_cover(
+            problem, (0, 1, 2, 3), monkeypatch
+        )
+        assert instance.intervals == ((1, 2), (2, 3), (2, 3))
+        assert instance.num_targets == 3
+        # Every voter is placed, and on an approved candidate.
+        assert covered == 3
+        for voter, candidate in enumerate(solution.assignment.mapping):
+            assert candidate in approvals[voter]
 
-    def test_unanimous_approval_spans_whole_axis(self):
+    def test_unanimous_approval_spans_whole_axis(self, monkeypatch):
         election = ranked("a b c", "a b c", "c b a")
         approvals = tuple(vote[:3] for vote in election.votes)
         matrix = build_misrep(election, ApprovalMisrep(approvals))
         problem = instance_for(
             election, Rule.MONROE, Objective.SUM, k=1, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1, 2))
-        assert reduction.stabbing.intervals == ((1, 3), (1, 3))
+        _, (instance,) = axis_cover(problem, (0, 1, 2), monkeypatch)
+        assert instance.intervals == ((1, 3), (1, 3))
 
-    def test_voter_without_approvals_is_kept_aside(self):
+    def test_voter_without_approvals_is_kept_aside(self, monkeypatch):
         election = ranked("a b c", "a b c", "b a c")
         matrix = build_misrep(election, ApprovalMisrep(((0,), ())))
         problem = instance_for(
             election, Rule.MONROE, Objective.SUM, k=1, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1, 2))
-        assert reduction.stabbing.intervals == ((1, 1),)
-        assert reduction.unplaceable_voters == (1,)
-        assert reduction.stabbing.num_targets == 2
+        (covered, solution), (instance,) = axis_cover(
+            problem, (0, 1, 2), monkeypatch
+        )
+        assert instance.intervals == ((1, 1),)
+        assert instance.num_targets == 2
+        assert covered == 1
+        assert solution.assignment.mapping == (0, 0)
+        assert solution.objective_value == 1
+
+    def test_minimax_stops_before_the_table_when_a_voter_has_no_interval(
+        self, monkeypatch
+    ):
+        election = ranked("a b c", "a b c", "b a c")
+        matrix = build_misrep(election, ApprovalMisrep(((0,), ())))
+        problem = instance_for(
+            election, Rule.MONROE, Objective.MINIMAX, k=1, matrix=matrix
+        )
+        found, solved = axis_cover(problem, (0, 1, 2), monkeypatch)
+        assert found is None
+        assert solved == []
 
     def test_rejects_approvals_not_contiguous_on_axis(self):
         election = ranked("a b c", "a c b")
@@ -318,12 +360,12 @@ class TestReduction:
             election, Rule.MONROE, Objective.SUM, k=1, matrix=matrix
         )
         with pytest.raises(ValueError, match="contiguous"):
-            reduce_m_mw_sp(problem, (0, 1, 2))
+            solve_monroe_sum_sp(problem, (0, 1, 2))
 
     def test_rejects_graded_misrepresentation(self, profile_3v4c):
         problem = instance_for(profile_3v4c, Rule.MONROE, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="0 or 1"):
-            reduce_m_mw_sp(problem, (0, 1, 2, 3))
+            solve_monroe_sum_sp(problem, (0, 1, 2, 3))
 
     def test_rejects_per_voter_rule(self, profile_3v4c):
         approvals = tuple(vote[:2] for vote in profile_3v4c.votes)
@@ -332,69 +374,67 @@ class TestReduction:
             profile_3v4c, Rule.CC, Objective.SUM, k=2, matrix=matrix
         )
         with pytest.raises(ValueError, match="balanced rule"):
-            reduce_m_mw_sp(problem, (0, 1, 2, 3))
+            solve_monroe_sum_sp(problem, (0, 1, 2, 3))
 
 
 class TestCompleteAssignment:
-    def test_single_winner_takes_all_when_unanimously_acceptable(self, profile_3v4c):
+    def test_single_winner_takes_all_when_unanimously_acceptable(
+        self, profile_3v4c, monkeypatch
+    ):
         """One seat suffices here: every voter's top two include c2."""
         approvals = tuple(vote[:2] for vote in profile_3v4c.votes)
         matrix = build_misrep(profile_3v4c, ApprovalMisrep(approvals))
         problem = instance_for(
             profile_3v4c, Rule.MONROE, Objective.SUM, k=1, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1, 2, 3))
-        covered, cover = solve_max_bal_1rs(reduction.stabbing)
+        covered, solution = axis_cover(problem, (0, 1, 2, 3), monkeypatch)[0]
+        assert solve_monroe_sum_sp(problem, (0, 1, 2, 3)) == solution
         assert covered == 3
-        solution = complete_assignment(reduction, cover)
         assert solution.objective_value == 0
         assert solution.assignment.winner_set == (1,)
         oracle = solve_subset_enum(problem, DEFAULT_BUDGET)
         assert oracle.objective_value == 0
 
-    def test_full_coverage_gives_value_zero_and_balanced_loads(self):
+    def test_full_coverage_gives_value_zero_and_balanced_loads(self, monkeypatch):
         election = ranked("a b c", "a b c", "a b c", "b a c", "c b a")
         approvals = ((0,), (0,), (1,), (2,))
         matrix = build_misrep(election, ApprovalMisrep(approvals))
         problem = instance_for(
             election, Rule.MONROE, Objective.SUM, k=3, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1, 2))
-        covered, cover = solve_max_bal_1rs(reduction.stabbing)
+        covered, solution = axis_cover(problem, (0, 1, 2), monkeypatch)[0]
+        assert solve_monroe_sum_sp(problem, (0, 1, 2)) == solution
         assert covered == 4
-        solution = complete_assignment(reduction, cover)
         assert solution.objective_value == 0
         assert solution.assignment.winner_set == (0, 1, 2)
         assert solution.assignment.loads() == (2, 1, 1)
         assert solution.m_criterion_satisfied
 
-    def test_pads_committee_with_smallest_unused_candidates(self):
+    def test_pads_committee_with_smallest_unused_candidates(self, monkeypatch):
         election = ranked("a b c", "a b c", "a b c", "a b c", "a b c")
         approvals = tuple(vote[:1] for vote in election.votes)
         matrix = build_misrep(election, ApprovalMisrep(approvals))
         problem = instance_for(
             election, Rule.MONROE, Objective.SUM, k=2, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1, 2))
-        covered, cover = solve_max_bal_1rs(reduction.stabbing)
+        covered, solution = axis_cover(problem, (0, 1, 2), monkeypatch)[0]
+        assert solve_monroe_sum_sp(problem, (0, 1, 2)) == solution
         assert covered == 2
-        solution = complete_assignment(reduction, cover)
         assert solution.assignment.winner_set == (0, 1)
         assert solution.assignment.loads() == (2, 2)
         assert solution.objective_value == 2
         oracle = solve_subset_enum(problem, DEFAULT_BUDGET)
         assert oracle.objective_value == 2
 
-    def test_seats_voters_who_approve_nobody(self):
+    def test_seats_voters_who_approve_nobody(self, monkeypatch):
         election = ranked("a b", "a b", "b a", "a b", "b a")
         matrix = build_misrep(election, ApprovalMisrep(((0,), (1,), (), ())))
         problem = instance_for(
             election, Rule.MONROE, Objective.SUM, k=2, matrix=matrix
         )
-        reduction = reduce_m_mw_sp(problem, (0, 1))
-        covered, cover = solve_max_bal_1rs(reduction.stabbing)
+        covered, solution = axis_cover(problem, (0, 1), monkeypatch)[0]
+        assert solve_monroe_sum_sp(problem, (0, 1)) == solution
         assert covered == 2
-        solution = complete_assignment(reduction, cover)
         assert solution.objective_value == 2
         assert solution.assignment.loads() == (2, 2)
         assert solution.m_criterion_satisfied
