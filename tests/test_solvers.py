@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -30,8 +31,9 @@ from proprep.core import (
     evaluate,
     verify_solution,
 )
-from proprep.fileio import parse_instance
+from proprep.fileio import parse_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
+from proprep.single_peaked import sample_single_peaked_election
 from proprep.solvers import (
     SearchStats,
     SolverBudget,
@@ -747,3 +749,88 @@ class TestCrossSolverAgreement:
                 )
                 zeroed = solve_subset_enum(thresholded).objective_value == 0
                 assert original == zeroed
+
+
+class TestPinnedSolves:
+    def test_named_solves_are_pinned(self):
+        # What `solve` answers under each name below, at every bound from 0
+        # to min(worst, 4), is fixed by this digest: the answering name with
+        # (value, winners, mapping, balanced flag), or None, or only the
+        # class of the exception raised, since error texts may change.
+        # Tables cycle through Borda, prefix approvals and explicit rows
+        # with ties, under both rules and both objectives; the sp-* solvers
+        # run on single-peaked profiles.
+        rng = random.Random(1402)
+        digest = hashlib.sha256()
+        counts = {"solved": 0, "none": 0, "raised": 0}
+
+        def record(instance, names):
+            worst = worst_bound(instance.matrix, instance.objective)
+            for bound in range(min(worst, 4) + 1):
+                probe = dataclasses.replace(instance, bound=bound)
+                for name in names:
+                    try:
+                        answered, solution = solve(probe, name)
+                    except (BudgetExceededError, ValueError) as error:
+                        result = type(error).__name__
+                        counts["raised"] += 1
+                    else:
+                        if solution is None:
+                            result = None
+                            counts["none"] += 1
+                        else:
+                            result = (
+                                answered,
+                                solution.objective_value,
+                                solution.assignment.winner_set,
+                                solution.assignment.mapping,
+                                solution.m_criterion_satisfied,
+                            )
+                            counts["solved"] += 1
+                    digest.update(repr(result).encode())
+
+        names = (
+            "branch-rk", "monroe-rk", "partition-enum", "minimax-r0", "constant-r",
+            "subset-enum",
+        )
+        for trial in range(48):
+            # Partition enumeration grows fast in n and k, so only every
+            # sixth instance may have seven or eight voters, and k <= 3.
+            m, n = rng.randint(1, 6), rng.randint(1, 8 if trial % 6 == 0 else 6)
+            k = rng.randint(1, min(m, n, 3))
+            election = random_election(rng, m, n)
+            kind = trial % 3
+            if kind == 0:
+                spec = BordaMisrep()
+            elif kind == 1:
+                spec = ApprovalMisrep(random_prefix_approvals(rng, election))
+            else:
+                rows = []
+                for vote in election.votes:
+                    row, value = [0] * m, 0
+                    for c in vote:
+                        row[c] = value
+                        value += rng.randint(0, 2)
+                    rows.append(tuple(row))
+                spec = ExplicitMisrep(tuple(rows))
+            matrix = build_misrep(election, spec)
+            for rule in Rule:
+                for objective in Objective:
+                    record(ProblemInstance(election, matrix, rule, objective, k, 0), names)
+        for trial in range(24):
+            m, n = rng.randint(1, 6), rng.randint(1, 8)
+            election, _ = sample_single_peaked_election(rng, m, n)
+            spec = (
+                BordaMisrep()
+                if trial % 2
+                else ApprovalMisrep(random_prefix_approvals(rng, election))
+            )
+            matrix = build_misrep(election, spec)
+            for k in range(1, min(m, n) + 1):
+                for objective in Objective:
+                    instance = ProblemInstance(election, matrix, Rule.CC, objective, k, 0)
+                    record(instance, ("sp-dp", "sp-greedy"))
+        assert counts == {"solved": 1771, "none": 540, "raised": 2651}
+        assert digest.hexdigest() == (
+            "c0aba8c1e371eb8143163d7d390f32e6e5e121b1cb2ee8ddd53c599af4a191f0"
+        )
