@@ -55,8 +55,6 @@ from .solvers import (
     solve_constantR,
     solve_m_mw_rk,
     solve_minimax_R0,
-    solve_minimax_cc_branch_rk,
-    solve_minimax_m_mw_rk,
     solve_partition_enum,
     solve_subset_enum,
 )
@@ -114,8 +112,6 @@ __all__ = [
     "solve_m_mw_rk",
     "solve_max_bal_1rs",
     "solve_minimax_R0",
-    "solve_minimax_cc_branch_rk",
-    "solve_minimax_m_mw_rk",
     "solve_minimax_m_mw_sp",
     "solve_monroe_sum_sp",
     "solve_partition_enum",

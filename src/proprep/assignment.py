@@ -20,6 +20,8 @@ nodes taking one unit each, and optional costs between.
 ``balanced_assignment`` calls it with winners on the left and voters on the
 right; partition enumeration in :mod:`proprep.solvers` calls it to match
 voter blocks to candidates.  Its tie-breaks fix which witness is printed.
+``committee_solution`` is the one committee scorer: a solver that settles on
+a committee, not an assignment, gets its ``Solution`` there.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from .core import (
     Assignment,
     MisrepMatrix,
     Objective,
+    ProblemInstance,
+    Rule,
+    Solution,
     balanced_loads,
+    check_m_criterion,
+    evaluate,
     first_feasible,
 )
 
@@ -296,3 +303,21 @@ def monroe_minimax_bound(
         return found[0]
     assert limit is not None, "maximal bound is always feasible when k <= n"
     return limit
+
+
+def committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Solution:
+    """Build the best solution for a fixed committee under the instance's rule."""
+    matrix = instance.matrix
+    winners = tuple(sorted(winners))
+    if instance.rule is Rule.CC:
+        assignment = assign_cc(winners, matrix)
+        value = evaluate(matrix, assignment.mapping, instance.objective)
+        balanced = check_m_criterion(assignment, matrix.n, instance.k)
+        return Solution(assignment, value, balanced)
+    bound = None
+    if instance.objective is Objective.MINIMAX:
+        bound = monroe_minimax_bound(winners, matrix)
+    found = balanced_assignment(winners, matrix, bound)
+    assert found is not None, "a balanced assignment exists when k <= n"
+    cost, assignment = found
+    return Solution(assignment, cost if bound is None else bound, True)

@@ -85,6 +85,10 @@ def _budget_from(args: argparse.Namespace) -> SolverBudget:
     seconds = args.budget_seconds
     if seconds is not None and not seconds >= 0:  # NaN compares false
         raise _Failure(2, "--budget-seconds must be a nonnegative number")
+    for cap in ("subset_candidates", "partition_voters", "constant_bound"):
+        if getattr(args, f"budget_{cap}") < 0:
+            flag = "--budget-" + cap.replace("_", "-")
+            raise _Failure(2, f"{flag} must be a nonnegative integer")
     return SolverBudget(
         max_subset_candidates=args.budget_subset_candidates,
         max_partition_voters=args.budget_partition_voters,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import ge, itemgetter, le, neg
 from typing import Callable, Optional, Sequence
 
-from .assignment import assign_cc
+from .assignment import committee_solution
 from .core import (
     Election,
     MisrepMatrix,
@@ -26,8 +26,6 @@ from .core import (
     ProblemInstance,
     Rule,
     Solution,
-    check_m_criterion,
-    evaluate,
     pad_committee,
 )
 
@@ -301,7 +299,7 @@ def solve_cc_sum_sp(
         raise ValueError("this solver handles the unconstrained rule, sum objective")
     matrix, k = instance.matrix, instance.k
     _require_permutation(matrix, axis)
-    m, n = matrix.m, matrix.n
+    m = matrix.m
     totals, saving = axis_savings(matrix, axis, stats)
 
     unset = None
@@ -328,11 +326,11 @@ def solve_cc_sum_sp(
     positions = [final]
     for j in range(k, 1, -1):
         positions.append(parent[positions[-1]][j])
-    committee = tuple(sorted(axis[i] for i in positions))
-    assignment = assign_cc(committee, matrix)
-    value = evaluate(matrix, assignment.mapping, Objective.SUM)
-    assert value == z[final][k], "table value must match the reconstructed committee"
-    return Solution(assignment, value, check_m_criterion(assignment, n, k))
+    solution = committee_solution(instance, [axis[i] for i in positions])
+    assert solution.objective_value == z[final][k], (
+        "table value must match the reconstructed committee"
+    )
+    return solution
 
 
 def solve_cc_minimax_sp(
@@ -379,10 +377,9 @@ def solve_cc_minimax_sp(
     if len(stabs) > k:
         return None
     committee = pad_committee((axis[i] for i in stabs), k, matrix.m)
-    assignment = assign_cc(committee, matrix)
-    value = evaluate(matrix, assignment.mapping, Objective.MINIMAX)
-    assert value <= bound
-    return Solution(assignment, value, check_m_criterion(assignment, matrix.n, k))
+    solution = committee_solution(instance, committee)
+    assert solution.objective_value <= bound
+    return solution
 
 
 def sample_single_peaked_election(

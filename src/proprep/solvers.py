@@ -11,13 +11,15 @@ longer win, and assigns voters only to the committee it returns.  Partition
 enumeration matches every admissible partition.  The remaining solvers are
 decision procedures: given the bound stored on the instance they either
 produce a witness solution meeting it or report that none exists by
-returning ``None``.  The bound search that turns a decision procedure into
-an optimizer, and the table of named solvers, live in
-:mod:`proprep.solving`.
+returning ``None``; one function serves each solver name under every
+objective, so `solve_cc_branch_rk` is the one branching solver.  The bound search that
+turns a decision procedure into an optimizer, and the table of named
+solvers, live in :mod:`proprep.solving`.
 
 No solver here runs a flow itself: committees are scored by value with
 ``assignment.balanced_cost`` and ``assignment.monroe_minimax_bound``, and
-assigned voters with ``assignment.balanced_assignment``; partition
+every committee a solver settles on becomes a solution through
+``assignment.committee_solution``, the one committee scorer; partition
 enumeration matches voter blocks to candidates with
 ``assignment.transport``, bisecting over bottleneck values with
 ``core.first_feasible`` under minimax.
@@ -35,9 +37,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 from .assignment import (
-    assign_cc,
-    balanced_assignment,
     balanced_cost,
+    committee_solution,
     monroe_minimax_bound,
     transport,
 )
@@ -91,31 +92,13 @@ DEFAULT_BUDGET = SolverBudget()
 
 @dataclass
 class SearchStats:
-    """Mutable counters filled in by the branching solvers.
+    """Mutable counters filled in by the branching solver.
 
     `leaf_calls` counts recursive calls that return without branching
     further; it is the quantity bounded by the search-tree analysis.
     """
 
     leaf_calls: int = 0
-
-
-def _committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Solution:
-    """Build the best solution for a fixed committee under the instance's rule."""
-    matrix = instance.matrix
-    winners = tuple(sorted(winners))
-    if instance.rule is Rule.CC:
-        assignment = assign_cc(winners, matrix)
-        value = evaluate(matrix, assignment.mapping, instance.objective)
-        balanced = check_m_criterion(assignment, matrix.n, instance.k)
-        return Solution(assignment, value, balanced)
-    bound = None
-    if instance.objective is Objective.MINIMAX:
-        bound = monroe_minimax_bound(winners, matrix)
-    found = balanced_assignment(winners, matrix, bound)
-    assert found is not None, "a balanced assignment exists when k <= n"
-    cost, assignment = found
-    return Solution(assignment, cost if bound is None else bound, True)
 
 
 def _committee_value(
@@ -233,7 +216,7 @@ def solve_subset_enum(
 
     _committee_walk(matrix, pool, k, objective, budget, math.inf, keep_strictly_better)
     if instance.rule is Rule.CC:
-        return _committee_solution(instance, found[0])
+        return committee_solution(instance, found[0])
     best = (_committee_value(instance, found[0]), found[0])
     bounded: list[tuple[int, tuple[int, ...]]] = []
 
@@ -252,7 +235,7 @@ def solve_subset_enum(
         value = _committee_value(instance, committee, limit)
         if value is not None:
             best = (value, committee)
-    return _committee_solution(instance, best[1])
+    return committee_solution(instance, best[1])
 
 
 def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
@@ -279,44 +262,37 @@ def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
     yield from extend(0)
 
 
-def _match_blocks_sum(
-    blocks: Sequence[Sequence[int]], matrix: MisrepMatrix
+def _match_blocks(
+    blocks: Sequence[Sequence[int]], matrix: MisrepMatrix, objective: Objective
 ) -> tuple[int, list[int]]:
-    """Min-cost matching of blocks to distinct candidates (sum of block costs).
+    """Matching of blocks to distinct candidates at the least objective value.
 
-    Returns the cost and each candidate's block index, or -1.
+    A block costs the sum of its voters' entries for a candidate under sum
+    and their largest entry under minimax; the matching minimizes the total
+    under sum and the largest block cost under minimax.  Returns that value
+    and each candidate's block index, or -1.
     """
+    combine = sum if objective is Objective.SUM else max
     costs = [
-        [sum(matrix.rows[v][c] for v in block) for c in range(matrix.m)]
+        [combine(matrix.rows[v][c] for v in block) for c in range(matrix.m)]
         for block in blocks
     ]
-    result = transport([(0, 1)] * len(blocks), costs, len(blocks))
-    assert result is not None, "matching blocks to candidates cannot fail when b <= m"
-    return result
-
-
-def _match_blocks_minimax(
-    blocks: Sequence[Sequence[int]], matrix: MisrepMatrix
-) -> tuple[int, list[int]]:
-    """Matching of blocks to distinct candidates minimizing the largest block cost.
-
-    Returns that cost and each candidate's block index, or -1.
-    """
-    b, m = len(blocks), matrix.m
-    bottleneck = [
-        [max(matrix.rows[v][c] for v in block) for c in range(m)] for block in blocks
-    ]
-    values = sorted({x for row in bottleneck for x in row})
+    loads = [(0, 1)] * len(blocks)
+    if objective is Objective.SUM:
+        result = transport(loads, costs, len(blocks))
+        assert result is not None, "matching blocks to candidates cannot fail when b <= m"
+        return result
 
     def matching_at(limit: int) -> Optional[list[int]]:
         # Every pair within the limit costs 0, not its bottleneck: among
         # several matchings at the optimum, the committee chosen for a
         # partition (and so the tie-break between partitions) is the one
         # `transport` finds on this zero-cost network.
-        costs = [[0 if x <= limit else None for x in row] for row in bottleneck]
-        result = transport([(0, 1)] * b, costs, b)
+        zeroed = [[0 if x <= limit else None for x in row] for row in costs]
+        result = transport(loads, zeroed, len(blocks))
         return None if result is None else result[1]
 
+    values = sorted({x for row in costs for x in row})
     found = first_feasible(values, matching_at)
     assert found is not None, "matching always exists at the largest cost"
     return found
@@ -343,9 +319,6 @@ def solve_partition_enum(
     if instance.rule is Rule.MONROE:
         low, high, at_high = balanced_loads(n, k)
         required_sizes = sorted([high] * at_high + [low] * (k - at_high))
-    matcher = (
-        _match_blocks_sum if instance.objective is Objective.SUM else _match_blocks_minimax
-    )
 
     best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
     for blocks in _partitions(n, k):
@@ -353,7 +326,7 @@ def solve_partition_enum(
         if instance.rule is Rule.MONROE:
             if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
                 continue
-        value, owner = matcher(blocks, matrix)
+        value, owner = _match_blocks(blocks, matrix, instance.objective)
         mapping = [0] * n
         for c, i in enumerate(owner):
             if i >= 0:
@@ -384,34 +357,34 @@ def solve_cc_branch_rk(
     budget: SolverBudget = DEFAULT_BUDGET,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Solution]:
-    """Decision procedure for the unconstrained rule, sum objective.
+    """Decision procedure for the unconstrained rule, either objective.
 
-    Searches for a committee whose total misrepresentation is within the
-    instance bound by branching on how the first uncovered voter is served.
-    Requires each voter to have at most bound+1 candidates within the bound
-    (rank-based tables always satisfy this).
+    Searches for a committee within the instance bound by branching on how
+    the first uncovered voter is served.  Under sum every branch spends
+    that voter's entry from the bound, and voters a chosen candidate serves
+    at 0 are covered.  Under minimax each chosen candidate absorbs every
+    voter it serves within the bound, and the committee allowance shrinks
+    by one per choice.  Requires each voter to have at most bound+1
+    candidates within the bound (rank-based tables always satisfy this).
     """
-    if instance.rule is not Rule.CC or instance.objective is not Objective.SUM:
-        raise ValueError("branching solver handles the unconstrained rule, sum objective")
+    if instance.rule is not Rule.CC:
+        raise ValueError("branching solver handles the unconstrained rule")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     _check_sparsity(matrix, bound)
     rows = matrix.rows
+    stats = SearchStats() if stats is None else stats
 
-    def note_leaf() -> None:
-        if stats is not None:
-            stats.leaf_calls += 1
-
-    def branch(
+    def branch_sum(
         remaining: tuple[int, ...], left: int, chosen: frozenset[int]
     ) -> Optional[frozenset[int]]:
         budget.check()
         if left < 0 or len(chosen) > k:
-            note_leaf()
+            stats.leaf_calls += 1
             return None
         if not remaining or (
             chosen and sum(min(rows[w][c] for c in chosen) for w in remaining) <= left
         ):
-            note_leaf()
+            stats.leaf_calls += 1
             return chosen
         v, rest = remaining[0], remaining[1:]
         recursed = False
@@ -420,54 +393,22 @@ def solve_cc_branch_rk(
                 continue
             recursed = True
             survivors = tuple(w for w in rest if rows[w][c] != 0)
-            found = branch(survivors, left - rows[v][c], chosen | {c})
+            found = branch_sum(survivors, left - rows[v][c], chosen | {c})
             if found is not None:
                 return found
         if not recursed:
-            note_leaf()
-        return None
-
-    chosen = branch(tuple(range(matrix.n)), bound, frozenset())
-    if chosen is None:
-        return None
-    committee = pad_committee(chosen, k, matrix.m)
-    solution = _committee_solution(instance, committee)
-    assert solution.objective_value <= bound
-    return solution
-
-
-def solve_minimax_cc_branch_rk(
-    instance: ProblemInstance,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    stats: Optional[SearchStats] = None,
-) -> Optional[Solution]:
-    """Decision procedure for the unconstrained rule, minimax objective.
-
-    Branches on which candidate serves the first uncovered voter within the
-    bound; each chosen candidate absorbs every voter it serves within the
-    bound, and the committee allowance shrinks by one per choice.
-    """
-    if instance.rule is not Rule.CC or instance.objective is not Objective.MINIMAX:
-        raise ValueError(
-            "minimax branching solver handles the unconstrained rule, minimax objective"
-        )
-    matrix, k, bound = instance.matrix, instance.k, instance.bound
-    _check_sparsity(matrix, bound)
-    rows = matrix.rows
-
-    def note_leaf() -> None:
-        if stats is not None:
             stats.leaf_calls += 1
+        return None
 
-    def branch(
+    def branch_minimax(
         remaining: tuple[int, ...], seats: int, chosen: frozenset[int]
     ) -> Optional[frozenset[int]]:
         budget.check()
         if not remaining:
-            note_leaf()
+            stats.leaf_calls += 1
             return chosen
         if seats == 0:
-            note_leaf()
+            stats.leaf_calls += 1
             return None
         v = remaining[0]
         recursed = False
@@ -476,18 +417,21 @@ def solve_minimax_cc_branch_rk(
                 continue
             recursed = True
             survivors = tuple(w for w in remaining if rows[w][c] > bound)
-            found = branch(survivors, seats - 1, chosen | {c})
+            found = branch_minimax(survivors, seats - 1, chosen | {c})
             if found is not None:
                 return found
         if not recursed:
-            note_leaf()
+            stats.leaf_calls += 1
         return None
 
-    chosen = branch(tuple(range(matrix.n)), k, frozenset())
+    voters = tuple(range(matrix.n))
+    if instance.objective is Objective.SUM:
+        chosen = branch_sum(voters, bound, frozenset())
+    else:
+        chosen = branch_minimax(voters, k, frozenset())
     if chosen is None:
         return None
-    committee = pad_committee(chosen, k, matrix.m)
-    solution = _committee_solution(instance, committee)
+    solution = committee_solution(instance, pad_committee(chosen, k, matrix.m))
     assert solution.objective_value <= bound
     return solution
 
@@ -541,7 +485,7 @@ def solve_constantR(
             if len(committee) > k:
                 return None
             padded = pad_committee(committee, k, matrix.m)
-            return _committee_solution(instance, padded)
+            return committee_solution(instance, padded)
         if len(committee) != k:
             return None
         assignment = Assignment(tuple(committee), tuple(mapping))
@@ -584,49 +528,34 @@ def _require_rank_matrix(matrix: MisrepMatrix) -> None:
 def solve_m_mw_rk(
     instance: ProblemInstance, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
-    """Decision procedure for the load-balanced rule, sum objective.
+    """Decision procedure for the load-balanced rule, either objective.
 
-    With many voters, any committee within the bound can only contain
-    candidates that some voter ranks first, and there can be at most
-    bound + k of those; enumerate committees over that restricted pool.
-    With few voters, partition enumeration is already cheap.
+    With few voters, n <= (bound+1)k, partition enumeration is already
+    cheap.  With many, committees are enumerated over the candidates that
+    can win within the bound.  Under sum that is the candidates some voter
+    ranks first, and there can be at most bound + k of them.  Under minimax
+    every committee member must serve a full load of floor(n/k) voters
+    within the bound, so only candidates within the bound of that many
+    voters can win.
     """
-    if instance.rule is not Rule.MONROE or instance.objective is not Objective.SUM:
-        raise ValueError("this solver handles the load-balanced rule, sum objective")
+    if instance.rule is not Rule.MONROE:
+        raise ValueError("this solver handles the load-balanced rule")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     _require_rank_matrix(matrix)
     if matrix.n <= (bound + 1) * k:
         solution = solve_partition_enum(instance, budget)
         return solution if solution.objective_value <= bound else None
-    favorites = sorted({row.index(0) for row in matrix.rows})
-    if len(favorites) > bound + k or len(favorites) < k:
-        return None
-    solution = solve_subset_enum(instance, budget, candidate_pool=favorites)
-    return solution if solution.objective_value <= bound else None
-
-
-def solve_minimax_m_mw_rk(
-    instance: ProblemInstance, budget: SolverBudget = DEFAULT_BUDGET
-) -> Optional[Solution]:
-    """Decision procedure for the load-balanced rule, minimax objective.
-
-    Every committee member must serve a full load of voters within the
-    bound, so only candidates close enough to that many voters can win;
-    enumerate committees over those.
-    """
-    if instance.rule is not Rule.MONROE or instance.objective is not Objective.MINIMAX:
-        raise ValueError("this solver handles the load-balanced rule, minimax objective")
-    matrix, k, bound = instance.matrix, instance.k, instance.bound
-    _require_rank_matrix(matrix)
-    if matrix.n <= (bound + 1) * k:
-        solution = solve_partition_enum(instance, budget)
-        return solution if solution.objective_value <= bound else None
-    low, _, _ = balanced_loads(matrix.n, k)
-    pool = [
-        c
-        for c in range(matrix.m)
-        if sum(1 for row in matrix.rows if row[c] <= bound) >= low
-    ]
+    if instance.objective is Objective.SUM:
+        pool = sorted({row.index(0) for row in matrix.rows})
+        if len(pool) > bound + k:
+            return None
+    else:
+        low, _, _ = balanced_loads(matrix.n, k)
+        pool = [
+            c
+            for c in range(matrix.m)
+            if sum(1 for row in matrix.rows if row[c] <= bound) >= low
+        ]
     if len(pool) < k:
         return None
     solution = solve_subset_enum(instance, budget, candidate_pool=pool)
@@ -653,9 +582,7 @@ def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:
     if instance.rule is Rule.CC:
         if len(forced) > k:
             return None
-        committee = pad_committee(forced, k, matrix.m)
-        assignment = Assignment(committee, tops)
-        return Solution(assignment, 0, check_m_criterion(assignment, matrix.n, k))
+        return committee_solution(instance, pad_committee(forced, k, matrix.m))
     if len(forced) != k:
         return None
     assignment = Assignment(tuple(forced), tops)

@@ -27,8 +27,6 @@ from .solvers import (
     solve_cc_branch_rk,
     solve_constantR,
     solve_m_mw_rk,
-    solve_minimax_cc_branch_rk,
-    solve_minimax_m_mw_rk,
     solve_minimax_R0,
     solve_partition_enum,
     solve_subset_enum,
@@ -183,11 +181,7 @@ def _run_partition_enum(
 def _run_branch_rk(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> Optional[Solution]:
-    if instance.objective is Objective.SUM:
-        decide = solve_cc_branch_rk
-    else:
-        decide = solve_minimax_cc_branch_rk
-    return search_bound(instance, lambda probed: decide(probed, budget))
+    return search_bound(instance, lambda probed: solve_cc_branch_rk(probed, budget))
 
 
 def _run_constant_r(
@@ -199,11 +193,7 @@ def _run_constant_r(
 def _run_monroe_rk(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> Optional[Solution]:
-    if instance.objective is Objective.SUM:
-        decide = solve_m_mw_rk
-    else:
-        decide = solve_minimax_m_mw_rk
-    return search_bound(instance, lambda probed: decide(probed, budget))
+    return search_bound(instance, lambda probed: solve_m_mw_rk(probed, budget))
 
 
 def _run_minimax_r0(

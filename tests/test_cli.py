@@ -43,7 +43,7 @@ from proprep.fileio import parse_instance, render_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
 from proprep.solvers import (
     solve_cc_branch_rk,
-    solve_minimax_m_mw_rk,
+    solve_m_mw_rk,
     solve_subset_enum,
 )
 from proprep.solving import SOLVERS
@@ -330,6 +330,24 @@ class TestSolve:
         code, out, err = run_cli(capsys, command, target, "--budget-seconds", seconds)
         assert (code, out) == (2, "")
         assert err == "--budget-seconds must be a nonnegative number\n"
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--budget-subset-candidates",
+            "--budget-partition-voters",
+            "--budget-constant-bound",
+        ],
+    )
+    def test_integer_budget_caps_must_be_nonnegative(
+        self, tmp_path, capsys, command, flag
+    ):
+        (tmp_path / "fig.elect").write_text(FIG1)
+        target = str(tmp_path / "fig.elect" if command == "solve" else tmp_path)
+        code, out, err = run_cli(capsys, command, target, flag, "-1")
+        assert (code, out, err) == (2, "", f"{flag} must be a nonnegative integer\n")
+        assert run_cli(capsys, command, target, flag, "0")[0] != 2  # zero is a cap
 
     def test_all_approve_profile_deeper_than_the_stack_is_answered(
         self, write, capsys
@@ -993,7 +1011,7 @@ class TestSearchBound:
         "rule, objective, decide, probed, value",
         [
             (Rule.CC, Objective.SUM, solve_cc_branch_rk, [0, 1, 2, 3, 4, 8, 6, 5], 5),
-            (Rule.MONROE, Objective.MINIMAX, solve_minimax_m_mw_rk, [0, 1, 2], 2),
+            (Rule.MONROE, Objective.MINIMAX, solve_m_mw_rk, [0, 1, 2], 2),
         ],
     )
     def test_probes_of_a_decision_procedure(self, rule, objective, decide, probed, value):

@@ -40,8 +40,6 @@ from proprep.solvers import (
     solve_cc_branch_rk,
     solve_constantR,
     solve_m_mw_rk,
-    solve_minimax_cc_branch_rk,
-    solve_minimax_m_mw_rk,
     solve_minimax_R0,
     solve_partition_enum,
     solve_subset_enum,
@@ -282,7 +280,7 @@ class TestSubsetEnum:
         # again, and voters are assigned only to the committee returned.
         instance = generated_monroe(tmp_path, objective)
         scored, built = [], []
-        score, build = solvers._committee_value, solvers._committee_solution
+        score, build = solvers._committee_value, solvers.committee_solution
 
         def recorded(instance, committee, limit=None):
             scored.append(committee)
@@ -293,7 +291,7 @@ class TestSubsetEnum:
             return build(instance, committee)
 
         monkeypatch.setattr(solvers, "_committee_value", recorded)
-        monkeypatch.setattr(solvers, "_committee_solution", recorded_build)
+        monkeypatch.setattr(solvers, "committee_solution", recorded_build)
         solution = solve_subset_enum(instance)
         assert len(set(scored)) == len(scored)
         assert built == [solution.assignment.winner_set]
@@ -311,13 +309,13 @@ class TestSubsetEnum:
         instance = generated_monroe(tmp_path, objective, seed)
         instance = dataclasses.replace(instance, rule=Rule(rule))
         built = []
-        build = solvers._committee_solution
+        build = solvers.committee_solution
 
         def recorded(instance, committee):
             built.append(tuple(committee))
             return build(instance, committee)
 
-        monkeypatch.setattr(solvers, "_committee_solution", recorded)
+        monkeypatch.setattr(solvers, "committee_solution", recorded)
         solution = solve_subset_enum(instance)
         assert built == [solution.assignment.winner_set]
 
@@ -481,17 +479,17 @@ class TestBranchSum:
 class TestBranchMinimax:
     def test_witness(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.MINIMAX, k=1, bound=1)
-        solution = solve_minimax_cc_branch_rk(instance)
+        solution = solve_cc_branch_rk(instance)
         assert solution is not None
         assert solution.assignment.winner_set == (1,)
 
     def test_absent_at_zero_with_three_tops(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.MINIMAX, k=2, bound=0)
-        assert solve_minimax_cc_branch_rk(instance) is None
+        assert solve_cc_branch_rk(instance) is None
 
     def test_max_entry_bound_always_feasible(self, profile_6v4c):
         instance = instance_for(profile_6v4c, Rule.CC, Objective.MINIMAX, k=1, bound=3)
-        assert solve_minimax_cc_branch_rk(instance) is not None
+        assert solve_cc_branch_rk(instance) is not None
 
     def test_search_tree_leaf_bound(self):
         rng = random.Random(1729)
@@ -501,7 +499,7 @@ class TestBranchMinimax:
                 rng, Rule.CC, Objective.MINIMAX, bound=bound
             )
             stats = SearchStats()
-            solve_minimax_cc_branch_rk(instance, stats=stats)
+            solve_cc_branch_rk(instance, stats=stats)
             assert stats.leaf_calls <= (bound + 1) ** instance.k
 
 
@@ -573,28 +571,28 @@ class TestBalancedRuleDecision:
         instance = instance_for(
             profile_3v4c, Rule.MONROE, Objective.MINIMAX, k=3, bound=0
         )
-        solution = solve_minimax_m_mw_rk(instance)
+        solution = solve_m_mw_rk(instance)
         assert solution is not None
         assert solution.assignment.winner_set == (0, 1, 2)
 
     def test_minimax_decision_boundary(self, profile_6v4c):
         at_one = instance_for(profile_6v4c, Rule.MONROE, Objective.MINIMAX, k=3, bound=1)
-        solution = solve_minimax_m_mw_rk(at_one)
+        solution = solve_m_mw_rk(at_one)
         assert solution is not None
         assert solution.objective_value <= 1
         at_zero = instance_for(
             profile_6v4c, Rule.MONROE, Objective.MINIMAX, k=3, bound=0
         )
-        assert solve_minimax_m_mw_rk(at_zero) is None
+        assert solve_m_mw_rk(at_zero) is None
 
     def test_minimax_serving_pool_path(self):
         election = ranked("a b c d", *(["a b c d"] * 5 + ["b a c d"] * 3))
         at_one = instance_for(election, Rule.MONROE, Objective.MINIMAX, k=2, bound=1)
-        solution = solve_minimax_m_mw_rk(at_one)
+        solution = solve_m_mw_rk(at_one)
         assert solution is not None
         assert solution.objective_value == 1
         at_zero = instance_for(election, Rule.MONROE, Objective.MINIMAX, k=2, bound=0)
-        assert solve_minimax_m_mw_rk(at_zero) is None
+        assert solve_m_mw_rk(at_zero) is None
 
 
 class TestMinimaxZeroBound:
