@@ -4,15 +4,17 @@ Two families live here.  The enumeration solvers (`solve_subset_enum`,
 `solve_partition_enum`) try every committee or every voter partition and are
 the reference oracles for everything else.  Subset enumeration walks the
 committees depth-first in lexicographic order, sharing each prefix's
-per-voter minima, and prunes every prefix whose best-representative bound
-cannot win, which needs no flow; under the balanced rule it then scores the
-committees left by value alone, in bound order until the next one can no
-longer win, and assigns voters only to the committee it returns.  Partition
-enumeration matches every admissible partition.  The remaining solvers are
-decision procedures: given the bound stored on the instance they either
-produce a witness solution meeting it or report that none exists by
-returning ``None``; one function serves each solver name under every
-objective, so `solve_cc_branch_rk` is the one branching solver.  The bound search that
+per-voter minima, which `PackedColumns` packs into one int with a
+byte-aligned field per voter so that each step runs at C speed, and prunes
+every prefix whose best-representative bound cannot win, which needs no
+flow; under the balanced rule it then scores the committees left by value
+alone, in bound order until the next one can no longer win, and assigns
+voters only to the committee it returns.  Partition enumeration matches
+every admissible partition.  The remaining solvers are decision procedures:
+given the bound stored on the instance they either produce a witness
+solution meeting it or report that none exists by returning ``None``; one
+function serves each solver name under every objective, so
+`solve_cc_branch_rk` is the one branching solver.  The bound search that
 turns a decision procedure into an optimizer, and the table of named
 solvers, live in :mod:`proprep.solving`.
 
@@ -32,9 +34,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import struct
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .assignment import (
     balanced_cost,
@@ -115,6 +120,82 @@ def _committee_value(
     return value if limit is None or value <= limit else None
 
 
+# Native array formats by item size: 1, 2, 4 and 8 bytes.
+_NATIVE_FORMATS = {struct.calcsize(code): code for code in "BHIQ"}
+# The walk reads the clock after about this many voter entries folded, and
+# at least every 1024 nodes.
+_ENTRIES_PER_CHECK = 1 << 16
+
+
+class PackedColumns:
+    """Columns of per-voter table entries, each packed into one int.
+
+    Voter v's entry is field v, bytes v*b .. v*b+b-1 of the int's byte
+    string in native order.  The field width b is 1, 2, 4 or 8 bytes, or
+    wider, the least that holds the table's largest entry below the field's
+    top bit, so every entry x has 0 <= x < 2**(w-1), where w = 8b.  `unit`
+    has a 1 at the bottom of every field and `high` = unit << (w-1) its top
+    bit.  This is broadword arithmetic (Lamport, CACM 1975): each step below
+    is a few operations on whole ints, which run at C speed.
+
+    Pointwise minimum: in field v, (a | high) - b computes
+    2**(w-1) + a_v - b_v, which lies in 1 .. 2**w - 1, so no field borrows
+    from the next, and its top bit is set exactly when a_v >= b_v.  With d
+    those top bits, d - (d >> (w-1)) sets every bit below each of them, so
+    a ^ ((a ^ b) & mask) takes b_v where a_v >= b_v and a_v elsewhere;
+    the top bits of a ^ b are all 0, so the mask needs none.
+
+    Sum and largest entry: ``to_bytes`` lays the fields out in memory, and a
+    ``memoryview`` cast to the native format of the field width reads them
+    as integers; fields wider than 8 bytes are read by slices.
+
+    Threshold test: adding (2**(w-1) - 1 - limit) * unit, for
+    -1 <= limit < 2**(w-1), sends field v to x_v + 2**(w-1) - 1 - limit,
+    again below 2**w, whose top bit is set exactly when x_v > limit.  A
+    higher limit flags no field, as the addend 0 does.
+    """
+
+    def __init__(self, n: int, largest: int) -> None:
+        bits = largest.bit_length() + 1
+        self.width = next((b for b in (1, 2, 4, 8) if 8 * b >= bits), -(-bits // 8))
+        self.size = n * self.width
+        self.shift = 8 * self.width - 1
+        self.format = _NATIVE_FORMATS.get(self.width)
+        self.unit = self.pack([1] * n)
+        self.high = self.unit << self.shift
+
+    def pack(self, values: Iterable[int]) -> int:
+        """One field per value, in voter order."""
+        if self.format is not None:
+            return int.from_bytes(array(self.format, values), sys.byteorder)
+        width = self.width
+        data = b"".join(x.to_bytes(width, sys.byteorder) for x in values)
+        return int.from_bytes(data, sys.byteorder)
+
+    def fields(self, packed: int) -> Sequence[int]:
+        """The values packed into `packed`, in voter order."""
+        data = packed.to_bytes(self.size, sys.byteorder)
+        if self.width == 1:
+            return data  # bytes iterate as ints, faster than a memoryview
+        if self.format is not None:
+            return memoryview(data).cast(self.format)
+        width = self.width
+        return [
+            int.from_bytes(data[i : i + width], sys.byteorder)
+            for i in range(0, self.size, width)
+        ]
+
+    def min(self, a: int, b: int) -> int:
+        """The pointwise minimum of `a` and `b`."""
+        d = ((a | self.high) - b) & self.high
+        return a ^ ((a ^ b) & (d - (d >> self.shift)))
+
+    def over(self, limit: float) -> int:
+        """The addend that flags, in `high`, each field above `limit` >= -1."""
+        top = (1 << self.shift) - 1
+        return (top - min(limit, top)) * self.unit
+
+
 def _committee_walk(
     matrix: MisrepMatrix,
     pool: Sequence[int],
@@ -126,43 +207,68 @@ def _committee_walk(
 ) -> None:
     """Visit size-k committees from `pool` depth-first in lexicographic order.
 
-    Each node carries its prefix's per-voter minima and extends them by one
-    candidate's column.  A child at pool position `j` is bounded by the CC
-    value of its parent's prefix plus every candidate in `pool[j:]`, a
-    lower bound on every committee below it; the bound never falls as `j`
-    grows, so the first child above `limit` ends the loop over its
-    siblings.  A last seat is scored directly, which costs what its bound
-    would.  Every committee with CC value <= `limit` is passed to `leaf`
-    with that value, and `leaf` returns the limit for the rest of the walk.
+    Each node carries its prefix's per-voter minima, packed into one int by
+    `PackedColumns`, and extends them by one candidate's packed column.  A
+    child at pool position `j` is bounded by the CC value of its parent's
+    prefix plus every candidate in `pool[j:]`, a lower bound on every
+    committee below it; the bound never falls as `j` grows, so the first
+    child above `limit` ends the loop over its siblings.  A last seat is
+    scored directly, which costs what its bound would.  Under minimax both
+    tests are one threshold test, and a committee's largest entry is read
+    only once it passes.  Every committee with CC value <= `limit` is
+    passed to `leaf` with that value, and `leaf` returns the limit for the
+    rest of the walk.  The clock is read about every `_ENTRIES_PER_CHECK`
+    voter entries, and at least every 1024 nodes.
     """
-    combine = sum if objective is Objective.SUM else max
-    columns = [[row[c] for row in matrix.rows] for c in pool]
-    # suffix[j][v]: voter v's best entry among pool[j:].  Pointwise minima
-    # are list comprehensions: map(min, ...) is about three times slower.
+    packed = PackedColumns(matrix.n, matrix.max_value())
+    fold, fields, high = packed.min, packed.fields, packed.high
+    table = list(zip(*matrix.rows))
+    columns = [packed.pack(table[c]) for c in pool]
+    # suffix[j]: each voter's best entry among pool[j:].
     suffix = columns[:]
     for j in range(len(pool) - 2, -1, -1):
-        suffix[j] = [x if x < y else y for x, y in zip(columns[j], suffix[j + 1])]
+        suffix[j] = fold(columns[j], suffix[j + 1])
+    over = packed.over(limit)
+    every = max(1, min(1024, _ENTRIES_PER_CHECK // matrix.n))
     nodes = 0
 
-    def extend(start: int, prefix: tuple[int, ...], minima: list[int]) -> None:
-        nonlocal limit, nodes
+    if objective is Objective.SUM:
+
+        def score(minima: int) -> Optional[int]:
+            value = sum(fields(minima))
+            return value if value <= limit else None
+
+        def pruned(minima: int) -> bool:
+            return sum(fields(minima)) > limit
+
+    else:
+
+        def score(minima: int) -> Optional[int]:
+            return None if (minima + over) & high else max(fields(minima))
+
+        def pruned(minima: int) -> bool:
+            return (minima + over) & high != 0
+
+    def extend(start: int, prefix: tuple[int, ...], minima: int) -> None:
+        nonlocal limit, over, nodes
         seats = k - len(prefix)
         for j in range(start, len(pool) - seats + 1):
-            if nodes % 1024 == 0:
+            if nodes % every == 0:
                 budget.check()
             nodes += 1
             if seats == 1:
-                value = combine([x if x < y else y for x, y in zip(minima, columns[j])])
-                if value <= limit:
-                    limit = leaf(value, prefix + (pool[j],))
-            elif combine([x if x < y else y for x, y in zip(minima, suffix[j])]) > limit:
+                value = score(fold(minima, columns[j]))
+                if value is not None:
+                    after = leaf(value, prefix + (pool[j],))
+                    if after != limit:
+                        limit, over = after, packed.over(after)
+            elif pruned(fold(minima, suffix[j])):
                 return
             else:
-                extended = [x if x < y else y for x, y in zip(minima, columns[j])]
-                extend(j + 1, prefix + (pool[j],), extended)
+                extend(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
 
     # The empty prefix: each voter's largest entry, above every column's.
-    extend(0, (), [max(row) for row in matrix.rows])
+    extend(0, (), packed.pack(map(max, matrix.rows)))
 
 
 def solve_subset_enum(
@@ -192,7 +298,8 @@ def solve_subset_enum(
     the CC-optimal one included, is scored by value alone, a collected
     minimax value only once the committee is known to beat the best pair;
     only the committee returned is assigned voters, once.  Memory holds two
-    columns per pool candidate and, under Monroe, the collected pairs.
+    packed columns per pool candidate and, under Monroe, the collected
+    pairs.
     """
     m = instance.matrix.m
     pool = sorted(range(m) if candidate_pool is None else candidate_pool)
@@ -538,28 +645,51 @@ def solve_m_mw_rk(
     within the bound, so only candidates within the bound of that many
     voters can win.
     """
-    if instance.rule is not Rule.MONROE:
-        raise ValueError("this solver handles the load-balanced rule")
-    matrix, k, bound = instance.matrix, instance.k, instance.bound
-    _require_rank_matrix(matrix)
-    if matrix.n <= (bound + 1) * k:
-        solution = solve_partition_enum(instance, budget)
+    return m_mw_rk_decider(budget)(instance)
+
+
+def m_mw_rk_decider(
+    budget: SolverBudget,
+) -> Callable[[ProblemInstance], Optional[Solution]]:
+    """`solve_m_mw_rk` for the probes of one bound search.
+
+    Neither enumeration it runs reads the bound, so the decider keeps the
+    optimum of partition enumeration, and of subset enumeration over each
+    candidate pool, and runs each once however many bounds are probed.  The
+    probes must differ from each other only in their bound.
+    """
+    optima: dict[Optional[tuple[int, ...]], Solution] = {}
+
+    def decide(instance: ProblemInstance) -> Optional[Solution]:
+        if instance.rule is not Rule.MONROE:
+            raise ValueError("this solver handles the load-balanced rule")
+        matrix, k, bound = instance.matrix, instance.k, instance.bound
+        _require_rank_matrix(matrix)
+        pool: Optional[tuple[int, ...]] = None  # partition enumeration
+        if matrix.n > (bound + 1) * k:
+            if instance.objective is Objective.SUM:
+                pool = tuple(sorted({row.index(0) for row in matrix.rows}))
+                if len(pool) > bound + k:
+                    return None
+            else:
+                low, _, _ = balanced_loads(matrix.n, k)
+                pool = tuple(
+                    c
+                    for c in range(matrix.m)
+                    if sum(1 for row in matrix.rows if row[c] <= bound) >= low
+                )
+            if len(pool) < k:
+                return None
+        if pool not in optima:
+            optima[pool] = (
+                solve_partition_enum(instance, budget)
+                if pool is None
+                else solve_subset_enum(instance, budget, candidate_pool=pool)
+            )
+        solution = optima[pool]
         return solution if solution.objective_value <= bound else None
-    if instance.objective is Objective.SUM:
-        pool = sorted({row.index(0) for row in matrix.rows})
-        if len(pool) > bound + k:
-            return None
-    else:
-        low, _, _ = balanced_loads(matrix.n, k)
-        pool = [
-            c
-            for c in range(matrix.m)
-            if sum(1 for row in matrix.rows if row[c] <= bound) >= low
-        ]
-    if len(pool) < k:
-        return None
-    solution = solve_subset_enum(instance, budget, candidate_pool=pool)
-    return solution if solution.objective_value <= bound else None
+
+    return decide
 
 
 def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:

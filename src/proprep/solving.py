@@ -24,9 +24,9 @@ from .single_peaked import AxisRows, detect_axis, solve_cc_minimax_sp, solve_cc_
 from .solvers import (
     DEFAULT_BUDGET,
     SolverBudget,
+    m_mw_rk_decider,
     solve_cc_branch_rk,
     solve_constantR,
-    solve_m_mw_rk,
     solve_minimax_R0,
     solve_partition_enum,
     solve_subset_enum,
@@ -193,7 +193,7 @@ def _run_constant_r(
 def _run_monroe_rk(
     instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
 ) -> Optional[Solution]:
-    return search_bound(instance, lambda probed: solve_m_mw_rk(probed, budget))
+    return search_bound(instance, m_mw_rk_decider(budget))
 
 
 def _run_minimax_r0(

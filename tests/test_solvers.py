@@ -11,10 +11,10 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proprep import assignment, solvers
+from proprep import assignment, solvers, solving
 from proprep.assignment import assign_cc, balanced_assignment, monroe_minimax_bound
 from proprep.cli import main
 from proprep.core import (
@@ -35,6 +35,7 @@ from proprep.fileio import parse_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
 from proprep.single_peaked import sample_single_peaked_election
 from proprep.solvers import (
+    PackedColumns,
     SearchStats,
     SolverBudget,
     solve_cc_branch_rk,
@@ -139,16 +140,17 @@ def tied_instances(draw):
 def count_walk_steps(monkeypatch):
     """Record every pointwise minimum the committee walk takes.
 
-    Each step zips a prefix's per-voter minima with one candidate's column
-    or with the suffix minima of the candidates left.
+    Each step folds a prefix's packed per-voter minima with one candidate's
+    packed column or with the packed suffix minima of the candidates left.
     """
     steps = []
+    fold = solvers.PackedColumns.min
 
-    def counted(*columns):
+    def counted(self, a, b):
         steps.append(1)
-        return zip(*columns)
+        return fold(self, a, b)
 
-    monkeypatch.setattr(solvers, "zip", counted, raising=False)
+    monkeypatch.setattr(solvers.PackedColumns, "min", counted)
     return steps
 
 
@@ -172,6 +174,67 @@ def generated_monroe(tmp_path, objective, seed=0):
     ])
     assert code == 0
     return parse_instance(path.read_text())
+
+
+# Largest entries on each side of every field-width boundary, and past the
+# eight bytes a native format reads.
+WIDTH_BOUNDARIES = {
+    0: 1, 1: 1, 127: 1, 128: 2, 255: 2, 256: 2, 2**15 - 1: 2, 2**15: 4,
+    2**31 - 1: 4, 2**31: 8, 2**63 - 1: 8, 2**63: 9, 2**64 + 5: 9, 2**200: 26,
+}
+
+
+@st.composite
+def packed_columns(draw):
+    """n voters' entries in two columns, with the table's largest entry.
+
+    Entries are 0, the largest, or anything between, with the largest at
+    a width boundary or anywhere below 2**70; or both columns are a scaled
+    explicit table of fractions.
+    """
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        fraction = st.fractions(min_value=0, max_value=10**6, max_denominator=60)
+        rows = draw(st.lists(st.tuples(fraction, fraction), min_size=n, max_size=n))
+        votes = tuple(tuple(sorted(range(2), key=row.__getitem__)) for row in rows)
+        election = Election(("a", "b"), votes)
+        matrix = build_misrep(election, ExplicitMisrep(tuple(rows)))
+        columns = [[row[c] for row in matrix.rows] for c in range(2)]
+        return columns, matrix.max_value()
+    largest = draw(
+        st.one_of(st.sampled_from(sorted(WIDTH_BOUNDARIES)), st.integers(0, 2**70))
+    )
+    entry = st.one_of(st.just(0), st.just(largest), st.integers(0, largest))
+    column = st.lists(entry, min_size=n, max_size=n)
+    columns = draw(st.lists(column, min_size=2, max_size=2))
+    return columns, largest
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("largest, width", WIDTH_BOUNDARIES.items())
+    def test_field_width_is_the_least_that_holds_the_largest_entry(
+        self, largest, width
+    ):
+        assert PackedColumns(3, largest).width == width
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_columns())
+    @example(([[0], [0]], 0))
+    @example(([[0, 0, 0], [0, 0, 0]], 0))
+    @example(([[2**63 - 1, 0], [2**63 - 2, 2**63 - 1]], 2**63 - 1))
+    @example(([[2**64 + 1, 7], [2**64, 2**64 + 1]], 2**64 + 1))
+    def test_agrees_with_the_list_versions(self, drawn):
+        (a, b), largest = drawn
+        packed = PackedColumns(len(a), largest)
+        x, y = packed.pack(a), packed.pack(b)
+        assert list(packed.fields(x)) == a
+        low = packed.min(x, y)
+        assert list(packed.fields(low)) == [min(u, v) for u, v in zip(a, b)]
+        assert sum(packed.fields(low)) == sum(map(min, a, b))
+        assert max(packed.fields(x)) == max(a)
+        for limit in {-1, 0, largest - 1, largest, largest + 1, math.inf, *a, *b}:
+            flagged = (low + packed.over(limit)) & packed.high != 0
+            assert flagged == any(min(u, v) > limit for u, v in zip(a, b))
 
 
 class TestSubsetEnum:
@@ -334,6 +397,22 @@ class TestSubsetEnum:
             solve_subset_enum(instance, SolverBudget(max_seconds=total // 2))
         assert len(steps) <= total // 2 + instance.matrix.m + 2 * 1024
 
+    def test_deadline_holds_at_large_n(self, tmp_path, monkeypatch):
+        # The fake clock reads the voter entries folded so far, n per step.
+        # The walk reads it after at most 2**16 entries' worth of nodes, two
+        # steps each, so it stops within 2 * 2**16 entries of the deadline,
+        # or within the m suffix steps taken before the walk starts.
+        instance = generated_cc(tmp_path, 20, 5000, 10, "sum")
+        n, m = instance.matrix.n, instance.matrix.m
+        steps = count_walk_steps(monkeypatch)
+        monkeypatch.setattr(
+            solvers, "time", SimpleNamespace(monotonic=lambda: len(steps) * n)
+        )
+        deadline = 10 * 2**16
+        with pytest.raises(BudgetExceededError):
+            solve_subset_enum(instance, SolverBudget(max_seconds=deadline))
+        assert len(steps) * n <= deadline + m * n + 2 * 2**16
+
     def test_one_budget_is_one_clock_across_calls(self, tmp_path, monkeypatch):
         # The clock starts when the budget is made, not when a solver is
         # called: the second call on the same budget finds it spent.
@@ -360,6 +439,25 @@ class TestSubsetEnum:
     @given(tied_instances())
     def test_ties_break_as_the_plain_minimum(self, drawn):
         instance, pool = drawn
+        solution = solve_subset_enum(instance, candidate_pool=pool)
+        expected = best_by_scoring_every_committee(
+            instance, range(instance.matrix.m) if pool is None else pool
+        )
+        got = (
+            solution.objective_value,
+            solution.assignment.winner_set,
+            solution.assignment.mapping,
+        )
+        assert got == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_instances(), st.sampled_from([2**7, 2**15, 2**63 - 1, 2**64 + 3]))
+    def test_wide_entries_break_ties_as_the_plain_minimum(self, drawn, scale):
+        # Scaling keeps every tie and every order, and moves the packed
+        # fields to 2, 4 or 8 bytes, or past 8, where they are read by slices.
+        instance, pool = drawn
+        rows = tuple(tuple(x * scale for x in row) for row in instance.matrix.rows)
+        instance = dataclasses.replace(instance, matrix=MisrepMatrix(rows))
         solution = solve_subset_enum(instance, candidate_pool=pool)
         expected = best_by_scoring_every_committee(
             instance, range(instance.matrix.m) if pool is None else pool
@@ -593,6 +691,51 @@ class TestBalancedRuleDecision:
         assert solution.objective_value == 1
         at_zero = instance_for(election, Rule.MONROE, Objective.MINIMAX, k=2, bound=0)
         assert solve_m_mw_rk(at_zero) is None
+
+    @staticmethod
+    def count_probes_and_calls(monkeypatch, name):
+        """Bounds probed by the monroe-rk search, and calls of `solvers.name`."""
+        probes, calls = [], []
+        make, run = solving.m_mw_rk_decider, getattr(solvers, name)
+
+        def probing(budget):
+            decide = make(budget)
+
+            def probe(instance):
+                probes.append(instance.bound)
+                return decide(instance)
+
+            return probe
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(solving, "m_mw_rk_decider", probing)
+        monkeypatch.setattr(solvers, name, counted)
+        return probes, calls
+
+    def test_bound_search_enumerates_partitions_once(self, monkeypatch):
+        election = random_election(random.Random(3), 6, 9)
+        instance = instance_for(election, Rule.MONROE, Objective.SUM, k=3)
+        expected = solve_partition_enum(instance)
+        probes, calls = self.count_probes_and_calls(monkeypatch, "solve_partition_enum")
+        solution = optimize(instance, "monroe-rk")
+        # Partition enumeration serves every bound with n <= (bound+1)k.
+        assert sum(9 <= (bound + 1) * 3 for bound in probes) > 1
+        assert len(calls) == 1
+        assert solution == expected
+
+    def test_sum_bound_search_enumerates_the_favorite_pool_once(self, monkeypatch):
+        # The optimum moves two "a" voters to "b", cost 2, so bounds 0, 1
+        # and 2 are probed, each over the pool {a, b} with 12 > (bound+1)2.
+        election = ranked("a b c d", *(["a b c d"] * 8 + ["b a c d"] * 4))
+        instance = instance_for(election, Rule.MONROE, Objective.SUM, k=2)
+        probes, calls = self.count_probes_and_calls(monkeypatch, "solve_subset_enum")
+        solution = optimize(instance, "monroe-rk")
+        assert probes == [0, 1, 2]
+        assert len(calls) == 1
+        assert (solution.objective_value, solution.assignment.winner_set) == (2, (0, 1))
 
 
 class TestMinimaxZeroBound:
