@@ -196,16 +196,39 @@ class PackedColumns:
         return (top - min(limit, top)) * self.unit
 
 
+@dataclass(frozen=True)
+class _PackedPool:
+    """What every walk over a candidate pool folds, packed once."""
+
+    pool: Sequence[int]
+    n: int
+    packed: PackedColumns
+    columns: list[int]  # each pool column, packed
+    suffix: list[int]  # suffix[j]: each voter's best entry among pool[j:]
+    top: int  # each voter's largest entry, above every column's
+
+
+def _pack_pool(matrix: MisrepMatrix, pool: Sequence[int]) -> _PackedPool:
+    """Pack the columns of `pool` and their suffix minima."""
+    packed = PackedColumns(matrix.n, matrix.max_value())
+    table = list(zip(*matrix.rows))
+    columns = [packed.pack(table[c]) for c in pool]
+    suffix = columns[:]
+    for j in range(len(pool) - 2, -1, -1):
+        suffix[j] = packed.min(columns[j], suffix[j + 1])
+    top = packed.pack(map(max, matrix.rows))
+    return _PackedPool(pool, matrix.n, packed, columns, suffix, top)
+
+
 def _committee_walk(
-    matrix: MisrepMatrix,
-    pool: Sequence[int],
+    packing: _PackedPool,
     k: int,
     objective: Objective,
     budget: SolverBudget,
     limit: float,
     leaf: Callable[[int, tuple[int, ...]], float],
 ) -> None:
-    """Visit size-k committees from `pool` depth-first in lexicographic order.
+    """Visit size-k committees of the packed pool depth-first, lexicographically.
 
     Each node carries its prefix's per-voter minima, packed into one int by
     `PackedColumns`, and extends them by one candidate's packed column.  A
@@ -220,16 +243,11 @@ def _committee_walk(
     rest of the walk.  The clock is read about every `_ENTRIES_PER_CHECK`
     voter entries, and at least every 1024 nodes.
     """
-    packed = PackedColumns(matrix.n, matrix.max_value())
+    pool, packed = packing.pool, packing.packed
+    columns, suffix = packing.columns, packing.suffix
     fold, fields, high = packed.min, packed.fields, packed.high
-    table = list(zip(*matrix.rows))
-    columns = [packed.pack(table[c]) for c in pool]
-    # suffix[j]: each voter's best entry among pool[j:].
-    suffix = columns[:]
-    for j in range(len(pool) - 2, -1, -1):
-        suffix[j] = fold(columns[j], suffix[j + 1])
     over = packed.over(limit)
-    every = max(1, min(1024, _ENTRIES_PER_CHECK // matrix.n))
+    every = max(1, min(1024, _ENTRIES_PER_CHECK // packing.n))
     nodes = 0
 
     if objective is Objective.SUM:
@@ -267,8 +285,7 @@ def _committee_walk(
             else:
                 extend(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
 
-    # The empty prefix: each voter's largest entry, above every column's.
-    extend(0, (), packed.pack(map(max, matrix.rows)))
+    extend(0, (), packing.top)
 
 
 def solve_subset_enum(
@@ -298,8 +315,8 @@ def solve_subset_enum(
     the CC-optimal one included, is scored by value alone, a collected
     minimax value only once the committee is known to beat the best pair;
     only the committee returned is assigned voters, once.  Memory holds two
-    packed columns per pool candidate and, under Monroe, the collected
-    pairs.
+    packed columns per pool candidate, packed once and shared by both walks,
+    and, under Monroe, the collected pairs.
     """
     m = instance.matrix.m
     pool = sorted(range(m) if candidate_pool is None else candidate_pool)
@@ -321,7 +338,8 @@ def solve_subset_enum(
         found[:] = [committee]
         return value - 1  # table entries are integers
 
-    _committee_walk(matrix, pool, k, objective, budget, math.inf, keep_strictly_better)
+    packing = _pack_pool(matrix, pool)
+    _committee_walk(packing, k, objective, budget, math.inf, keep_strictly_better)
     if instance.rule is Rule.CC:
         return committee_solution(instance, found[0])
     best = (_committee_value(instance, found[0]), found[0])
@@ -332,7 +350,7 @@ def solve_subset_enum(
             bounded.append((value, committee))
         return best[0]
 
-    _committee_walk(matrix, pool, k, objective, budget, best[0], collect)
+    _committee_walk(packing, k, objective, budget, best[0], collect)
     heapq.heapify(bounded)
     while bounded and bounded[0] <= best:
         budget.check()

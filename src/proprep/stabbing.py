@@ -23,8 +23,16 @@ and the right half read the best entry that opens a fresh line.  The anchor
 capacity is capped by c, the number of intervals from the keyed one on that
 contain the anchor and end inside the range.  The anchor can take no other
 interval, so a capacity above c never binds, and entries that differ only
-above c share one table entry.  This keeps an all-approve profile at O(n·m²)
-entries instead of O(n²).
+above c share one table entry.
+
+No option of an entry (i, x1, x2) covers more than the later intervals that
+end in [x1, x2], and an option replaces the best so far only when strictly
+better, so once the best reaches that count the entry stops; the suffix
+maxima stop the same way once no later position can do better.  These cuts
+change no value and no choice.  An instance whose intervals all span every
+line builds no table at all: it is answered directly in O(n), with the
+cover the table's tie-breaks give, consecutive blocks of intervals in index
+order on lines 1, 2, ..., full lines first.
 
 The tables are filled top-down from the best first line, on an explicit
 stack rather than by recursion, so the depth of the instance is not bounded
@@ -209,11 +217,13 @@ class _BalancedTable:
     def layout(self, i: int, x1: int, x2: int) -> tuple:
         """Where the ranges an entry (i, x1, x2) reads start after interval i.
 
-        Returns ``(chain_at, chain_room, retire_at, splits)``: the position
-        and count of the later intervals anchored in [x1, x2], the position
-        of the later intervals ending in (x1, x2] (None if there are none),
-        and per split line x the same for [x1, x - 1] (left), [x, x2]
-        (right) and (x, x2] (tail).  Entries that differ only in their
+        Returns ``(chain_at, chain_room, retire_at, reach, splits)``: the
+        position and count of the later intervals anchored in [x1, x2], the
+        position of the later intervals ending in (x1, x2] (None if there
+        are none), the count of later intervals ending in [x1, x2], which
+        bounds what any option covers, and per split line x the position
+        and count for [x1, x - 1] (left) and [x, x2] (right) and the
+        position for (x, x2] (tail).  Entries that differ only in their
         budgets and capacity share one layout.
         """
         key = (i, x1, x2)
@@ -238,7 +248,8 @@ class _BalancedTable:
             )
             for x in range(x1 + 1, self.intervals[i][1] + 1)
         )
-        found = (*after(self.anchored(x1, x2)), tail_after(x1), splits)
+        reach = after(self.ending(x1 - 1, x2))[1]
+        found = (*after(self.anchored(x1, x2)), tail_after(x1), reach, splits)
         self._layouts[key] = found
         return found
 
@@ -247,7 +258,7 @@ class _BalancedTable:
         i, x1, x2, full, lean, b = key
         chains, tails = self.chains, self.tails
         hi, lo = self.hi, self.lo
-        chain_at, chain_room, retire_at, splits = self.layout(i, x1, x2)
+        chain_at, chain_room, retire_at, reach, splits = self.layout(i, x1, x2)
         best, choice = 0, ("anchor", None)
         if b > 1 and chain_room:
             # The anchor takes this interval and stays open for the next
@@ -256,6 +267,10 @@ class _BalancedTable:
             value, chained = chains.get(sub) or (yield self.chain, chains, sub)
             if value > best:
                 best, choice = value, ("chain", chained)
+        # Every option covers only later intervals ending in [x1, x2], so
+        # once one covers all of them no later option is strictly better.
+        if best == reach:
+            return best + 1, choice
         # The anchor takes this interval and retires; coverage continues on a
         # fresh line strictly to the right.
         if retire_at is not None and self.opens(full, lean):
@@ -263,6 +278,8 @@ class _BalancedTable:
             value, rest = tails.get(sub) or (yield self.tail, tails, sub)
             if value > best:
                 best, choice = value, ("retire", rest)
+                if best == reach:
+                    return best + 1, choice
         # Some line x right of the anchor takes this interval.  Intervals
         # ending left of x stay with the anchor's side; the rest move right.
         for x, left_at, left_room, right_at, right_room, tail_at in splits:
@@ -306,6 +323,8 @@ class _BalancedTable:
                         if best_left + best_right > best:
                             best = best_left + best_right
                             choice = ("split", x, left_key, right_key)
+                            if best == reach:
+                                return best + 1, choice
         return best + 1, choice
 
     def chain(self, key: tuple):
@@ -316,10 +335,17 @@ class _BalancedTable:
         value = (self.entries.get(sub) or (yield self.entry, self.entries, sub))[0]
         room = len(span) - at - 1
         if room:
-            later = (x1, x2, at + 1, full, lean, min(b, room))
-            rest = self.chains.get(later) or (yield self.chain, self.chains, later)
-            if rest[0] > value:
-                return rest
+            # A later entry covers at most the intervals from the next
+            # anchored one on that end in [x1, x2], as `layout`'s reach.
+            ends = self.ending(x1 - 1, x2)
+            if value < len(ends) - bisect_left(ends, span[at + 1]):
+                later = (x1, x2, at + 1, full, lean, min(b, room))
+                rest = (
+                    self.chains.get(later)
+                    or (yield self.chain, self.chains, later)
+                )
+                if rest[0] > value:
+                    return rest
         return value, sub
 
     def tail(self, key: tuple):
@@ -329,8 +355,13 @@ class _BalancedTable:
         ends = self.ending(xf, x2)
         j = ends[at]
         left, right = self.intervals[j]
+        # An entry from this position on covers at most the intervals of
+        # `ends` from here on.
+        most = len(ends) - at
         best, best_key = 0, None
         for x in range(max(left, xf + 1), right + 1):
+            if best == most:
+                break
             # Interval j anchors line x, whose capacity is capped by the
             # intervals from j on that line x could take.
             span = self.anchored(x, x2)
@@ -344,7 +375,7 @@ class _BalancedTable:
                 value = (entries.get(sub) or (yield self.entry, entries, sub))[0]
                 if value > best:
                     best, best_key = value, sub
-        if at + 1 < len(ends):
+        if best < most - 1:
             later = (xf, x2, at + 1, full, lean)
             rest = self.tails.get(later) or (yield self.tail, self.tails, later)
             if rest[0] > best:
@@ -370,18 +401,10 @@ class _BalancedTable:
         return placements
 
 
-def solve_max_bal_1rs(
-    instance: StabbingInstance, budget: SolverBudget = DEFAULT_BUDGET
+def _table_cover(
+    instance: StabbingInstance, budget: SolverBudget
 ) -> tuple[int, StabbingCover]:
-    """Maximum coverage under balanced capacities, with a witness cover.
-
-    Fills the tables described in the module docstring top-down from the
-    best first line, then replays the stored choices into a cover.  Raises
-    `BudgetExceededError` once ``budget.max_seconds`` have passed since the
-    budget was made, which may be before this call.
-    """
-    if not instance.intervals:
-        return 0, StabbingCover(())
+    """Fill the tables of a nonempty instance and replay the best cover."""
     table = _BalancedTable(instance)
     # Every interval ends in (0, num_lines], so the top tail ranges over all
     # of them; with an interval to cover, k >= 1 seats always open a line.
@@ -399,6 +422,50 @@ def solve_max_bal_1rs(
             for line, ids in sorted(by_line.items())
         )
     )
+    return covered, cover
+
+
+def _block_cover(instance: StabbingInstance) -> StabbingCover:
+    """The table's cover when every interval spans every line.
+
+    The table chains before it retires and retires before it splits, opens
+    full lines before lean ones and keeps the first of equal options, so
+    line 1 takes the first block of intervals in index order, line 2 the
+    next, and so on: the first ``n mod k`` lines a block of ``ceil(n/k)``,
+    then blocks of ``floor(n/k)``, with n the target count.
+    """
+    low, high, full = balanced_loads(instance.num_targets, instance.k)
+    count = len(instance.intervals)
+    assigned = []
+    start, line = 0, 1
+    while start < count:
+        stop = min(start + (high if line <= full else low), count)
+        assigned.append((line, tuple(range(start, stop))))
+        start, line = stop, line + 1
+    return StabbingCover(tuple(assigned))
+
+
+def solve_max_bal_1rs(
+    instance: StabbingInstance, budget: SolverBudget = DEFAULT_BUDGET
+) -> tuple[int, StabbingCover]:
+    """Maximum coverage under balanced capacities, with a witness cover.
+
+    Fills the tables described in the module docstring top-down from the
+    best first line, then replays the stored choices into a cover.  An
+    instance whose intervals all span every line is answered directly in
+    O(n), with the cover the table would give.  Raises `BudgetExceededError`
+    once ``budget.max_seconds`` have passed since the budget was made, which
+    may be before this call.
+    """
+    intervals = instance.intervals
+    if not intervals:
+        return 0, StabbingCover(())
+    if intervals.count((1, instance.num_lines)) == len(intervals):
+        # The capacities sum to num_targets >= n, so every interval is covered.
+        budget.check()
+        covered, cover = len(intervals), _block_cover(instance)
+    else:
+        covered, cover = _table_cover(instance, budget)
     validate_cover(instance, cover)
     return covered, cover
 

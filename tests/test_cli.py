@@ -87,6 +87,15 @@ c a b
 """
 
 
+# 1500 voters who rank c1 c2 c3 and approve all three, one Monroe seat.
+ALL_APPROVE = (
+    "proprep v1\n3 1500 1 - monroe sum approval\nc1\nc2\nc3\n"
+    + "c1 c2 c3\n" * 1500
+    + "#approve\n"
+    + "c1 c2 c3\n" * 1500
+)
+
+
 @pytest.fixture
 def write(tmp_path):
     def _write(name: str, text: str) -> str:
@@ -352,16 +361,16 @@ class TestSolve:
     def test_all_approve_profile_deeper_than_the_stack_is_answered(
         self, write, capsys
     ):
-        # 1500 voters approving all three candidates: the stabbing DP chains
-        # 1500 intervals on one line, past the interpreter's default stack.
-        names = ["c1", "c2", "c3"]
-        ranking = " ".join(names) + "\n"
+        # 1499 voters approving all three candidates and one approving c2
+        # and c3, which keeps the stabbing table: it chains 1500 intervals
+        # on one line, past the interpreter's default stack.
         text = (
-            "proprep v1\n3 1500 1 - monroe sum approval\n"
-            + "".join(name + "\n" for name in names)
-            + ranking * 1500
+            "proprep v1\n3 1500 1 - monroe sum approval\nc1\nc2\nc3\n"
+            + "c1 c2 c3\n" * 1499
+            + "c2 c3 c1\n"
             + "#approve\n"
-            + ranking * 1500
+            + "c1 c2 c3\n" * 1499
+            + "c2 c3\n"
         )
         instance_path = write("all-approve.elect", text)
         code, out, err = run_cli(capsys, "solve", instance_path)
@@ -371,6 +380,16 @@ class TestSolve:
         solution_path = write("all-approve.sol", out)
         code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
         assert code == 0
+
+    def test_zero_seconds_stop_the_all_approve_profile(self, write, capsys):
+        # The stabbing instance spans the whole axis and is answered without
+        # a table, but still not past the budget.
+        instance_path = write("all-approve.elect", ALL_APPROVE)
+        code, out, err = run_cli(
+            capsys, "solve", instance_path, "--budget-seconds", "0"
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == "budget exceeded: wall-clock budget exhausted"
 
     def test_one_voter_over_1200_candidates_is_answered(self, write, capsys):
         # Axis detection places candidates in a loop, so an axis as long as

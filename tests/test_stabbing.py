@@ -66,6 +66,19 @@ def axis_cover(problem, axis, monkeypatch):
     return found, solved
 
 
+def built_tables(monkeypatch):
+    """Record every `_BalancedTable` that `solve_max_bal_1rs` fills."""
+    tables = []
+    run = stabbing._BalancedTable.run
+
+    def keep(table, *args):
+        tables.append(table)
+        return run(table, *args)
+
+    monkeypatch.setattr(stabbing._BalancedTable, "run", keep)
+    return tables
+
+
 def random_instance(rng: random.Random) -> StabbingInstance:
     num_lines = rng.randint(1, 6)
     count = rng.randint(0, 8)
@@ -255,7 +268,9 @@ class TestSolveMaxBal:
         assert covered == covered_count(cover)
 
     def test_runs_without_recursion(self):
-        instance = make_instance([(1, 3)] * 1500, 3, 1)
+        # One interval short of the whole axis keeps the instance off the
+        # all-full path, so the table chains 1500 intervals on one line.
+        instance = make_instance([(1, 3)] * 1499 + [(2, 3)], 3, 1)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
@@ -263,25 +278,63 @@ class TestSolveMaxBal:
         finally:
             sys.setrecursionlimit(limit)
         assert covered == 1500
-        assert cover.assigned == ((1, tuple(range(1500))),)
+        assert cover.assigned == ((2, tuple(range(1500))),)
 
     def test_capped_capacity_keeps_all_approve_tables_small(self, monkeypatch):
-        tables = []
-        run = stabbing._BalancedTable.run
-
-        def keep(table, *args):
-            tables.append(table)
-            return run(table, *args)
-
-        monkeypatch.setattr(stabbing._BalancedTable, "run", keep)
+        # Two intervals that miss line 1 keep the instance off the all-full
+        # path and every chain on line 1 short of the later intervals it
+        # could reach, so each chain reads every later position.  The cap
+        # at the intervals left merges those reads; without it the table
+        # holds O(n²) entries.
+        tables = built_tables(monkeypatch)
         n, m = 300, 3
-        covered, _ = solve_max_bal_1rs(make_instance([(1, m)] * n, m, 1))
+        instance = make_instance([(1, m)] * (n - 2) + [(2, m)] * 2, m, 1)
+        covered, _ = solve_max_bal_1rs(instance)
         assert covered == n
         (table,) = tables
         assert len(table.entries) <= n * m * m
 
+    @pytest.mark.parametrize(
+        "n, m, k, extra_targets, assigned",
+        [
+            (1500, 3, 1, 0, ((1, tuple(range(1500))),)),
+            (7, 4, 3, 0, ((1, (0, 1, 2)), (2, (3, 4)), (3, (5, 6)))),
+            (5, 4, 3, 3, ((1, (0, 1, 2)), (2, (3, 4)))),
+            (2, 3, 3, 0, ((1, (0,)), (2, (1,)))),
+            (1, 1, 1, 4, ((1, (0,)),)),
+        ],
+    )
+    def test_all_full_instance_builds_no_table(
+        self, monkeypatch, n, m, k, extra_targets, assigned
+    ):
+        # Consecutive blocks in index order, full lines first.
+        tables = built_tables(monkeypatch)
+        covered, cover = solve_max_bal_1rs(
+            make_instance([(1, m)] * n, m, k, extra_targets)
+        )
+        assert (covered, cover.assigned) == (n, assigned)
+        assert tables == []
+
+    def test_all_full_instance_gets_the_table_cover(self):
+        # Every all-full shape up to six lines and 30 intervals, the target
+        # count equal to the interval count or above it, is answered
+        # without the table and with the table's own cover.
+        for m in range(1, 7):
+            for k in range(1, m + 1):
+                for n in range(1, 31):
+                    for extra_targets in (0, 1, 3):
+                        instance = make_instance([(1, m)] * n, m, k, extra_targets)
+                        assert solve_max_bal_1rs(instance) == stabbing._table_cover(
+                            instance, DEFAULT_BUDGET
+                        )
+
     def test_zero_seconds_stop_the_table(self):
         instance = make_instance([(1, 2), (1, 1), (2, 3)], 3, 2)
+        with pytest.raises(BudgetExceededError, match="wall-clock"):
+            solve_max_bal_1rs(instance, SolverBudget(max_seconds=0))
+
+    def test_zero_seconds_stop_an_all_full_instance(self):
+        instance = make_instance([(1, 3)] * 4, 3, 2)
         with pytest.raises(BudgetExceededError, match="wall-clock"):
             solve_max_bal_1rs(instance, SolverBudget(max_seconds=0))
 
