@@ -42,6 +42,7 @@ from .hardness import (
     gen_vc_minimax,
 )
 from .single_peaked import (
+    AxisRows,
     check_single_troughed,
     detect_axis,
     sample_single_peaked_election,
@@ -70,6 +71,7 @@ from .solving import optimize
 __all__ = [
     "ApprovalMisrep",
     "Assignment",
+    "AxisRows",
     "BordaMisrep",
     "BudgetExceededError",
     "DEFAULT_BUDGET",

@@ -326,13 +326,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     problems = []
     for path in sorted(directory.glob("*.elect")):
         instance = _parse_instance_file(str(path))
-        axis = detect_axis(instance.election)
+        rows = solving.axis_rows(instance, detect_axis(instance.election))
         outcomes: dict[str, Optional[int]] = {}
-        for name, run in solving.bench_roster(instance, axis, budget):
+        for name, run in solving.bench_roster(instance, rows, budget):
             started = time.perf_counter()
             try:
                 # Each row gets its own budget, and so its own clock.
-                solution = run(instance, axis, _budget_from(args))
+                solution = run(instance, rows, _budget_from(args))
             except BudgetExceededError as error:
                 status = f"skipped (budget: {error})"
             except ValueError as error:

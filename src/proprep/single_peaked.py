@@ -7,7 +7,8 @@ along the axis form a valley: they never rise and then fall again.  That
 valley shape is what makes the two solvers here fast: sublevel sets are
 contiguous intervals, and committees decompose along the axis.
 
-Axes are plain tuples of candidate indices in line order.
+`detect_axis` returns an axis as a tuple of candidate indices in line order;
+the solvers take it as `AxisRows`, the only reading of a table along an axis.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge, itemgetter, le, neg
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .assignment import committee_solution
 from .core import (
@@ -116,14 +118,6 @@ def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
     return found if found[0] < found[-1] else found[::-1]
 
 
-def _axis_reader(axis: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """A function reading one table row along the axis."""
-    if len(axis) == 1:
-        only = axis[0]
-        return lambda row: (row[only],)
-    return itemgetter(*axis)
-
-
 def _trough(values: Sequence[int]) -> int:
     """First minimum position of a valley row, or -1 for any other row.
 
@@ -136,17 +130,6 @@ def _trough(values: Sequence[int]) -> int:
     ):
         return trough
     return -1
-
-
-def check_single_troughed(matrix: MisrepMatrix, axis: Sequence[int]) -> bool:
-    """True when no voter's values rise and then fall again along the axis.
-
-    Formally: for axis positions i < j < k, r(v,c_i) < r(v,c_j) implies
-    r(v,c_j) <= r(v,c_k).  Checked in O(nm): each row read along the axis
-    must not rise up to its first minimum and must not fall after it.
-    """
-    read = _axis_reader(axis)
-    return all(_trough(read(row)) >= 0 for row in matrix.rows)
 
 
 def _scan_interval(
@@ -166,18 +149,32 @@ def _scan_interval(
 
 
 class AxisRows:
-    """Every voter's row read along an axis once, for many bounds.
+    """A ``matrix`` read along an ``axis``: the form an axis takes in the solvers.
 
-    A valley row's positions within a bound are found by bisection on its
-    two monotone sides, in O(log m); any other row is scanned.  Raises
+    Every voter's row read along the axis (``values``) and its first minimum
+    position when it is a valley, or -1 (``troughs``), are computed on first
+    use: each row is read at most once however many solvers and bounds use
+    it, and not at all by a solver that turns the instance down first.  A
+    valley row's positions within a bound are found by bisection on its two
+    monotone sides, in O(log m); any other row is scanned.  Raises
     `ValueError` when the axis is not a permutation of the candidates.
     """
 
     def __init__(self, matrix: MisrepMatrix, axis: Sequence[int]) -> None:
-        _require_permutation(matrix, axis)
-        read = _axis_reader(axis)
-        self.values = [read(row) for row in matrix.rows]
-        self.troughs = [_trough(values) for values in self.values]
+        if sorted(axis) != list(range(matrix.m)):
+            raise ValueError("axis must be a permutation of the candidate indices")
+        self.matrix = matrix
+        self.axis = tuple(axis)
+
+    @cached_property
+    def values(self) -> list[tuple[int, ...]]:
+        axis = self.axis
+        read = itemgetter(*axis) if len(axis) > 1 else lambda row: (row[axis[0]],)
+        return [read(row) for row in self.matrix.rows]
+
+    @cached_property
+    def troughs(self) -> list[int]:
+        return [_trough(values) for values in self.values]
 
     def interval(self, voter: int, bound: int) -> Optional[tuple[int, int]]:
         """First and last position within the bound, or None; `ValueError` on a gap."""
@@ -190,13 +187,20 @@ class AxisRows:
         return left, bisect_right(values, bound, trough) - 1
 
 
-def _require_permutation(matrix: MisrepMatrix, axis: Sequence[int]) -> None:
-    if sorted(axis) != list(range(matrix.m)):
-        raise ValueError("axis must be a permutation of the candidate indices")
+def check_single_troughed(matrix: MisrepMatrix, axis: Sequence[int]) -> bool:
+    """True when no voter's values rise and then fall again along the axis.
+
+    Formally: for axis positions i < j < k, r(v,c_i) < r(v,c_j) implies
+    r(v,c_j) <= r(v,c_k).  Checked in O(nm): each row read along the axis
+    (`AxisRows`) must not rise up to its first minimum and must not fall
+    after it.  Raises `ValueError` when the axis is not a permutation of the
+    candidates.
+    """
+    return -1 not in AxisRows(matrix, axis).troughs
 
 
 def axis_savings(
-    matrix: MisrepMatrix, axis: Sequence[int], stats: Optional[DPStats] = None
+    rows: AxisRows, stats: Optional[DPStats] = None
 ) -> tuple[list[int], list[list[int]]]:
     """Column totals and savings of a single-troughed table read along an axis.
 
@@ -219,12 +223,9 @@ def axis_savings(
     `stats` counts the table entries read, the cut moves, the cut entries
     and the saving entries.
     """
-    m = matrix.m
-    read = _axis_reader(axis)
+    m = rows.matrix.m
     by_trough: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for row in matrix.rows:
-        values = read(row)
-        trough = _trough(values)
+    for values, trough in zip(rows.values, rows.troughs):
         if trough < 0:
             raise ValueError("matrix is not single-troughed on this axis")
         by_trough[trough].append(values)
@@ -235,7 +236,7 @@ def axis_savings(
     totals = [
         sum(column) for column in zip(*(sums for sums in trough_sums if sums))
     ]
-    work = matrix.n * m
+    work = rows.matrix.n * m
 
     # ahead[c]: column c summed over the voters with trough >= i.
     # crossing[p]: a_v[p] summed over the voters with trough < i and p < q_v(i).
@@ -281,26 +282,23 @@ def axis_savings(
 
 
 def solve_cc_sum_sp(
-    instance: ProblemInstance,
-    axis: Sequence[int],
-    stats: Optional[DPStats] = None,
+    instance: ProblemInstance, rows: AxisRows, stats: Optional[DPStats] = None
 ) -> Solution:
     """Optimal sum-objective committee for the unconstrained rule on an axis.
 
-    Dynamic program over axis positions: z[i][j] is the best total when j
-    candidates are chosen and the rightmost is at axis position i.  Adding
-    position i to the right of a committee whose rightmost choice is p
-    improves exactly the voters whose values fall from p to i, by
-    saving[i][p] (`axis_savings`); on a single-troughed table no member
-    left of p serves them better.  The savings take O(nm + m^2) and the
-    table O(k m^2); `stats` counts both.
+    `rows` is the instance's table read along the axis.  Dynamic program
+    over axis positions: z[i][j] is the best total when j candidates are
+    chosen and the rightmost is at axis position i.  Adding position i to
+    the right of a committee whose rightmost choice is p improves exactly
+    the voters whose values fall from p to i, by saving[i][p]
+    (`axis_savings`); on a single-troughed table no member left of p serves
+    them better.  The savings take O(nm + m^2) and the table O(k m^2);
+    `stats` counts both.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.SUM:
         raise ValueError("this solver handles the unconstrained rule, sum objective")
-    matrix, k = instance.matrix, instance.k
-    _require_permutation(matrix, axis)
-    m = matrix.m
-    totals, saving = axis_savings(matrix, axis, stats)
+    m, k = instance.matrix.m, instance.k
+    totals, saving = axis_savings(rows, stats)
 
     unset = None
     z = [[unset] * (k + 1) for _ in range(m)]
@@ -326,7 +324,7 @@ def solve_cc_sum_sp(
     positions = [final]
     for j in range(k, 1, -1):
         positions.append(parent[positions[-1]][j])
-    solution = committee_solution(instance, [axis[i] for i in positions])
+    solution = committee_solution(instance, [rows.axis[i] for i in positions])
     assert solution.objective_value == z[final][k], (
         "table value must match the reconstructed committee"
     )
@@ -334,9 +332,7 @@ def solve_cc_sum_sp(
 
 
 def solve_cc_minimax_sp(
-    instance: ProblemInstance,
-    axis: Sequence[int],
-    rows: Optional[AxisRows] = None,
+    instance: ProblemInstance, rows: AxisRows
 ) -> Optional[Solution]:
     """Minimax decision for the unconstrained rule on an axis.
 
@@ -344,10 +340,10 @@ def solve_cc_minimax_sp(
     instance bound; a committee meets the bound exactly when its positions
     stab every interval.  The fewest stabs come from the classic sweep:
     repeatedly stab the right endpoint of the earliest-ending interval not
-    yet covered.  Feasible when that needs at most k stabs.  With the rows
-    read along the axis (`AxisRows`, which checks the axis and which a
-    bound search builds once and passes to every probe), a probe takes
-    O(n log m + m) when every row is a valley.
+    yet covered.  Feasible when that needs at most k stabs.  `rows` is the
+    instance's table read along the axis, which a bound search reads once
+    and passes to every probe; a probe takes O(n log m + m) when every row
+    is a valley.
 
     Only the intervals at this one bound need to be contiguous, so the
     matrix is not checked for single-troughedness as a whole; a voter whose
@@ -357,8 +353,6 @@ def solve_cc_minimax_sp(
     if instance.rule is not Rule.CC or instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the unconstrained rule, minimax objective")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
-    if rows is None:
-        rows = AxisRows(matrix, axis)
     m = matrix.m
     # The sweep over intervals sorted by right end stabs at r exactly when
     # some interval ending at r starts after the last stab.
@@ -376,7 +370,7 @@ def solve_cc_minimax_sp(
             stabs.append(right)
     if len(stabs) > k:
         return None
-    committee = pad_committee((axis[i] for i in stabs), k, matrix.m)
+    committee = pad_committee((rows.axis[i] for i in stabs), k, m)
     solution = committee_solution(instance, committee)
     assert solution.objective_value <= bound
     return solution

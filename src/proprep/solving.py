@@ -81,48 +81,49 @@ def search_bound(
     return best if found is None else found[1]
 
 
-Axis = tuple[int, ...]
-Applies = Callable[[ProblemInstance, Optional[Axis], SolverBudget], Optional[str]]
-Run = Callable[[ProblemInstance, Optional[Axis], SolverBudget], Optional[Solution]]
+Applies = Callable[[ProblemInstance, SolverBudget], Optional[str]]
+Run = Callable[[ProblemInstance, Optional[AxisRows], SolverBudget], Optional[Solution]]
 
 
 @dataclass(frozen=True)
 class SolverSpec:
     """One named solver: when it suits an instance, and how to run it.
 
-    ``applies`` gets the instance's axis (None when it has none) and
-    returns None when the solver suits the instance within the budget, or
-    else the reason it does not.  ``run`` returns the best solution within
-    the instance bound, or None, and raises ``ValueError`` when the solver
-    cannot handle the instance; the sp-* runs look for the axis themselves
-    when given None.  Runs look their solver functions up on this module
-    when called, so a wrapper installed there sees every call.
+    ``applies`` returns None when the solver suits the instance within the
+    budget, or else the reason it does not.  ``run`` gets the instance's
+    `AxisRows` (`axis_rows`), which only the sp-* solvers, marked ``axis``,
+    read.  It returns the best solution within the instance bound, or None,
+    and raises ``ValueError`` when the solver cannot handle the instance.
+    Runs look their solver functions up on this module when called, so a
+    wrapper installed there sees every call.
     """
 
     name: str
     applies: Applies
     run: Run
     bench: bool = False
+    axis: bool = False
 
-
-def _require_axis(instance: ProblemInstance, axis: Optional[Axis]) -> Axis:
-    if axis is None:
-        axis = detect_axis(instance.election)
-    if axis is None:
-        raise ValueError("the election is not single-peaked; sp-* solvers need an axis")
-    return axis
-
-
-def _needs(
-    rule: Rule, objective: Optional[Objective] = None, axis: bool = False
-) -> Applies:
-    """An `applies` that checks the rule, maybe the objective and the axis."""
-
-    def applies(
-        instance: ProblemInstance, found: Optional[Axis], budget: SolverBudget
+    def why_not(
+        self, instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
     ) -> Optional[str]:
-        if axis and found is None:
+        """`applies`, after the axis check: None when the solver suits the instance."""
+        if self.axis and rows is None:
             return "the election is not single-peaked"
+        return self.applies(instance, budget)
+
+
+def axis_rows(
+    instance: ProblemInstance, axis: Optional[tuple[int, ...]]
+) -> Optional[AxisRows]:
+    """The instance's table read along its election's axis, or None without one."""
+    return None if axis is None else AxisRows(instance.matrix, axis)
+
+
+def _needs(rule: Rule, objective: Optional[Objective] = None) -> Applies:
+    """An `applies` that checks the rule and maybe the objective."""
+
+    def applies(instance: ProblemInstance, budget: SolverBudget) -> Optional[str]:
         if instance.rule is not rule:
             return f"needs rule={rule.value}"
         if objective is not None and instance.objective is not objective:
@@ -133,7 +134,7 @@ def _needs(
 
 
 def _subset_enum_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, budget: SolverBudget
 ) -> Optional[str]:
     if instance.matrix.m > budget.max_subset_candidates:
         return f"more than {budget.max_subset_candidates} candidates"
@@ -141,7 +142,7 @@ def _subset_enum_applies(
 
 
 def _partition_enum_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, budget: SolverBudget
 ) -> Optional[str]:
     if instance.matrix.n > budget.max_partition_voters:
         return f"more than {budget.max_partition_voters} voters"
@@ -149,7 +150,7 @@ def _partition_enum_applies(
 
 
 def _constant_r_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, budget: SolverBudget
 ) -> Optional[str]:
     if instance.objective is not Objective.SUM:
         return "needs objective=sum"
@@ -159,7 +160,7 @@ def _constant_r_applies(
 
 
 def _minimax_r0_applies(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, budget: SolverBudget
 ) -> Optional[str]:
     if instance.objective is not Objective.MINIMAX or instance.bound != 0:
         return "needs objective=minimax at bound 0"
@@ -167,68 +168,61 @@ def _minimax_r0_applies(
 
 
 def _run_subset_enum(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> Optional[Solution]:
     return _within_bound(solve_subset_enum(instance, budget), instance.bound)
 
 
 def _run_partition_enum(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> Optional[Solution]:
     return _within_bound(solve_partition_enum(instance, budget), instance.bound)
 
 
 def _run_branch_rk(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> Optional[Solution]:
     return search_bound(instance, lambda probed: solve_cc_branch_rk(probed, budget))
 
 
 def _run_constant_r(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> Optional[Solution]:
     return search_bound(instance, lambda probed: solve_constantR(probed, budget))
 
 
 def _run_monroe_rk(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> Optional[Solution]:
     return search_bound(instance, m_mw_rk_decider(budget))
 
 
 def _run_minimax_r0(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> Optional[Solution]:
     return solve_minimax_R0(instance)
 
 
 def _run_sp_dp(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
-    solution = solve_cc_sum_sp(instance, _require_axis(instance, axis))
-    return _within_bound(solution, instance.bound)
+    return _within_bound(solve_cc_sum_sp(instance, rows), instance.bound)
 
 
 def _run_sp_greedy(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
-    line = _require_axis(instance, axis)
-    rows = AxisRows(instance.matrix, line)
-    return search_bound(
-        instance, lambda probed: solve_cc_minimax_sp(probed, line, rows)
-    )
+    return search_bound(instance, lambda probed: solve_cc_minimax_sp(probed, rows))
 
 
 def _run_sp_stab(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
-    line = _require_axis(instance, axis)
     if instance.objective is Objective.SUM:
-        solution = solve_monroe_sum_sp(instance, line, budget)
+        solution = solve_monroe_sum_sp(instance, rows, budget)
         return _within_bound(solution, instance.bound)
-    rows = AxisRows(instance.matrix, line)
     return search_bound(
-        instance, lambda probed: solve_minimax_m_mw_sp(probed, line, budget, rows)
+        instance, lambda probed: solve_minimax_m_mw_sp(probed, rows, budget)
     )
 
 
@@ -244,16 +238,17 @@ SOLVERS = {
         SolverSpec("monroe-rk", _needs(Rule.MONROE), _run_monroe_rk),
         SolverSpec("minimax-r0", _minimax_r0_applies, _run_minimax_r0),
         SolverSpec(
-            "sp-dp", _needs(Rule.CC, Objective.SUM, axis=True), _run_sp_dp, bench=True
+            "sp-dp", _needs(Rule.CC, Objective.SUM), _run_sp_dp, bench=True, axis=True
         ),
         SolverSpec(
             "sp-greedy",
-            _needs(Rule.CC, Objective.MINIMAX, axis=True),
+            _needs(Rule.CC, Objective.MINIMAX),
             _run_sp_greedy,
             bench=True,
+            axis=True,
         ),
         SolverSpec(
-            "sp-stab", _needs(Rule.MONROE, axis=True), _run_sp_stab, bench=True
+            "sp-stab", _needs(Rule.MONROE), _run_sp_stab, bench=True, axis=True
         ),
     )
 }
@@ -268,7 +263,7 @@ AUTO_ORDER = (
 
 
 def solve_auto(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> tuple[str, Optional[Solution]]:
     """Run the first solver in `AUTO_ORDER` that applies and succeeds.
 
@@ -281,12 +276,12 @@ def solve_auto(
     """
     *structured, fallback = (SOLVERS[name] for name in AUTO_ORDER)
     for spec in structured:
-        if spec.applies(instance, axis, budget) is None:
+        if spec.why_not(instance, rows, budget) is None:
             try:
-                return spec.name, spec.run(instance, axis, budget)
+                return spec.name, spec.run(instance, rows, budget)
             except (BudgetExceededError, ValueError):
                 budget.check()
-    return fallback.name, fallback.run(instance, axis, budget)
+    return fallback.name, fallback.run(instance, rows, budget)
 
 
 def solve(
@@ -301,18 +296,19 @@ def solve(
     `ValueError`.
     """
     if solver == "auto":
-        return solve_auto(instance, detect_axis(instance.election), budget)
-    return solver, _spec(solver).run(instance, None, budget)
+        rows = axis_rows(instance, detect_axis(instance.election))
+        return solve_auto(instance, rows, budget)
+    return solver, _run_named(_spec(solver), instance, budget)
 
 
 def bench_roster(
-    instance: ProblemInstance, axis: Optional[Axis], budget: SolverBudget
+    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
 ) -> list[tuple[str, Run]]:
-    """``auto``, then every solver marked for bench that applies."""
+    """``auto``, then every solver marked for bench that suits the instance."""
     return [("auto", lambda *args: solve_auto(*args)[1])] + [
         (spec.name, spec.run)
         for spec in SOLVERS.values()
-        if spec.bench and spec.applies(instance, axis, budget) is None
+        if spec.bench and spec.why_not(instance, rows, budget) is None
     ]
 
 
@@ -320,6 +316,16 @@ def _spec(name: str) -> SolverSpec:
     if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}; choose from {', '.join(SOLVERS)}")
     return SOLVERS[name]
+
+
+def _run_named(
+    spec: SolverSpec, instance: ProblemInstance, budget: SolverBudget
+) -> Optional[Solution]:
+    """Run one solver, looking for the election's axis only if it reads one."""
+    rows = axis_rows(instance, detect_axis(instance.election)) if spec.axis else None
+    if spec.axis and rows is None:
+        raise ValueError("the election is not single-peaked; sp-* solvers need an axis")
+    return spec.run(instance, rows, budget)
 
 
 def optimize(
@@ -331,7 +337,7 @@ def optimize(
     worst = replace(instance, bound=worst_bound(instance.matrix, instance.objective))
     spec = _spec(solver)
     try:
-        solution = spec.run(worst, None, budget)
+        solution = _run_named(spec, worst, budget)
     except ValueError as error:
         raise ValueError(f"solver {solver!r} does not support this instance: {error}")
     assert solution is not None, "the worst bound is always feasible"

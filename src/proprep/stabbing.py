@@ -471,11 +471,7 @@ def solve_max_bal_1rs(
 
 
 def _axis_cover(
-    problem: ProblemInstance,
-    axis,
-    bound: int,
-    rows: Optional[AxisRows],
-    budget: SolverBudget,
+    problem: ProblemInstance, rows: AxisRows, bound: int, budget: SolverBudget
 ) -> Optional[tuple[int, Solution]]:
     """How many voters a best cover within the bound places, and the solution.
 
@@ -486,13 +482,11 @@ def _axis_cover(
     filled.  The covered lines, padded to k with the smallest unused
     candidates, are the winners; those carrying the most voters take the
     higher load, and the voters left out fill the free seats in voter order.
-    The solution is scored under the instance's objective.  `rows` are the
-    table's rows read along the axis, built here when not given.
+    The solution is scored under the instance's objective.  `rows` is the
+    instance's table read along the axis.
     """
-    matrix, k = problem.matrix, problem.k
+    matrix, k, axis = problem.matrix, problem.k, rows.axis
     n = matrix.n
-    if rows is None:
-        rows = AxisRows(matrix, axis)
     spans = []
     for v in range(n):
         interval = rows.interval(v, bound)
@@ -531,7 +525,7 @@ def _axis_cover(
 
 
 def solve_monroe_sum_sp(
-    problem: ProblemInstance, axis, budget: SolverBudget = DEFAULT_BUDGET
+    problem: ProblemInstance, rows: AxisRows, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Solution:
     """Optimal balanced-rule sum committee (0/1 values, contiguous on axis)."""
     if problem.objective is not Objective.SUM:
@@ -540,27 +534,24 @@ def solve_monroe_sum_sp(
         raise ValueError("this reduction handles the balanced rule")
     if any(x not in (0, 1) for row in problem.matrix.rows for x in row):
         raise ValueError("misrepresentation values must all be 0 or 1")
-    covered, solution = _axis_cover(problem, axis, 0, None, budget)
+    covered, solution = _axis_cover(problem, rows, 0, budget)
     assert solution.objective_value == problem.matrix.n - covered
     return solution
 
 
 def solve_minimax_m_mw_sp(
-    problem: ProblemInstance,
-    axis,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    rows: Optional[AxisRows] = None,
+    problem: ProblemInstance, rows: AxisRows, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
     """Balanced-rule minimax decision on an axis at the instance bound.
 
     Thresholding at the bound turns each voter into the interval of
     candidates within reach; the bound is met exactly when every interval
-    can be covered.  `rows` are the table's rows read along the axis, built
-    here when not given.
+    can be covered.  `rows` is the instance's table read along the axis,
+    which a bound search reads once and passes to every probe.
     """
     if problem.rule is not Rule.MONROE or problem.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the balanced rule, minimax objective")
-    found = _axis_cover(problem, axis, problem.bound, rows, budget)
+    found = _axis_cover(problem, rows, problem.bound, budget)
     if found is None or found[0] < problem.matrix.n:
         return None
     solution = found[1]

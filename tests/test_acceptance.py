@@ -36,6 +36,7 @@ from proprep.hardness import (
     gen_vc_minimax,
 )
 from proprep.single_peaked import (
+    AxisRows,
     DPStats,
     check_single_troughed,
     detect_axis,
@@ -116,19 +117,20 @@ def first_feasible_value(
 def axis_solver_values(instance: ProblemInstance, axis) -> dict[str, int]:
     """Values from whichever single-peaked solver fits this instance."""
     try:
+        rows = AxisRows(instance.matrix, axis)
         if instance.rule is Rule.CC and instance.objective is Objective.SUM:
-            return {"sp-dp": solve_cc_sum_sp(instance, axis).objective_value}
+            return {"sp-dp": solve_cc_sum_sp(instance, rows).objective_value}
         if instance.rule is Rule.CC:
             return {
                 "sp-greedy": first_feasible_value(
-                    instance, lambda probe: solve_cc_minimax_sp(probe, axis)
+                    instance, lambda probe: solve_cc_minimax_sp(probe, rows)
                 )
             }
         if instance.objective is Objective.SUM:
-            return {"sp-stab": solve_monroe_sum_sp(instance, axis).objective_value}
+            return {"sp-stab": solve_monroe_sum_sp(instance, rows).objective_value}
         return {
             "sp-stab": first_feasible_value(
-                instance, lambda probe: solve_minimax_m_mw_sp(probe, axis)
+                instance, lambda probe: solve_minimax_m_mw_sp(probe, rows)
             )
         }
     except ValueError:
@@ -183,7 +185,7 @@ def test_criterion_2_single_peaked_sum_dp():
             election, matrix, Rule.CC, Objective.SUM, k, 0
         )
         stats = DPStats()
-        solution = solve_cc_sum_sp(instance, axis, stats)
+        solution = solve_cc_sum_sp(instance, AxisRows(matrix, axis), stats)
         assert solution.objective_value == solve_subset_enum(instance).objective_value
         assert stats.cell_updates <= 2 * num_voters * num_candidates**2
 
@@ -230,14 +232,15 @@ def test_criterion_4_balanced_single_peaked_pipeline():
         instance = ProblemInstance(
             election, matrix, Rule.MONROE, Objective.SUM, k, 0
         )
-        solution = solve_monroe_sum_sp(instance, axis)
+        rows = AxisRows(matrix, axis)
+        solution = solve_monroe_sum_sp(instance, rows)
         assert solution.objective_value == solve_subset_enum(instance).objective_value
         assert check_m_criterion(solution.assignment, num_voters, k)
 
         minimax = replace(instance, objective=Objective.MINIMAX)
         minimax_optimum = solve_subset_enum(minimax).objective_value
         for bound in matrix.distinct_values():
-            decision = solve_minimax_m_mw_sp(replace(minimax, bound=bound), axis)
+            decision = solve_minimax_m_mw_sp(replace(minimax, bound=bound), rows)
             assert (decision is not None) == (minimax_optimum <= bound)
             if decision is not None:
                 assert decision.objective_value <= bound

@@ -904,6 +904,17 @@ class TestSolverTable:
         assert "a_fig.elect sp-dp ok value=2" in out
         assert len(calls) == 3
 
+    def test_bench_reads_each_row_once_per_file(self, tmp_path, capsys, monkeypatch):
+        # FIG1 is a single-peaked cc sum profile of three voters: auto and
+        # sp-dp both run on it, and share one reading of its rows.
+        (tmp_path / "a_fig.elect").write_text(FIG1)
+        reads = counting(monkeypatch, single_peaked, "_trough")
+        code, out, _ = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 0
+        assert "a_fig.elect auto ok value=2" in out
+        assert "a_fig.elect sp-dp ok value=2" in out
+        assert len(reads) == 3
+
     def test_solve_looks_for_the_axis_only_when_needed(self, write, capsys, monkeypatch):
         path = write("f.elect", FIG1)
         calls = counting(monkeypatch, solving, "detect_axis")
@@ -922,9 +933,8 @@ class TestSolverTable:
         instance = parse_instance(text)
         calls = counting(monkeypatch, single_peaked, "check_single_troughed")
         probes = counting(monkeypatch, solving, "solve_cc_minimax_sp")
-        name, solution = solving.solve_auto(
-            instance, single_peaked.detect_axis(instance.election), solving.DEFAULT_BUDGET
-        )
+        rows = solving.axis_rows(instance, single_peaked.detect_axis(instance.election))
+        name, solution = solving.solve_auto(instance, rows, solving.DEFAULT_BUDGET)
         assert name == "sp-greedy" and solution is not None
         assert len(probes) > 1
         assert len(calls) == 0
@@ -937,11 +947,13 @@ class TestSolverTable:
         assert code == 0
         instance = parse_instance(text)
         reads = counting(monkeypatch, solving, "AxisRows")
+        troughs = counting(monkeypatch, single_peaked, "_trough")
         probes = counting(monkeypatch, solving, "solve_cc_minimax_sp")
-        solution = SOLVERS["sp-greedy"].run(instance, None, solving.DEFAULT_BUDGET)
+        _, solution = solving.solve(instance, "sp-greedy")
         assert solution is not None
         assert len(probes) > 1 and len(reads) == 1
-        assert all(rows is probes[0][2] for _, _, rows in probes)
+        assert all(rows is probes[0][1] for _, rows in probes)
+        assert len(troughs) == instance.matrix.n
 
     def test_sp_stab_reads_the_rows_once_per_search(self, capsys, monkeypatch):
         code, text, _ = run_cli(
@@ -952,11 +964,13 @@ class TestSolverTable:
         assert code == 0
         instance = parse_instance(text)
         reads = counting(monkeypatch, solving, "AxisRows")
+        troughs = counting(monkeypatch, single_peaked, "_trough")
         probes = counting(monkeypatch, solving, "solve_minimax_m_mw_sp")
-        solution = SOLVERS["sp-stab"].run(instance, None, solving.DEFAULT_BUDGET)
+        _, solution = solving.solve(instance, "sp-stab")
         assert solution is not None
         assert len(probes) > 1 and len(reads) == 1
-        assert all(rows is probes[0][3] for *_, rows in probes)
+        assert all(rows is probes[0][1] for _, rows, _ in probes)
+        assert len(troughs) == instance.matrix.n
 
     @pytest.mark.parametrize(
         "rows, answered_by",
@@ -976,9 +990,8 @@ class TestSolverTable:
         instance = ProblemInstance(
             election, matrix, Rule.CC, Objective.MINIMAX, 1, matrix.max_value()
         )
-        name, solution = solving.solve_auto(
-            instance, single_peaked.detect_axis(election), solving.DEFAULT_BUDGET
-        )
+        rows = solving.axis_rows(instance, single_peaked.detect_axis(election))
+        name, solution = solving.solve_auto(instance, rows, solving.DEFAULT_BUDGET)
         assert name == answered_by
         assert solution.objective_value == solve_subset_enum(instance).objective_value
 

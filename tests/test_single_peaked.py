@@ -315,6 +315,12 @@ class TestSingleTroughed:
         matrix = MisrepMatrix(((3, 1, 1, 2),))
         assert check_single_troughed(matrix, (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("axis", [(0, 1, 2), (0, 0, 0, 0), (0, 1, 2, 9)])
+    def test_rejects_an_axis_that_is_not_a_permutation(self, axis):
+        matrix = MisrepMatrix(((0, 1, 2, 3), (3, 2, 1, 0)))
+        with pytest.raises(ValueError, match="permutation"):
+            check_single_troughed(matrix, axis)
+
     def test_mirror_axis_gives_the_same_answer(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -385,35 +391,35 @@ class TestAxisRows:
 class TestSumDP:
     def test_single_seat(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=1)
-        solution = solve_cc_sum_sp(instance, (0, 1, 2, 3))
+        solution = solve_cc_sum_sp(instance, AxisRows(instance.matrix, (0, 1, 2, 3)))
         assert solution.objective_value == 2
 
     def test_two_seats(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=2)
-        solution = solve_cc_sum_sp(instance, (0, 1, 2, 3))
+        solution = solve_cc_sum_sp(instance, AxisRows(instance.matrix, (0, 1, 2, 3)))
         assert solution.objective_value == 1
 
     def test_three_seats_cover_every_top(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=3)
-        solution = solve_cc_sum_sp(instance, (0, 1, 2, 3))
+        solution = solve_cc_sum_sp(instance, AxisRows(instance.matrix, (0, 1, 2, 3)))
         assert solution.objective_value == 0
         assert solution.assignment.winner_set == (0, 1, 2)
 
     def test_committee_of_all_candidates_costs_nothing(self):
         election = ranked("a b c", "a b c", "b a c", "c b a")
         instance = instance_for(election, Rule.CC, Objective.SUM, k=3)
-        solution = solve_cc_sum_sp(instance, (0, 1, 2))
+        solution = solve_cc_sum_sp(instance, AxisRows(instance.matrix, (0, 1, 2)))
         assert solution.objective_value == 0
 
     def test_rejects_wrong_rule_or_objective(self, profile_3v4c):
         bad_rule = instance_for(profile_3v4c, Rule.MONROE, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="sum objective"):
-            solve_cc_sum_sp(bad_rule, (0, 1, 2, 3))
+            solve_cc_sum_sp(bad_rule, AxisRows(bad_rule.matrix, (0, 1, 2, 3)))
         bad_objective = instance_for(
             profile_3v4c, Rule.CC, Objective.MINIMAX, k=2
         )
         with pytest.raises(ValueError, match="sum objective"):
-            solve_cc_sum_sp(bad_objective, (0, 1, 2, 3))
+            solve_cc_sum_sp(bad_objective, AxisRows(bad_objective.matrix, (0, 1, 2, 3)))
 
     def test_rejects_bumpy_matrix(self):
         election = ranked("a b c d", "a b c d")
@@ -422,12 +428,12 @@ class TestSumDP:
             election, Rule.CC, Objective.SUM, k=1, matrix=matrix
         )
         with pytest.raises(ValueError, match="single-troughed"):
-            solve_cc_sum_sp(instance, (0, 1, 2, 3))
+            solve_cc_sum_sp(instance, AxisRows(instance.matrix, (0, 1, 2, 3)))
 
     def test_rejects_bad_axis(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="permutation"):
-            solve_cc_sum_sp(instance, (0, 1, 2))
+            solve_cc_sum_sp(instance, AxisRows(instance.matrix, (0, 1, 2)))
 
     def test_matches_enumeration_on_random_instances(self):
         rng = random.Random(101)
@@ -437,7 +443,7 @@ class TestSumDP:
             election, axis = sample_single_peaked_election(rng, m, n)
             k = rng.randrange(1, min(m, n) + 1)
             instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
-            fast = solve_cc_sum_sp(instance, axis)
+            fast = solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis))
             oracle = solve_subset_enum(instance)
             assert fast.objective_value == oracle.objective_value
 
@@ -446,8 +452,9 @@ class TestSumDP:
         for _ in range(20):
             election, axis = sample_single_peaked_election(rng, 5, 4)
             instance = instance_for(election, Rule.CC, Objective.SUM, k=2)
-            forward = solve_cc_sum_sp(instance, axis)
-            backward = solve_cc_sum_sp(instance, tuple(reversed(axis)))
+            forward = solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis))
+            reverse = AxisRows(instance.matrix, tuple(reversed(axis)))
+            backward = solve_cc_sum_sp(instance, reverse)
             assert forward.objective_value == backward.objective_value
 
     def test_counts_table_work_within_quadratic_budget(self):
@@ -462,7 +469,7 @@ class TestSumDP:
             k = rng.randrange(1, min(m, n) + 1)
             instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
             stats = DPStats()
-            solve_cc_sum_sp(instance, axis, stats=stats)
+            solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis), stats=stats)
             assert stats.cell_updates <= 2 * n * m + k * m * m
 
     def test_table_work_grows_with_nm_not_nm_squared(self):
@@ -470,14 +477,15 @@ class TestSumDP:
         election, axis = sample_single_peaked_election(random.Random(139), m, n)
         instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
         stats = DPStats()
-        solve_cc_sum_sp(instance, axis, stats=stats)
+        solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis), stats=stats)
         assert stats.cell_updates <= 2 * n * m + k * m * m  # 22 400; n m^2 is 320 000
 
     @settings(max_examples=300, deadline=None)
     @given(axis_tables())
     def test_savings_match_their_definition(self, table):
         _, matrix, axis = table
-        assert axis_savings(matrix, axis) == savings_by_definition(matrix, axis)
+        rows = AxisRows(matrix, axis)
+        assert axis_savings(rows) == savings_by_definition(matrix, axis)
 
     @settings(max_examples=200, deadline=None)
     @given(axis_tables(), st.data())
@@ -486,13 +494,13 @@ class TestSumDP:
         # k = m whenever there are as many voters as candidates.
         k = data.draw(st.sampled_from([1, min(matrix.m, matrix.n)]))
         instance = instance_for(election, Rule.CC, Objective.SUM, k=k, matrix=matrix)
-        fast = solve_cc_sum_sp(instance, axis)
+        fast = solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis))
         assert fast.objective_value == solve_subset_enum(instance).objective_value
 
     def test_rejects_a_bumpy_row_after_valleys(self):
         matrix = MisrepMatrix(((0, 1, 2), (2, 1, 0), (1, 0, 1), (1, 2, 1)))
         with pytest.raises(ValueError, match="single-troughed"):
-            axis_savings(matrix, (0, 1, 2))
+            axis_savings(AxisRows(matrix, (0, 1, 2)))
 
 
 class TestMinimaxGreedy:
@@ -500,7 +508,8 @@ class TestMinimaxGreedy:
         instance = instance_for(
             profile_3v4c, Rule.CC, Objective.MINIMAX, k=1, bound=1
         )
-        solution = solve_cc_minimax_sp(instance, (0, 1, 2, 3))
+        rows = AxisRows(instance.matrix, (0, 1, 2, 3))
+        solution = solve_cc_minimax_sp(instance, rows)
         assert solution is not None
         assert solution.assignment.winner_set == (1,)
         assert solution.objective_value <= 1
@@ -509,13 +518,15 @@ class TestMinimaxGreedy:
         instance = instance_for(
             profile_3v4c, Rule.CC, Objective.MINIMAX, k=2, bound=0
         )
-        assert solve_cc_minimax_sp(instance, (0, 1, 2, 3)) is None
+        rows = AxisRows(instance.matrix, (0, 1, 2, 3))
+        assert solve_cc_minimax_sp(instance, rows) is None
 
     def test_three_perfect_seats_exist(self, profile_3v4c):
         instance = instance_for(
             profile_3v4c, Rule.CC, Objective.MINIMAX, k=3, bound=0
         )
-        solution = solve_cc_minimax_sp(instance, (0, 1, 2, 3))
+        rows = AxisRows(instance.matrix, (0, 1, 2, 3))
+        solution = solve_cc_minimax_sp(instance, rows)
         assert solution is not None
         assert solution.assignment.winner_set == (0, 1, 2)
         assert solution.objective_value == 0
@@ -524,7 +535,8 @@ class TestMinimaxGreedy:
         instance = instance_for(
             profile_3v4c, Rule.CC, Objective.MINIMAX, k=1, bound=3
         )
-        solution = solve_cc_minimax_sp(instance, (0, 1, 2, 3))
+        rows = AxisRows(instance.matrix, (0, 1, 2, 3))
+        solution = solve_cc_minimax_sp(instance, rows)
         assert solution is not None
 
     def test_voter_with_nothing_in_range(self):
@@ -533,12 +545,13 @@ class TestMinimaxGreedy:
         instance = instance_for(
             election, Rule.CC, Objective.MINIMAX, k=2, bound=1, matrix=matrix
         )
-        assert solve_cc_minimax_sp(instance, (0, 1, 2)) is None
+        rows = AxisRows(instance.matrix, (0, 1, 2))
+        assert solve_cc_minimax_sp(instance, rows) is None
 
     def test_rejects_wrong_objective(self, profile_3v4c):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="minimax"):
-            solve_cc_minimax_sp(instance, (0, 1, 2, 3))
+            solve_cc_minimax_sp(instance, AxisRows(instance.matrix, (0, 1, 2, 3)))
 
     def test_decision_matches_enumeration_optimum(self):
         rng = random.Random(109)
@@ -552,7 +565,7 @@ class TestMinimaxGreedy:
                 election, Rule.CC, Objective.MINIMAX, k=k, bound=bound
             )
             optimum = solve_subset_enum(instance).objective_value
-            witness = solve_cc_minimax_sp(instance, axis)
+            witness = solve_cc_minimax_sp(instance, AxisRows(instance.matrix, axis))
             if optimum <= bound:
                 assert witness is not None
                 assert witness.objective_value <= bound
@@ -571,7 +584,7 @@ class TestMinimaxGreedy:
                 matrix=matrix,
             )
             expected = outcome(lambda: greedy_by_definition(instance, axis))
-            found = outcome(lambda: solve_cc_minimax_sp(instance, axis, rows))
+            found = outcome(lambda: solve_cc_minimax_sp(instance, rows))
             if found is not None and not isinstance(found, str):
                 found = found.assignment.winner_set
             assert found == expected
@@ -583,8 +596,9 @@ class TestMinimaxGreedy:
             instance = instance_for(
                 election, Rule.CC, Objective.MINIMAX, k=2, bound=1
             )
-            forward = solve_cc_minimax_sp(instance, axis)
-            backward = solve_cc_minimax_sp(instance, tuple(reversed(axis)))
+            forward = solve_cc_minimax_sp(instance, AxisRows(instance.matrix, axis))
+            reverse = AxisRows(instance.matrix, tuple(reversed(axis)))
+            backward = solve_cc_minimax_sp(instance, reverse)
             assert (forward is None) == (backward is None)
 
 

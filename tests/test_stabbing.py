@@ -23,7 +23,7 @@ from proprep.core import (
     balanced_loads,
     build_misrep,
 )
-from proprep.single_peaked import sample_single_peaked_election
+from proprep.single_peaked import AxisRows, sample_single_peaked_election
 from proprep.solvers import DEFAULT_BUDGET, SolverBudget, solve_subset_enum
 from proprep.stabbing import (
     StabbingInstance,
@@ -62,7 +62,9 @@ def axis_cover(problem, axis, monkeypatch):
         return solve(instance, budget)
 
     monkeypatch.setattr(stabbing, "solve_max_bal_1rs", record)
-    found = stabbing._axis_cover(problem, axis, 0, None, DEFAULT_BUDGET)
+    found = stabbing._axis_cover(
+        problem, AxisRows(problem.matrix, axis), 0, DEFAULT_BUDGET
+    )
     return found, solved
 
 
@@ -413,12 +415,12 @@ class TestReduction:
             election, Rule.MONROE, Objective.SUM, k=1, matrix=matrix
         )
         with pytest.raises(ValueError, match="contiguous"):
-            solve_monroe_sum_sp(problem, (0, 1, 2))
+            solve_monroe_sum_sp(problem, AxisRows(problem.matrix, (0, 1, 2)))
 
     def test_rejects_graded_misrepresentation(self, profile_3v4c):
         problem = instance_for(profile_3v4c, Rule.MONROE, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="0 or 1"):
-            solve_monroe_sum_sp(problem, (0, 1, 2, 3))
+            solve_monroe_sum_sp(problem, AxisRows(problem.matrix, (0, 1, 2, 3)))
 
     def test_rejects_per_voter_rule(self, profile_3v4c):
         approvals = tuple(vote[:2] for vote in profile_3v4c.votes)
@@ -427,7 +429,7 @@ class TestReduction:
             profile_3v4c, Rule.CC, Objective.SUM, k=2, matrix=matrix
         )
         with pytest.raises(ValueError, match="balanced rule"):
-            solve_monroe_sum_sp(problem, (0, 1, 2, 3))
+            solve_monroe_sum_sp(problem, AxisRows(problem.matrix, (0, 1, 2, 3)))
 
 
 class TestCompleteAssignment:
@@ -441,7 +443,8 @@ class TestCompleteAssignment:
             profile_3v4c, Rule.MONROE, Objective.SUM, k=1, matrix=matrix
         )
         covered, solution = axis_cover(problem, (0, 1, 2, 3), monkeypatch)[0]
-        assert solve_monroe_sum_sp(problem, (0, 1, 2, 3)) == solution
+        rows = AxisRows(problem.matrix, (0, 1, 2, 3))
+        assert solve_monroe_sum_sp(problem, rows) == solution
         assert covered == 3
         assert solution.objective_value == 0
         assert solution.assignment.winner_set == (1,)
@@ -456,7 +459,8 @@ class TestCompleteAssignment:
             election, Rule.MONROE, Objective.SUM, k=3, matrix=matrix
         )
         covered, solution = axis_cover(problem, (0, 1, 2), monkeypatch)[0]
-        assert solve_monroe_sum_sp(problem, (0, 1, 2)) == solution
+        rows = AxisRows(problem.matrix, (0, 1, 2))
+        assert solve_monroe_sum_sp(problem, rows) == solution
         assert covered == 4
         assert solution.objective_value == 0
         assert solution.assignment.winner_set == (0, 1, 2)
@@ -471,7 +475,8 @@ class TestCompleteAssignment:
             election, Rule.MONROE, Objective.SUM, k=2, matrix=matrix
         )
         covered, solution = axis_cover(problem, (0, 1, 2), monkeypatch)[0]
-        assert solve_monroe_sum_sp(problem, (0, 1, 2)) == solution
+        rows = AxisRows(problem.matrix, (0, 1, 2))
+        assert solve_monroe_sum_sp(problem, rows) == solution
         assert covered == 2
         assert solution.assignment.winner_set == (0, 1)
         assert solution.assignment.loads() == (2, 2)
@@ -486,7 +491,8 @@ class TestCompleteAssignment:
             election, Rule.MONROE, Objective.SUM, k=2, matrix=matrix
         )
         covered, solution = axis_cover(problem, (0, 1), monkeypatch)[0]
-        assert solve_monroe_sum_sp(problem, (0, 1)) == solution
+        rows = AxisRows(problem.matrix, (0, 1))
+        assert solve_monroe_sum_sp(problem, rows) == solution
         assert covered == 2
         assert solution.objective_value == 2
         assert solution.assignment.loads() == (2, 2)
@@ -498,7 +504,7 @@ class TestMonroeSumPipeline:
         rng = random.Random(4242)
         for _ in range(80):
             problem, axis = approval_instance(rng)
-            solution = solve_monroe_sum_sp(problem, axis)
+            solution = solve_monroe_sum_sp(problem, AxisRows(problem.matrix, axis))
             oracle = solve_subset_enum(problem, DEFAULT_BUDGET)
             assert solution.objective_value == oracle.objective_value
             assert solution.m_criterion_satisfied
@@ -510,13 +516,14 @@ class TestMonroeSumPipeline:
             profile_3v4c, Rule.MONROE, Objective.MINIMAX, k=2, matrix=matrix
         )
         with pytest.raises(ValueError, match="sum objective"):
-            solve_monroe_sum_sp(problem, (0, 1, 2, 3))
+            solve_monroe_sum_sp(problem, AxisRows(problem.matrix, (0, 1, 2, 3)))
 
 
 class TestMinimaxPipeline:
     def test_zero_bound_needs_distinct_favorites(self, profile_3v4c):
         problem = instance_for(profile_3v4c, Rule.MONROE, Objective.MINIMAX, k=3)
-        solution = solve_minimax_m_mw_sp(problem, (0, 1, 2, 3))
+        rows = AxisRows(problem.matrix, (0, 1, 2, 3))
+        solution = solve_minimax_m_mw_sp(problem, rows)
         assert solution is not None
         assert solution.objective_value == 0
         assert solution.assignment.loads() == (1, 1, 1)
@@ -524,13 +531,14 @@ class TestMinimaxPipeline:
     def test_zero_bound_infeasible_with_shared_favorite(self):
         election = ranked("a b", "a b", "a b")
         problem = instance_for(election, Rule.MONROE, Objective.MINIMAX, k=2)
-        assert solve_minimax_m_mw_sp(problem, (0, 1)) is None
+        assert solve_minimax_m_mw_sp(problem, AxisRows(problem.matrix, (0, 1))) is None
 
     def test_bound_one_two_seats(self, profile_3v4c):
         problem = instance_for(
             profile_3v4c, Rule.MONROE, Objective.MINIMAX, k=2, bound=1
         )
-        solution = solve_minimax_m_mw_sp(problem, (0, 1, 2, 3))
+        rows = AxisRows(problem.matrix, (0, 1, 2, 3))
+        solution = solve_minimax_m_mw_sp(problem, rows)
         oracle = solve_subset_enum(problem, DEFAULT_BUDGET)
         assert oracle.objective_value <= 1
         assert solution is not None
@@ -542,7 +550,8 @@ class TestMinimaxPipeline:
             problem = instance_for(
                 profile_3v4c, Rule.MONROE, Objective.MINIMAX, k=k, bound=3
             )
-            assert solve_minimax_m_mw_sp(problem, (0, 1, 2, 3)) is not None
+            rows = AxisRows(problem.matrix, (0, 1, 2, 3))
+            assert solve_minimax_m_mw_sp(problem, rows) is not None
 
     def test_decision_matches_oracle_across_all_bounds(self):
         rng = random.Random(31337)
@@ -557,7 +566,7 @@ class TestMinimaxPipeline:
             optimum = solve_subset_enum(base, DEFAULT_BUDGET).objective_value
             for bound in base.matrix.distinct_values():
                 probe = replace(base, bound=bound)
-                solution = solve_minimax_m_mw_sp(probe, axis)
+                solution = solve_minimax_m_mw_sp(probe, AxisRows(probe.matrix, axis))
                 if optimum <= bound:
                     assert solution is not None
                     assert solution.objective_value <= bound
@@ -568,7 +577,36 @@ class TestMinimaxPipeline:
     def test_requires_minimax_objective(self, profile_3v4c):
         problem = instance_for(profile_3v4c, Rule.MONROE, Objective.SUM, k=2)
         with pytest.raises(ValueError, match="minimax"):
-            solve_minimax_m_mw_sp(problem, (0, 1, 2, 3))
+            solve_minimax_m_mw_sp(problem, AxisRows(problem.matrix, (0, 1, 2, 3)))
+
+
+class TestMirrorAxis:
+    def test_reversed_axis_gives_the_same_value_and_decisions(self):
+        # Minimax is probed at every table value, on the approval table and
+        # on the Borda table of the same election.
+        rng = random.Random(4343)
+        decided = set()
+        for _ in range(60):
+            problem, axis = approval_instance(rng)
+            forward = AxisRows(problem.matrix, axis)
+            backward = AxisRows(problem.matrix, axis[::-1])
+            assert (
+                solve_monroe_sum_sp(problem, forward).objective_value
+                == solve_monroe_sum_sp(problem, backward).objective_value
+            )
+            borda = build_misrep(problem.election, BordaMisrep())
+            for matrix in (problem.matrix, borda):
+                forward = AxisRows(matrix, axis)
+                backward = AxisRows(matrix, axis[::-1])
+                for bound in matrix.distinct_values():
+                    probe = replace(
+                        problem, matrix=matrix, objective=Objective.MINIMAX, bound=bound
+                    )
+                    feasible = solve_minimax_m_mw_sp(probe, forward) is not None
+                    mirrored = solve_minimax_m_mw_sp(probe, backward) is not None
+                    assert feasible == mirrored
+                    decided.add(feasible)
+        assert decided == {False, True}
 
 
 class TestPinnedWitnesses:
@@ -599,7 +637,7 @@ class TestPinnedWitnesses:
                 problem = instance_for(
                     election, Rule.MONROE, Objective.SUM, k=k, matrix=tables[0]
                 )
-                results = [solve_monroe_sum_sp(problem, axis)]
+                results = [solve_monroe_sum_sp(problem, AxisRows(problem.matrix, axis))]
                 for matrix in tables:
                     for bound in matrix.distinct_values():
                         probe = replace(
@@ -608,7 +646,8 @@ class TestPinnedWitnesses:
                             objective=Objective.MINIMAX,
                             bound=bound,
                         )
-                        results.append(solve_minimax_m_mw_sp(probe, axis))
+                        rows = AxisRows(probe.matrix, axis)
+                        results.append(solve_minimax_m_mw_sp(probe, rows))
                 for result in results:
                     solved += 1
                     infeasible += result is None
