@@ -12,11 +12,15 @@ the ``--solver`` name, and ``bench`` runs its roster for each file.
 
 Exit codes: 0 success (and feasible), 1 infeasible or failed verification
 or not single-peaked, 2 usage and input errors, 3 a resource cap was hit.
+`main` returns the code and never raises ``SystemExit``, so it may be
+called any number of times in one process; `build_parser` builds the
+argument parser on the first call and every later call reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -362,7 +366,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main` call.
+
+    Parsing keeps no state in it: each call gets a fresh namespace, and
+    help and usage text are formatted when printed.  Callers must not
+    change the parser they get back.
+    """
     parser = argparse.ArgumentParser(
         prog="proprep",
         description="Committee selection by total or worst-case misrepresentation.",

@@ -206,13 +206,18 @@ def _run_minimax_r0(
 def _run_sp_dp(
     instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
+    budget.check()
     return _within_bound(solve_cc_sum_sp(instance, rows), instance.bound)
 
 
 def _run_sp_greedy(
     instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
-    return search_bound(instance, lambda probed: solve_cc_minimax_sp(probed, rows))
+    def probe(probed: ProblemInstance) -> Optional[Solution]:
+        budget.check()
+        return solve_cc_minimax_sp(probed, rows)
+
+    return search_bound(instance, probe)
 
 
 def _run_sp_stab(

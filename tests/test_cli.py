@@ -42,6 +42,7 @@ from proprep.core import (
 from proprep.fileio import parse_instance, render_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
 from proprep.solvers import (
+    DEFAULT_BUDGET,
     solve_cc_branch_rk,
     solve_m_mw_rk,
     solve_subset_enum,
@@ -257,6 +258,27 @@ class TestSolve:
         capsys.readouterr()
         code, out, err = run_cli(
             capsys, "solve", path, "--solver", "sp-stab", "--budget-seconds", "0"
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == "budget exceeded: wall-clock budget exhausted"
+        assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
+    @pytest.mark.parametrize(
+        "objective, solver",
+        [("sum", "sp-dp"), ("sum", "auto"), ("minimax", "sp-greedy"), ("minimax", "auto")],
+    )
+    def test_zero_seconds_stop_the_single_peaked_cc_solvers(
+        self, tmp_path, capsys, objective, solver
+    ):
+        path = str(tmp_path / "sp.elect")
+        assert main([
+            "gen", "single-peaked", "--m", "60", "--n", "1000", "--k", "4",
+            "--objective", objective, "--seed", "1", "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", solver, "--budget-seconds", "0"
         )
         assert (code, out) == (3, "")
         lines = err.splitlines()
@@ -1002,6 +1024,88 @@ def line_instance(objective: Objective, bound: int) -> ProblemInstance:
     election = Election(names, (tuple(range(20)),))
     matrix = build_misrep(election, ExplicitMisrep((tuple(3 * c for c in range(20)),)))
     return ProblemInstance(election, matrix, Rule.CC, objective, 1, bound)
+
+
+def run_alone(capsys, *argv: str):
+    """`run_cli` on a parser built for this call alone, as a new process would."""
+    build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+class TestSharedParser:
+    def test_one_parser_tree_serves_every_call(self, write, tmp_path, capsys, monkeypatch):
+        instance = write("fig.elect", FIG1)
+        solution = tmp_path / "fig.sol"
+        code, out, _ = run_cli(capsys, "solve", instance)
+        assert code == 0
+        solution.write_text(out)
+        build_parser.cache_clear()
+        built = counting(monkeypatch, argparse.ArgumentParser, "__init__")
+        calls = [
+            ["solve", instance],
+            ["solve", instance, "--solver", "subset-enum"],
+            ["detect-axis", instance],
+            ["gen", "random", "--m", "4", "--n", "3", "--k", "2"],
+            ["verify", instance, str(solution)],
+        ] * 4
+        assert [run_cli(capsys, *argv)[0] for argv in calls] == [0] * 20
+        assert len(built) == 1 + 5  # the top-level parser and its subcommands
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                ["hs-approval", "--universe", "4", "--set", "0,1", "--set", "2,3", "--k", "2"],
+                ["hs-approval", "--universe", "4", "--set", "1,2", "--k", "1"],
+            ),
+            (
+                ["vc-minimax", "--edge", "0,1", "--edge", "1,2", "--k", "1"],
+                ["vc-minimax", "--edge", "0,2", "--k", "1"],
+            ),
+        ],
+    )
+    def test_repeated_flags_start_empty_on_every_call(self, capsys, first, second):
+        alone = [run_alone(capsys, "gen", *argv) for argv in (first, second)]
+        assert alone[0][0] == alone[1][0] == 0 and alone[0][1] != alone[1][1]
+        build_parser.cache_clear()
+        assert [run_cli(capsys, "gen", *argv) for argv in (first, second)] == alone
+
+    @pytest.mark.parametrize(
+        "before, code",
+        [
+            (["solve", "{path}", "--solver", "no-such-solver"], 2),
+            (["--help"], 0),
+            (["solve", "--help"], 0),
+        ],
+    )
+    def test_an_early_exit_leaves_nothing_behind(self, write, capsys, before, code):
+        path = write("fig.elect", FIG1)
+        alone = run_alone(capsys, "solve", path)
+        assert run_cli(capsys, *(arg.format(path=path) for arg in before))[0] == code
+        assert run_cli(capsys, "solve", path)[:2] == alone[:2]
+
+    def test_budget_defaults_survive_an_override(self, write, capsys):
+        path = write("fig.elect", FIG1)
+        alone = run_alone(capsys, "solve", path, "--solver", "subset-enum")
+        code, out, _ = run_cli(
+            capsys, "solve", path, "--solver", "subset-enum",
+            "--budget-subset-candidates", "1", "--budget-partition-voters", "1",
+            "--budget-constant-bound", "0", "--budget-seconds", "5",
+        )
+        assert (code, out) == (3, "")
+        assert run_cli(capsys, "solve", path, "--solver", "subset-enum")[:2] == alone[:2]
+        args = build_parser().parse_args(["solve", path])
+        assert (
+            args.budget_subset_candidates,
+            args.budget_partition_voters,
+            args.budget_constant_bound,
+            args.budget_seconds,
+        ) == (
+            DEFAULT_BUDGET.max_subset_candidates,
+            DEFAULT_BUDGET.max_partition_voters,
+            DEFAULT_BUDGET.max_constant_bound,
+            DEFAULT_BUDGET.max_seconds,
+        )
 
 
 class TestSearchBound:
