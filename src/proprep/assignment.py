@@ -7,13 +7,15 @@ balanced rule the optimal assignment is a minimum-cost flow in which every
 winner must receive between floor(n/k) and ceil(n/k) voters; the minimax
 variant restricts the flow to entries within the bound, asks only for
 feasibility, and finds a committee's value as the first feasible bound at or
-above its best-representative minimax value (``cc_value``).
+above its best-representative minimax value.
 
 Values and witnesses come from two places.  ``balanced_cost`` is the value
 scorer: successive shortest paths on the k winner nodes, with no flow
-network and no witness; ``monroe_minimax_bound`` bisects with it, and
+network and no witness.  ``balanced_value`` is the one place that decides
+how a committee's balanced-rule value is found under each objective: the
+cost itself under sum, a bisection over bounds with it under minimax;
 subset enumeration in :mod:`proprep.solvers` scores every committee it
-tries with these two.  ``transport`` builds every witness: it is the
+tries with it.  ``transport`` builds every witness: it is the
 package's one min-cost flow, successive shortest paths on its own
 bipartite residual network, with left nodes taking load ranges, right
 nodes taking one unit each, and optional costs between.
@@ -55,16 +57,6 @@ def assign_cc(winner_set: tuple[int, ...], matrix: MisrepMatrix) -> Assignment:
                 best = w
         mapping.append(best)
     return Assignment(winners, tuple(mapping))
-
-
-def cc_value(
-    matrix: MisrepMatrix, winner_set: tuple[int, ...], objective: Objective
-) -> int:
-    """Committee value under the best-representative rule, without the map."""
-    per_voter = (min(row[w] for w in winner_set) for row in matrix.rows)
-    if objective is Objective.SUM:
-        return sum(per_voter)
-    return max(per_voter)
 
 
 def transport(
@@ -279,26 +271,36 @@ def balanced_assignment(
     return cost, Assignment(winners, tuple(winners[i] for i in owner))
 
 
-def monroe_minimax_bound(
-    winner_set: Sequence[int], matrix: MisrepMatrix, limit: Optional[int] = None
+def balanced_value(
+    winners: Sequence[int],
+    matrix: MisrepMatrix,
+    objective: Objective,
+    limit: Optional[int] = None,
 ) -> Optional[int]:
-    """Smallest bound admitting a balanced assignment, or None if above `limit`.
+    """A committee's value under the balanced rule, or None if above `limit`.
 
-    No bound below the committee's best-representative minimax value can
-    serve every voter, so the bisection starts at that value.  With a
-    limit, one test at the limit comes first, and the bisection runs only
-    below it when that test passes.
+    Only the value is found, never a witness.  Under sum it is
+    ``balanced_cost``'s.  Under minimax it is the smallest bound admitting
+    a balanced assignment.  No bound below the committee's
+    best-representative minimax value can serve every voter, so the
+    bisection starts at that value.  With a limit, one test at the limit
+    comes first, and the bisection runs only below it when that test
+    passes.
     """
-    floor = cc_value(matrix, winner_set, Objective.MINIMAX)
+    if objective is Objective.SUM:
+        value = balanced_cost(winners, matrix)
+        assert value is not None, "a balanced assignment exists when k <= n"
+        return value if limit is None or value <= limit else None
+    floor = max(min(row[w] for w in winners) for row in matrix.rows)
     if limit is not None and (
-        floor > limit or balanced_cost(winner_set, matrix, limit) is None
+        floor > limit or balanced_cost(winners, matrix, limit) is None
     ):
         return None
-    entries = {row[w] for row in matrix.rows for w in winner_set}
+    entries = {row[w] for row in matrix.rows for w in winners}
     values = sorted(
         x for x in entries if x >= floor and (limit is None or x < limit)
     )
-    found = first_feasible(values, lambda bound: balanced_cost(winner_set, matrix, bound))
+    found = first_feasible(values, lambda bound: balanced_cost(winners, matrix, bound))
     if found is not None:
         return found[0]
     assert limit is not None, "maximal bound is always feasible when k <= n"
@@ -316,7 +318,7 @@ def committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Sol
         return Solution(assignment, value, balanced)
     bound = None
     if instance.objective is Objective.MINIMAX:
-        bound = monroe_minimax_bound(winners, matrix)
+        bound = balanced_value(winners, matrix, instance.objective)
     found = balanced_assignment(winners, matrix, bound)
     assert found is not None, "a balanced assignment exists when k <= n"
     cost, assignment = found

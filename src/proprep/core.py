@@ -331,7 +331,10 @@ def first_feasible(
     makes at most floor(log2 len(points)) + 1 attempts.  Returns None when
     no point is feasible, including when ``points`` is empty.
     """
-    lo, hi = 0, len(points) - 1
+    if isinstance(points, range):  # len() rejects one longer than sys.maxsize
+        lo, hi = 0, (points[-1] - points[0]) // points.step if points else -1
+    else:
+        lo, hi = 0, len(points) - 1
     found: Optional[tuple[Point, Result]] = None
     while lo <= hi:
         mid = (lo + hi) // 2

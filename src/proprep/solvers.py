@@ -19,11 +19,10 @@ turns a decision procedure into an optimizer, and the table of named
 solvers, live in :mod:`proprep.solving`.
 
 No solver here runs a flow itself: committees are scored by value with
-``assignment.balanced_cost`` and ``assignment.monroe_minimax_bound``, and
-every committee a solver settles on becomes a solution through
-``assignment.committee_solution``, the one committee scorer; partition
-enumeration matches voter blocks to candidates with
-``assignment.transport``, bisecting over bottleneck values with
+``assignment.balanced_value``, and every committee a solver settles on
+becomes a solution through ``assignment.committee_solution``, the one
+committee scorer; partition enumeration matches voter blocks to candidates
+with ``assignment.transport``, bisecting over bottleneck values with
 ``core.first_feasible`` under minimax.
 
 All solvers are pure functions of their arguments.
@@ -41,12 +40,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .assignment import (
-    balanced_cost,
-    committee_solution,
-    monroe_minimax_bound,
-    transport,
-)
+from .assignment import balanced_value, committee_solution, transport
 from .core import (
     Assignment,
     BudgetExceededError,
@@ -104,20 +98,6 @@ class SearchStats:
     """
 
     leaf_calls: int = 0
-
-
-def _committee_value(
-    instance: ProblemInstance, winners: tuple[int, ...], limit: Optional[int] = None
-) -> Optional[int]:
-    """A committee's value under the balanced rule if it is at most `limit`.
-
-    Returns None above the limit.  Only the value is found, never a witness.
-    """
-    if instance.objective is Objective.MINIMAX:
-        return monroe_minimax_bound(winners, instance.matrix, limit)
-    value = balanced_cost(winners, instance.matrix)
-    assert value is not None, "a balanced assignment exists when k <= n"
-    return value if limit is None or value <= limit else None
 
 
 # Native array formats by item size: 1, 2, 4 and 8 bytes.
@@ -342,7 +322,7 @@ def solve_subset_enum(
     _committee_walk(packing, k, objective, budget, math.inf, keep_strictly_better)
     if instance.rule is Rule.CC:
         return committee_solution(instance, found[0])
-    best = (_committee_value(instance, found[0]), found[0])
+    best = (balanced_value(found[0], matrix, objective), found[0])
     bounded: list[tuple[int, tuple[int, ...]]] = []
 
     def collect(value: int, committee: tuple[int, ...]) -> int:
@@ -357,7 +337,7 @@ def solve_subset_enum(
         _, committee = heapq.heappop(bounded)
         # Only a value <= limit makes (value, committee) beat the best pair.
         limit = best[0] if committee < best[1] else best[0] - 1
-        value = _committee_value(instance, committee, limit)
+        value = balanced_value(committee, matrix, objective, limit)
         if value is not None:
             best = (value, committee)
     return committee_solution(instance, best[1])

@@ -56,11 +56,13 @@ def search_bound(
     if instance.objective is Objective.MINIMAX:
         values = instance.matrix.distinct_values()
         points = [value for value in values if value <= instance.bound]
+        limit = len(points) - 1
     else:
+        # len() of this range overflows past sys.maxsize; indexing it does not.
         points = range(instance.bound + 1)
-    if not points:
+        limit = instance.bound
+    if limit < 0:
         return None
-    limit = len(points) - 1
 
     def probe(index: int) -> Optional[Solution]:
         return decide(replace(instance, bound=points[index]))

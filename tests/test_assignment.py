@@ -15,8 +15,7 @@ from proprep.assignment import (
     assign_cc,
     balanced_assignment,
     balanced_cost,
-    cc_value,
-    monroe_minimax_bound,
+    balanced_value,
     transport,
 )
 from proprep.core import (
@@ -161,15 +160,6 @@ class TestAssignCC:
         tied = assign_cc((0, 1), matrix)
         assert tied.mapping == (0, 0)
 
-    def test_cc_value_matches_assignment(self, profile_3v4c):
-        matrix = borda(profile_3v4c)
-        for winners in [(0,), (1, 3), (0, 1, 2)]:
-            assignment = assign_cc(winners, matrix)
-            for objective in Objective:
-                assert cc_value(matrix, winners, objective) == evaluate(
-                    matrix, assignment.mapping, objective
-                )
-
 
 class TestEnumerateBalanced:
     def test_counts(self):
@@ -235,14 +225,14 @@ class TestMonroeAssignments:
             cost, witness = balanced_assignment(winners, matrix)
             assert cost == best_sum
             assert check_m_criterion(witness, n, k)
-            value = monroe_minimax_bound(winners, matrix)
+            value = balanced_value(winners, matrix, Objective.MINIMAX)
             assert value == best_max
             _, witness = balanced_assignment(winners, matrix, value)
             assert check_m_criterion(witness, n, k)
 
     def test_minimax_bound_search_is_tight(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        value = monroe_minimax_bound((0, 1, 2), matrix)
+        value = balanced_value((0, 1, 2), matrix, Objective.MINIMAX)
         assert value == 1
         _, witness = balanced_assignment((0, 1, 2), matrix, value)
         assert evaluate(matrix, witness.mapping, Objective.MINIMAX) == 1
@@ -278,8 +268,9 @@ class TestMonroeAssignments:
                 if balanced_assignment(winners, matrix, bound) is not None
             )
             probed.clear()
-            assert monroe_minimax_bound(winners, matrix) == expected
-            assert min(probed) >= cc_value(matrix, winners, Objective.MINIMAX)
+            assert balanced_value(winners, matrix, Objective.MINIMAX) == expected
+            nearest = assign_cc(winners, matrix).mapping
+            assert min(probed) >= evaluate(matrix, nearest, Objective.MINIMAX)
 
 
 @st.composite
@@ -339,10 +330,20 @@ class TestBalancedCost:
         value = next(
             b for b in entries if balanced_assignment(winners, matrix, b) is not None
         )
-        assert monroe_minimax_bound(winners, matrix) == value
+        assert balanced_value(winners, matrix, Objective.MINIMAX) == value
         for limit in range(-1, max(max(row) for row in matrix.rows) + 2):
             expected = value if value <= limit else None
-            assert monroe_minimax_bound(winners, matrix, limit) == expected
+            assert balanced_value(winners, matrix, Objective.MINIMAX, limit) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(committee_tables())
+    def test_sum_value_within_a_limit(self, table):
+        matrix, winners = table
+        value = balanced_cost(winners, matrix)
+        assert balanced_value(winners, matrix, Objective.SUM) == value
+        for limit in (-1, 0, value - 1, value, value + 1):
+            expected = value if value <= limit else None
+            assert balanced_value(winners, matrix, Objective.SUM, limit) == expected
 
     def test_a_winner_below_its_floor_is_infeasible(self):
         # Every voter has an entry within 3, but winner 3 has none, so it

@@ -96,6 +96,19 @@ ALL_APPROVE = (
     + "c1 c2 c3\n" * 1500
 )
 
+# Its worst sum bound, 2 * 10**19, is past sys.maxsize.
+HUGE_ENTRIES = """\
+proprep v1
+2 2 1 - cc sum explicit
+a
+b
+a b
+b a
+#matrix
+0 10000000000000000000
+10000000000000000000 0
+"""
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -218,6 +231,25 @@ class TestSolve:
             "--budget-subset-candidates", "25",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "solver, code",
+        [
+            ("subset-enum", 0),
+            ("branch-rk", 0),
+            ("constant-r", 3),  # its bound cap
+            ("monroe-rk", 2),  # wrong rule
+            ("sp-greedy", 2),  # wrong objective
+        ],
+    )
+    def test_sum_bounds_past_sys_maxsize(self, write, capsys, solver, code):
+        path = write("huge.elect", HUGE_ENTRIES)
+        result, out, err = run_cli(capsys, "solve", path, "--solver", solver)
+        assert result == code, err
+        if code == 0:
+            assert record_value(out) == 10**19
+        else:
+            assert out == ""
 
     @pytest.mark.parametrize("solver", ["subset-enum", "auto"])
     def test_zero_seconds_stop_monroe_enumeration(self, tmp_path, capsys, solver):
@@ -788,6 +820,55 @@ class TestAnyRun:
                 assert (code, out.splitlines()[-1]) == (0, "all checks passed")
 
 
+@st.composite
+def huge_entry_instances(draw):
+    """An explicit table over m, n <= 4 whose entries reach 2**70, each row
+    nondecreasing along its voter's ranking."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2**70), st.just(2**70))
+    votes, rows = [], []
+    for _ in range(n):
+        vote = draw(st.permutations(range(m)))
+        entries = sorted(draw(st.lists(entry, min_size=m, max_size=m)))
+        row = [0] * m
+        for place, candidate in enumerate(vote):
+            row[candidate] = entries[place]
+        votes.append(tuple(vote))
+        rows.append(tuple(row))
+    election = Election(tuple(f"c{i}" for i in range(m)), tuple(votes))
+    matrix = build_misrep(election, ExplicitMisrep(tuple(rows)))
+    rule = draw(st.sampled_from(list(Rule)))
+    objective = draw(st.sampled_from(list(Objective)))
+    k = draw(st.integers(1, min(m, n)))
+    bound = worst_bound(matrix, objective)
+    return ProblemInstance(election, matrix, rule, objective, k, bound)
+
+
+class TestAnyHugeRun:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        instance=huge_entry_instances(),
+        solver=st.sampled_from(("auto",) + tuple(SOLVERS)),
+        bound=st.one_of(st.just("-"), st.integers(0, 2**72).map(str)),
+    )
+    def test_ends_in_an_exit_code_and_answers_verify(self, instance, solver, bound):
+        with tempfile.TemporaryDirectory() as directory:
+            instance_path = os.path.join(directory, "case.elect")
+            with open(instance_path, "w") as handle:
+                handle.write(render_instance(instance))
+            code, out = run_quietly([
+                "solve", instance_path, "--solver", solver, "--R", bound,
+                "--budget-seconds", "2",
+            ])
+            assert code in (0, 1, 2, 3)
+            if code == 0:
+                solution_path = os.path.join(directory, "case.sol")
+                with open(solution_path, "w") as handle:
+                    handle.write(out)
+                code, out = run_quietly(["verify", instance_path, solution_path])
+                assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+
+
 class TestBench:
     def test_clean_corpus_has_no_disagreements(self, tmp_path, capsys):
         (tmp_path / "a_fig.elect").write_text(FIG1)
@@ -1142,6 +1223,17 @@ class TestSearchBound:
         assert seen == probed
         feasible = [b for b in probed if b >= threshold]
         assert result == (min(feasible) if feasible else None)
+
+    def test_a_sum_bound_past_sys_maxsize(self):
+        seen = []
+
+        def decide(instance):
+            seen.append(instance.bound)
+            return instance.bound if instance.bound >= 10**20 else None
+
+        result = solving.search_bound(line_instance(Objective.SUM, 10**21), decide)
+        assert result == 10**20
+        assert len(seen) <= 140
 
     @pytest.mark.parametrize(
         "rule, objective, decide, probed, value",

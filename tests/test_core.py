@@ -253,3 +253,17 @@ class TestFirstFeasible:
 
     def test_empty_points(self):
         assert first_feasible([], lambda point: point) is None
+
+    @pytest.mark.parametrize("points", [range(3, 10**20, 7), range(10**20, 0, -3)])
+    def test_a_range_longer_than_sys_maxsize(self, points):
+        # len() rejects these ranges; indexing them works.
+        length = (points[-1] - points[0]) // points.step + 1
+        first = 10**18
+        attempted = []
+
+        def attempt(point):
+            attempted.append(point)
+            return "ok" if points.index(point) >= first else None
+
+        assert first_feasible(points, attempt) == (points[first], "ok")
+        assert len(attempted) <= length.bit_length()

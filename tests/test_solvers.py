@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proprep import assignment, solvers, solving
-from proprep.assignment import assign_cc, balanced_assignment, monroe_minimax_bound
+from proprep.assignment import assign_cc, balanced_assignment, balanced_value
 from proprep.cli import main
 from proprep.core import (
     ApprovalMisrep,
@@ -94,7 +94,7 @@ def best_by_scoring_every_committee(instance, pool):
             return evaluate(matrix, chosen.mapping, instance.objective), chosen
         bound = None
         if instance.objective is Objective.MINIMAX:
-            bound = monroe_minimax_bound(committee, matrix)
+            bound = balanced_value(committee, matrix, instance.objective)
         cost, chosen = balanced_assignment(committee, matrix, bound)
         return cost if bound is None else bound, chosen
 
@@ -320,15 +320,15 @@ class TestSubsetEnum:
         instance = generated_monroe(tmp_path, "sum")
         now = [0.0]
         scored = []
-        score = solvers._committee_value
+        score = solvers.balanced_value
 
-        def slow(instance, committee, limit=None):
+        def slow(committee, matrix, objective, limit=None):
             scored.append(committee)
             now[0] += 1.0
-            return score(instance, committee, limit)
+            return score(committee, matrix, objective, limit)
 
         monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        monkeypatch.setattr(solvers, "_committee_value", slow)
+        monkeypatch.setattr(solvers, "balanced_value", slow)
         solve_subset_enum(instance)
         assert len(scored) > 1
         scored.clear()
@@ -343,17 +343,17 @@ class TestSubsetEnum:
         # again, and voters are assigned only to the committee returned.
         instance = generated_monroe(tmp_path, objective)
         scored, built = [], []
-        score, build = solvers._committee_value, solvers.committee_solution
+        score, build = solvers.balanced_value, solvers.committee_solution
 
-        def recorded(instance, committee, limit=None):
+        def recorded(committee, matrix, objective, limit=None):
             scored.append(committee)
-            return score(instance, committee, limit)
+            return score(committee, matrix, objective, limit)
 
         def recorded_build(instance, committee):
             built.append(tuple(committee))
             return build(instance, committee)
 
-        monkeypatch.setattr(solvers, "_committee_value", recorded)
+        monkeypatch.setattr(solvers, "balanced_value", recorded)
         monkeypatch.setattr(solvers, "committee_solution", recorded_build)
         solution = solve_subset_enum(instance)
         assert len(set(scored)) == len(scored)
