@@ -9,21 +9,21 @@ variant restricts the flow to entries within the bound, asks only for
 feasibility, and finds a committee's value as the first feasible bound at or
 above its best-representative minimax value.
 
-Values and witnesses come from two places.  ``balanced_cost`` is the value
-scorer: successive shortest paths on the k winner nodes, with no flow
-network and no witness.  ``balanced_value`` is the one place that decides
-how a committee's balanced-rule value is found under each objective: the
-cost itself under sum, a bisection over bounds with it under minimax;
-subset enumeration in :mod:`proprep.solvers` scores every committee it
-tries with it.  ``transport`` builds every witness: it is the
-package's one min-cost flow, successive shortest paths on its own
-bipartite residual network, with left nodes taking load ranges, right
-nodes taking one unit each, and optional costs between.
-``balanced_assignment`` calls it with winners on the left and voters on the
-right; partition enumeration in :mod:`proprep.solvers` calls it to match
-voter blocks to candidates.  Its tie-breaks fix which witness is printed.
-``committee_solution`` is the one committee scorer: a solver that settles on
-a committee, not an assignment, gets its ``Solution`` there.
+Values and witnesses come from one place.  ``_seat`` is successive
+shortest paths on the k winner nodes, with no flow network; it seats every
+voter, and its tie-breaks fix which Monroe witness is printed.
+``balanced_cost`` is the value scorer and returns only its cost;
+``balanced_assignment`` returns its seating as the witness.
+``balanced_value`` is the one place that decides how a committee's
+balanced-rule value is found under each objective: the cost itself under
+sum, a bisection over bounds with it under minimax; subset enumeration in
+:mod:`proprep.solvers` scores every committee it tries with it.
+``transport`` matches partition blocks: partition enumeration in
+:mod:`proprep.solvers` calls it to match voter blocks to candidates.  It is
+a min-cost flow on its own bipartite residual network, with left nodes
+taking load ranges, right nodes taking one unit each, and optional costs
+between.  ``committee_solution`` is the one committee scorer: a solver that
+settles on a committee, not an assignment, gets its ``Solution`` there.
 """
 
 from __future__ import annotations
@@ -161,26 +161,27 @@ def transport(
     return sum(costs[i][r] for r, i in enumerate(owner) if i >= 0), owner
 
 
-def balanced_cost(
-    winners: Sequence[int], matrix: MisrepMatrix, bound: Optional[int] = None
-) -> Optional[int]:
-    """Cost of the cheapest balanced assignment using only entries within the bound.
+def _seat(
+    winners: Sequence[int], matrix: MisrepMatrix, bound: Optional[int]
+) -> Optional[tuple[int, list[list[int]]]]:
+    """The cheapest balanced assignment using only entries within the bound.
 
-    Returns None when no balanced assignment uses only such entries.  This
-    is the value ``balanced_assignment`` finds, without its witness and
-    without ``transport``'s network: successive shortest paths on the k
-    winner nodes and a sink.  Voters are inserted one at a time, each along
-    a cheapest path that starts at one of its entries, where the arc from
-    winner w to w' costs the cheapest move of one of w's voters to w'.  The
-    first floor(n/k) voters at a winner cost ``-big`` on its arc to the
-    sink, and ``big`` exceeds every assignment's cost, so a cheapest flow
-    fills as many floors as it can before it weighs any entry; a winner
-    left below its floor means no balanced assignment exists.  Dijkstra
-    runs on reduced costs, which no arc makes negative: the sink's
+    Returns ``(cost, members)``, where ``members[i]`` lists the voters
+    seated at ``winners[i]``, or None when no balanced assignment uses only
+    such entries.  This is successive shortest paths on the k winner nodes
+    and a sink, with no flow network.  Voters are inserted one at a time,
+    each along a cheapest path that starts at one of its entries, where the
+    arc from winner w to w' costs the cheapest move of one of w's voters to
+    w'.  The first floor(n/k) voters at a winner cost ``-big`` on its arc to
+    the sink, and ``big`` exceeds every assignment's cost, so a cheapest
+    flow fills as many floors as it can before it weighs any entry; a
+    winner left below its floor means no balanced assignment exists.
+    Dijkstra runs on reduced costs, which no arc makes negative: the sink's
     potential starts at ``-big`` and the winners' at 0.  Its start labels,
     a new voter's entries less the winners' potentials, may be negative,
     which Dijkstra allows.  Costs and potentials are exact integers;
-    ``math.inf`` only marks a winner not reached yet.
+    ``math.inf`` only marks a winner not reached yet.  Its tie-breaks fix
+    which Monroe witness is printed.
     """
     k, n = len(winners), matrix.n
     low, high, _ = balanced_loads(n, k)
@@ -244,7 +245,19 @@ def balanced_cost(
             j = i
     if any(len(held) < low for held in members):
         return None
-    return sum(costs[u][i] for i, held in enumerate(members) for u in held)
+    return sum(costs[u][i] for i, held in enumerate(members) for u in held), members
+
+
+def balanced_cost(
+    winners: Sequence[int], matrix: MisrepMatrix, bound: Optional[int] = None
+) -> Optional[int]:
+    """Cost of the cheapest balanced assignment using only entries within the bound.
+
+    Returns None when no balanced assignment uses only such entries.  This
+    is the value ``balanced_assignment`` finds, without its witness.
+    """
+    seated = _seat(winners, matrix, bound)
+    return None if seated is None else seated[0]
 
 
 def balanced_assignment(
@@ -253,22 +266,18 @@ def balanced_assignment(
     """Cheapest balanced assignment using only entries within the bound.
 
     ``winners`` is sorted.  Returns ``(cost, assignment)``, or None when no
-    balanced assignment uses only such entries.  The witness is
-    ``transport``'s, with winners on the left and voters on the right.
+    balanced assignment uses only such entries.  The witness is the seating
+    that ``balanced_cost`` finds.
     """
-    low, high, _ = balanced_loads(matrix.n, len(winners))
-    costs = [
-        [
-            row[w] if bound is None or row[w] <= bound else None
-            for row in matrix.rows
-        ]
-        for w in winners
-    ]
-    result = transport([(low, high)] * len(winners), costs, matrix.n)
-    if result is None:
+    seated = _seat(winners, matrix, bound)
+    if seated is None:
         return None
-    cost, owner = result
-    return cost, Assignment(winners, tuple(winners[i] for i in owner))
+    cost, members = seated
+    mapping = [-1] * matrix.n
+    for w, held in zip(winners, members):
+        for voter in held:
+            mapping[voter] = w
+    return cost, Assignment(winners, tuple(mapping))
 
 
 def balanced_value(

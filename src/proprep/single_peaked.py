@@ -30,6 +30,7 @@ from .core import (
     Solution,
     pad_committee,
 )
+from .solvers import DEFAULT_BUDGET, SolverBudget
 
 
 @dataclass
@@ -200,7 +201,9 @@ def check_single_troughed(matrix: MisrepMatrix, axis: Sequence[int]) -> bool:
 
 
 def axis_savings(
-    rows: AxisRows, stats: Optional[DPStats] = None
+    rows: AxisRows,
+    stats: Optional[DPStats] = None,
+    budget: SolverBudget = DEFAULT_BUDGET,
 ) -> tuple[list[int], list[list[int]]]:
     """Column totals and savings of a single-troughed table read along an axis.
 
@@ -221,7 +224,8 @@ def axis_savings(
       grows, so each voter's cut moves at most t_v times in all.
 
     `stats` counts the table entries read, the cut moves, the cut entries
-    and the saving entries.
+    and the saving entries.  The budget's clock is checked once per sweep
+    step.
     """
     m = rows.matrix.m
     by_trough: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
@@ -246,6 +250,7 @@ def axis_savings(
     crossing = [0] * m
     active: list[list] = []
     for i in range(m):
+        budget.check()
         left = i - 1
         if i and trough_sums[left] is not None:
             done = trough_sums[left]
@@ -282,7 +287,10 @@ def axis_savings(
 
 
 def solve_cc_sum_sp(
-    instance: ProblemInstance, rows: AxisRows, stats: Optional[DPStats] = None
+    instance: ProblemInstance,
+    rows: AxisRows,
+    stats: Optional[DPStats] = None,
+    budget: SolverBudget = DEFAULT_BUDGET,
 ) -> Solution:
     """Optimal sum-objective committee for the unconstrained rule on an axis.
 
@@ -293,12 +301,14 @@ def solve_cc_sum_sp(
     the voters whose values fall from p to i, by saving[i][p]
     (`axis_savings`); on a single-troughed table no member left of p serves
     them better.  The savings take O(nm + m^2) and the table O(k m^2);
-    `stats` counts both.
+    `stats` counts both.  The budget's clock is checked once per sweep step
+    of the savings and once per column j of the table, so the solve stops
+    with `BudgetExceededError` about one column past ``max_seconds``.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.SUM:
         raise ValueError("this solver handles the unconstrained rule, sum objective")
     m, k = instance.matrix.m, instance.k
-    totals, saving = axis_savings(rows, stats)
+    totals, saving = axis_savings(rows, stats, budget)
 
     unset = None
     z = [[unset] * (k + 1) for _ in range(m)]
@@ -307,6 +317,7 @@ def solve_cc_sum_sp(
         z[i][1] = totals[i]
     work = 0
     for j in range(2, k + 1):
+        budget.check()
         for i in range(j - 1, m):
             best, best_p = unset, -1
             gains = saving[i]

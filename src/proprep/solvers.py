@@ -18,12 +18,13 @@ function serves each solver name under every objective, so
 turns a decision procedure into an optimizer, and the table of named
 solvers, live in :mod:`proprep.solving`.
 
-No solver here runs a flow itself: committees are scored by value with
+No solver here seats voters itself: committees are scored by value with
 ``assignment.balanced_value``, and every committee a solver settles on
 becomes a solution through ``assignment.committee_solution``, the one
-committee scorer; partition enumeration matches voter blocks to candidates
-with ``assignment.transport``, bisecting over bottleneck values with
-``core.first_feasible`` under minimax.
+committee scorer, whose Monroe witnesses come from the value scorer's
+seating.  ``assignment.transport`` matches partition blocks: partition
+enumeration calls it to match voter blocks to candidates, bisecting over
+bottleneck values with ``core.first_feasible`` under minimax.
 
 All solvers are pure functions of their arguments.
 """

@@ -208,8 +208,8 @@ def _run_minimax_r0(
 def _run_sp_dp(
     instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
-    budget.check()
-    return _within_bound(solve_cc_sum_sp(instance, rows), instance.bound)
+    solution = solve_cc_sum_sp(instance, rows, budget=budget)
+    return _within_bound(solution, instance.bound)
 
 
 def _run_sp_greedy(

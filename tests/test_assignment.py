@@ -23,6 +23,7 @@ from proprep.core import (
     BordaMisrep,
     BudgetExceededError,
     Election,
+    ExplicitMisrep,
     MisrepMatrix,
     Objective,
     balanced_loads,
@@ -106,8 +107,9 @@ class TestTransport:
         assert (total, owner) == (1, [-1, 0, 1])
 
     def test_witnesses_are_pinned(self):
-        # Printed witnesses follow transport's tie-breaks, so its exact
-        # (cost, owner) on tie-heavy tables is fixed by this digest.
+        # Partition enumeration's block matchings follow transport's
+        # tie-breaks, so its exact (cost, owner) on tie-heavy tables is fixed
+        # by this digest.
         rng = random.Random(1402)
         digest = hashlib.sha256()
         infeasible = with_lows = 0
@@ -286,6 +288,46 @@ def committee_tables(draw):
     return MisrepMatrix(tuple(rows)), winners
 
 
+@st.composite
+def monroe_tables(draw):
+    """Borda, prefix-approval or tied explicit tables of n <= 10 voters, with k winners.
+
+    Explicit rows climb the voter's ranking in steps of 0..2, so a step of 0
+    ties two candidates.
+    """
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    votes = tuple(tuple(draw(st.permutations(range(m)))) for _ in range(n))
+    election = Election(tuple(f"c{i}" for i in range(m)), votes)
+    kind = draw(st.sampled_from(["borda", "approval", "explicit"]))
+    if kind == "borda":
+        spec = BordaMisrep()
+    elif kind == "approval":
+        lengths = draw(st.lists(st.integers(0, m), min_size=n, max_size=n))
+        spec = ApprovalMisrep(tuple(vote[:j] for vote, j in zip(votes, lengths)))
+    else:
+        rows = []
+        for vote in votes:
+            steps = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+            row = [0] * m
+            for c, value in zip(vote, itertools.accumulate(steps, initial=0)):
+                row[c] = value
+            rows.append(tuple(row))
+        spec = ExplicitMisrep(tuple(rows))
+    k = draw(st.integers(1, min(m, n)))
+    winners = tuple(sorted(draw(st.permutations(range(m)))[:k]))
+    return build_misrep(election, spec), winners
+
+
+def transport_seating(winners, matrix, bound):
+    """``transport``'s (cost, owner) with winners on the left and voters on the right."""
+    low, high, _ = balanced_loads(matrix.n, len(winners))
+    costs = [
+        [row[w] if bound is None or row[w] <= bound else None for row in matrix.rows]
+        for w in winners
+    ]
+    return transport([(low, high)] * len(winners), costs, matrix.n)
+
+
 def cheapest_balanced_maps(matrix, winners, bounds):
     """Per bound, the smallest sum over balanced maps using only entries within it.
 
@@ -316,7 +358,7 @@ class TestBalancedCost:
         if matrix.n <= 8:
             brute = cheapest_balanced_maps(matrix, winners, bounds)
         for bound in bounds:
-            flow = balanced_assignment(winners, matrix, bound)
+            flow = transport_seating(winners, matrix, bound)
             expected = None if flow is None else flow[0]
             assert balanced_cost(winners, matrix, bound) == expected
             if matrix.n <= 8:
@@ -344,6 +386,28 @@ class TestBalancedCost:
         for limit in (-1, 0, value - 1, value, value + 1):
             expected = value if value <= limit else None
             assert balanced_value(winners, matrix, Objective.SUM, limit) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(monroe_tables())
+    def test_witness_is_a_cheapest_balanced_seating(self, table):
+        # The witness is `balanced_cost`'s own seating; `transport`, a
+        # separate min-cost flow, checks that it exists exactly when a flow
+        # does and that it costs what the cheapest flow costs.
+        matrix, winners = table
+        for bound in [None, *matrix.distinct_values()]:
+            flow = transport_seating(winners, matrix, bound)
+            found = balanced_assignment(winners, matrix, bound)
+            assert (found is None) == (flow is None)
+            if found is None:
+                assert balanced_cost(winners, matrix, bound) is None
+                continue
+            cost, witness = found
+            assert witness.winner_set == winners
+            assert check_m_criterion(witness, matrix.n, len(winners))
+            entries = [matrix.rows[v][w] for v, w in enumerate(witness.mapping)]
+            assert bound is None or max(entries) <= bound
+            assert cost == sum(entries) == flow[0]
+            assert cost == balanced_cost(winners, matrix, bound)
 
     def test_a_winner_below_its_floor_is_infeasible(self):
         # Every voter has an entry within 3, but winner 3 has none, so it

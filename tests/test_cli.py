@@ -458,6 +458,27 @@ class TestSolve:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_monroe_witness_over_2000_voters_is_answered(self, tmp_path, capsys):
+        # The witness is the value scorer's seating, so seating 2000 voters
+        # costs about one `balanced_cost` call, not one Dijkstra per voter.
+        # Seating reads no clock, so the budget alone would not catch a slow
+        # witness: the wall time is checked against it too.
+        instance_path = str(tmp_path / "n2000.elect")
+        argv = ["random", "--m", "20", "--n", "2000", "--k", "2", "--rule", "monroe"]
+        assert main(["gen", *argv, "--seed", "1", "--out", instance_path]) == 0
+        capsys.readouterr()
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "solve", instance_path, "--budget-seconds", "2"
+        )
+        assert time.perf_counter() - started < 2
+        assert code == 0, err
+        solution_path = str(tmp_path / "n2000.sol")
+        Path(solution_path).write_text(out)
+        code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
+        assert code == 0
+        assert "all checks passed" in out
+
     def test_recursion_error_exits_3(self, write, capsys, monkeypatch):
         def too_deep(instance, budget):
             raise RecursionError("maximum recursion depth exceeded")

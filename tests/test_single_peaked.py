@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, ranked, time_limit
 from oracles import check_compatible
+from proprep import solvers, solving
+from proprep.cli import main
 from proprep.core import (
     BordaMisrep,
+    BudgetExceededError,
     Election,
     MisrepMatrix,
     Objective,
@@ -21,6 +26,7 @@ from proprep.core import (
     build_misrep,
     pad_committee,
 )
+from proprep.fileio import parse_instance
 from proprep.single_peaked import (
     AxisRows,
     DPStats,
@@ -32,7 +38,7 @@ from proprep.single_peaked import (
     solve_cc_minimax_sp,
     solve_cc_sum_sp,
 )
-from proprep.solvers import solve_subset_enum
+from proprep.solvers import SolverBudget, solve_subset_enum
 
 
 def compatible_by_triples(vote, axis):
@@ -501,6 +507,41 @@ class TestSumDP:
         matrix = MisrepMatrix(((0, 1, 2), (2, 1, 0), (1, 0, 1), (1, 2, 1)))
         with pytest.raises(ValueError, match="single-troughed"):
             axis_savings(AxisRows(matrix, (0, 1, 2)))
+
+    def test_reads_the_clock_once_per_sweep_step_and_column(self, monkeypatch):
+        # The fake clock counts its reads: one when the budget is made, one
+        # per savings sweep step (m) and one per table column (k - 1).  With
+        # the budget spent, the solve stops at the first of them.
+        m, n, k = 9, 12, 4
+        election, axis = sample_single_peaked_election(random.Random(211), m, n)
+        instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
+        rows = AxisRows(instance.matrix, axis)
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0
+
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+        solve_cc_sum_sp(instance, rows, budget=SolverBudget(max_seconds=1.0))
+        assert len(reads) == 1 + m + (k - 1)
+        reads.clear()
+        budget = SolverBudget(max_seconds=-1.0)
+        with pytest.raises(BudgetExceededError):
+            solve_cc_sum_sp(instance, rows, budget=budget)
+        assert len(reads) == 2
+
+    def test_stops_at_its_budget_on_a_large_table(self, tmp_path):
+        # Unbudgeted, this 600 x 600 file takes seconds in the O(k m^2)
+        # table; the solve must stop within one column of half a second.
+        path = tmp_path / "sp600.elect"
+        argv = ["single-peaked", "--m", "600", "--n", "600", "--k", "300"]
+        assert main(["gen", *argv, "--seed", "1", "--out", str(path)]) == 0
+        instance = parse_instance(path.read_text())
+        budget = SolverBudget(max_seconds=0.5)
+        with pytest.raises(BudgetExceededError):
+            solving.solve(instance, "auto", budget)
+        assert time.monotonic() - budget.started < 0.6
 
 
 class TestMinimaxGreedy:

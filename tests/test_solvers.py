@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -300,18 +301,24 @@ class TestSubsetEnum:
     def test_monroe_flows_only_for_committees_within_the_bound(
         self, tmp_path, monkeypatch, objective
     ):
-        # Scoring every committee would take at least C(9, 3) flows.
+        # Scoring every committee would take at least C(9, 3) flows.  Every
+        # committee scored and every witness is seated by `assignment._seat`;
+        # `transport` only matches partition blocks.
         instance = generated_monroe(tmp_path, objective)
         flows = []
-        transport = assignment.transport
+        seat = assignment._seat
 
         def counted(*args):
             flows.append(args)
-            return transport(*args)
+            return seat(*args)
 
-        monkeypatch.setattr(assignment, "transport", counted)
+        def unused(*args):
+            raise AssertionError("subset enumeration ran transport")
+
+        monkeypatch.setattr(assignment, "_seat", counted)
+        monkeypatch.setattr(assignment, "transport", unused)
         solve_subset_enum(instance)
-        assert len(flows) < math.comb(9, 3) / 10
+        assert 0 < len(flows) < math.comb(9, 3) / 10
 
     def test_deadline_holds_while_scoring(self, tmp_path, monkeypatch):
         # Each scored committee takes one second on a fake clock.  Without a
@@ -892,86 +899,107 @@ class TestCrossSolverAgreement:
                 assert original == zeroed
 
 
-class TestPinnedSolves:
-    def test_named_solves_are_pinned(self):
-        # What `solve` answers under each name below, at every bound from 0
-        # to min(worst, 4), is fixed by this digest: the answering name with
-        # (value, winners, mapping, balanced flag), or None, or only the
-        # class of the exception raised, since error texts may change.
-        # Tables cycle through Borda, prefix approvals and explicit rows
-        # with ties, under both rules and both objectives; the sp-* solvers
-        # run on single-peaked profiles.
-        rng = random.Random(1402)
-        digest = hashlib.sha256()
-        counts = {"solved": 0, "none": 0, "raised": 0}
+@functools.cache
+def pinned_solves() -> tuple[dict, str, str]:
+    """What `solve` answers under each name below, at bounds 0 to min(worst, 4).
 
-        def record(instance, names):
-            worst = worst_bound(instance.matrix, instance.objective)
-            for bound in range(min(worst, 4) + 1):
-                probe = dataclasses.replace(instance, bound=bound)
-                for name in names:
-                    try:
-                        answered, solution = solve(probe, name)
-                    except (BudgetExceededError, ValueError) as error:
-                        result = type(error).__name__
-                        counts["raised"] += 1
+    Returns the outcome counts and two digests.  Each answer is the
+    answering name with (value, winners, mapping, balanced flag), or None,
+    or only the class of the exception raised, since error texts may
+    change.  The first digest leaves the mapping out, so it stays fixed
+    when only a witness's seating moves among equally good ones; the
+    second covers it.  Tables cycle through Borda, prefix approvals and
+    explicit rows with ties, under both rules and both objectives; the sp-*
+    solvers run on single-peaked profiles.
+    """
+    rng = random.Random(1402)
+    values, full = hashlib.sha256(), hashlib.sha256()
+    counts = {"solved": 0, "none": 0, "raised": 0}
+
+    def record(instance, names):
+        worst = worst_bound(instance.matrix, instance.objective)
+        for bound in range(min(worst, 4) + 1):
+            probe = dataclasses.replace(instance, bound=bound)
+            for name in names:
+                try:
+                    answered, solution = solve(probe, name)
+                except (BudgetExceededError, ValueError) as error:
+                    result = answer = type(error).__name__
+                    counts["raised"] += 1
+                else:
+                    if solution is None:
+                        result = answer = None
+                        counts["none"] += 1
                     else:
-                        if solution is None:
-                            result = None
-                            counts["none"] += 1
-                        else:
-                            result = (
-                                answered,
-                                solution.objective_value,
-                                solution.assignment.winner_set,
-                                solution.assignment.mapping,
-                                solution.m_criterion_satisfied,
-                            )
-                            counts["solved"] += 1
-                    digest.update(repr(result).encode())
+                        answer = (
+                            answered,
+                            solution.objective_value,
+                            solution.assignment.winner_set,
+                            solution.m_criterion_satisfied,
+                        )
+                        result = (*answer[:3], solution.assignment.mapping, answer[3])
+                        counts["solved"] += 1
+                values.update(repr(answer).encode())
+                full.update(repr(result).encode())
 
-        names = (
-            "branch-rk", "monroe-rk", "partition-enum", "minimax-r0", "constant-r",
-            "subset-enum",
+    names = (
+        "branch-rk", "monroe-rk", "partition-enum", "minimax-r0", "constant-r",
+        "subset-enum",
+    )
+    for trial in range(48):
+        # Partition enumeration grows fast in n and k, so only every
+        # sixth instance may have seven or eight voters, and k <= 3.
+        m, n = rng.randint(1, 6), rng.randint(1, 8 if trial % 6 == 0 else 6)
+        k = rng.randint(1, min(m, n, 3))
+        election = random_election(rng, m, n)
+        kind = trial % 3
+        if kind == 0:
+            spec = BordaMisrep()
+        elif kind == 1:
+            spec = ApprovalMisrep(random_prefix_approvals(rng, election))
+        else:
+            rows = []
+            for vote in election.votes:
+                row, value = [0] * m, 0
+                for c in vote:
+                    row[c] = value
+                    value += rng.randint(0, 2)
+                rows.append(tuple(row))
+            spec = ExplicitMisrep(tuple(rows))
+        matrix = build_misrep(election, spec)
+        for rule in Rule:
+            for objective in Objective:
+                record(ProblemInstance(election, matrix, rule, objective, k, 0), names)
+    for trial in range(24):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        election, _ = sample_single_peaked_election(rng, m, n)
+        spec = (
+            BordaMisrep()
+            if trial % 2
+            else ApprovalMisrep(random_prefix_approvals(rng, election))
         )
-        for trial in range(48):
-            # Partition enumeration grows fast in n and k, so only every
-            # sixth instance may have seven or eight voters, and k <= 3.
-            m, n = rng.randint(1, 6), rng.randint(1, 8 if trial % 6 == 0 else 6)
-            k = rng.randint(1, min(m, n, 3))
-            election = random_election(rng, m, n)
-            kind = trial % 3
-            if kind == 0:
-                spec = BordaMisrep()
-            elif kind == 1:
-                spec = ApprovalMisrep(random_prefix_approvals(rng, election))
-            else:
-                rows = []
-                for vote in election.votes:
-                    row, value = [0] * m, 0
-                    for c in vote:
-                        row[c] = value
-                        value += rng.randint(0, 2)
-                    rows.append(tuple(row))
-                spec = ExplicitMisrep(tuple(rows))
-            matrix = build_misrep(election, spec)
-            for rule in Rule:
-                for objective in Objective:
-                    record(ProblemInstance(election, matrix, rule, objective, k, 0), names)
-        for trial in range(24):
-            m, n = rng.randint(1, 6), rng.randint(1, 8)
-            election, _ = sample_single_peaked_election(rng, m, n)
-            spec = (
-                BordaMisrep()
-                if trial % 2
-                else ApprovalMisrep(random_prefix_approvals(rng, election))
-            )
-            matrix = build_misrep(election, spec)
-            for k in range(1, min(m, n) + 1):
-                for objective in Objective:
-                    instance = ProblemInstance(election, matrix, Rule.CC, objective, k, 0)
-                    record(instance, ("sp-dp", "sp-greedy"))
+        matrix = build_misrep(election, spec)
+        for k in range(1, min(m, n) + 1):
+            for objective in Objective:
+                instance = ProblemInstance(election, matrix, Rule.CC, objective, k, 0)
+                record(instance, ("sp-dp", "sp-greedy"))
+    return counts, values.hexdigest(), full.hexdigest()
+
+
+class TestPinnedSolves:
+    def test_named_values_are_pinned(self):
+        # Names, values, winners and balanced flags, without the mappings.
+        counts, values, _ = pinned_solves()
         assert counts == {"solved": 1771, "none": 540, "raised": 2651}
-        assert digest.hexdigest() == (
-            "c0aba8c1e371eb8143163d7d390f32e6e5e121b1cb2ee8ddd53c599af4a191f0"
+        assert values == (
+            "79bb7db39f8c2195336e5b56e436d5917681c7f1b8b751fd6484ba2b013035db"
+        )
+
+    def test_named_solves_are_pinned(self):
+        # Everything above and every mapping; Monroe witnesses follow the
+        # seating of `assignment.balanced_cost`'s shortest paths.
+        counts, _, full = pinned_solves()
+        assert counts == {"solved": 1771, "none": 540, "raised": 2651}
+        assert full == (
+            "fee6b948d724b5928ab9e0b2f0387368322c82c4c0e292ac52ceff84ebbf719a"
         )
