@@ -9,15 +9,15 @@ variant restricts the flow to entries within the bound, asks only for
 feasibility, and finds a committee's value as the first feasible bound at or
 above its best-representative minimax value.
 
-Values and witnesses come from one place.  ``_seat`` is successive
-shortest paths on the k winner nodes, with no flow network; it seats every
-voter, and its tie-breaks fix which Monroe witness is printed.
-``balanced_cost`` is the value scorer and returns only its cost;
-``balanced_assignment`` returns its seating as the witness.
-``balanced_value`` is the one place that decides how a committee's
-balanced-rule value is found under each objective: the cost itself under
-sum, a bisection over bounds with it under minimax; subset enumeration in
-:mod:`proprep.solvers` scores every committee it tries with it.
+Values and witnesses come from one run.  ``_seat`` is successive shortest
+paths on the k winner nodes, with no flow network; it seats every voter,
+and its tie-breaks fix which Monroe witness is printed.
+``balanced_solution`` is the one place that decides how a committee's
+balanced-rule value is found under each objective: one seating under sum,
+a bisection over bounds under minimax.  The seating at the value is the
+witness, so no committee is seated again once it is scored; subset
+enumeration in :mod:`proprep.solvers` scores every committee it tries with
+it and returns the best one's solution as it stands.
 ``transport`` matches partition blocks: partition enumeration in
 :mod:`proprep.solvers` calls it to match voter blocks to candidates.  It is
 a min-cost flow on its own bipartite residual network, with left nodes
@@ -248,72 +248,49 @@ def _seat(
     return sum(costs[u][i] for i, held in enumerate(members) for u in held), members
 
 
-def balanced_cost(
-    winners: Sequence[int], matrix: MisrepMatrix, bound: Optional[int] = None
-) -> Optional[int]:
-    """Cost of the cheapest balanced assignment using only entries within the bound.
+def balanced_solution(
+    winners: tuple[int, ...],
+    matrix: MisrepMatrix,
+    objective: Objective,
+    limit: Optional[int] = None,
+) -> Optional[Solution]:
+    """A committee's solution under the balanced rule, or None if above `limit`.
 
-    Returns None when no balanced assignment uses only such entries.  This
-    is the value ``balanced_assignment`` finds, without its witness.
+    ``winners`` is sorted.  The witness is the seating ``_seat`` finds at
+    the value's own bound, no bound under sum, the value under minimax, so
+    a committee is seated once for its value and its witness together.
+    Under minimax the value is the smallest bound admitting a balanced
+    assignment.  No bound below the committee's best-representative
+    minimax value can serve every voter, so the bisection starts at that
+    value.  With a limit, one test at the limit comes first, and the
+    bisection runs only below it when that test passes.
     """
-    seated = _seat(winners, matrix, bound)
-    return None if seated is None else seated[0]
-
-
-def balanced_assignment(
-    winners: tuple[int, ...], matrix: MisrepMatrix, bound: Optional[int] = None
-) -> Optional[tuple[int, Assignment]]:
-    """Cheapest balanced assignment using only entries within the bound.
-
-    ``winners`` is sorted.  Returns ``(cost, assignment)``, or None when no
-    balanced assignment uses only such entries.  The witness is the seating
-    that ``balanced_cost`` finds.
-    """
-    seated = _seat(winners, matrix, bound)
-    if seated is None:
-        return None
-    cost, members = seated
+    if objective is Objective.SUM:
+        seated = _seat(winners, matrix, None)
+        assert seated is not None, "a balanced assignment exists when k <= n"
+        value, members = seated
+        if limit is not None and value > limit:
+            return None
+    else:
+        floor = max(min(row[w] for w in winners) for row in matrix.rows)
+        if limit is not None:
+            seated = None if floor > limit else _seat(winners, matrix, limit)
+            if seated is None:
+                return None
+            value, members = limit, seated[1]
+        entries = {row[w] for row in matrix.rows for w in winners}
+        values = sorted(
+            x for x in entries if x >= floor and (limit is None or x < limit)
+        )
+        found = first_feasible(values, lambda bound: _seat(winners, matrix, bound))
+        if found is not None:
+            value, members = found[0], found[1][1]
+        assert found or limit is not None, "maximal bound is feasible when k <= n"
     mapping = [-1] * matrix.n
     for w, held in zip(winners, members):
         for voter in held:
             mapping[voter] = w
-    return cost, Assignment(winners, tuple(mapping))
-
-
-def balanced_value(
-    winners: Sequence[int],
-    matrix: MisrepMatrix,
-    objective: Objective,
-    limit: Optional[int] = None,
-) -> Optional[int]:
-    """A committee's value under the balanced rule, or None if above `limit`.
-
-    Only the value is found, never a witness.  Under sum it is
-    ``balanced_cost``'s.  Under minimax it is the smallest bound admitting
-    a balanced assignment.  No bound below the committee's
-    best-representative minimax value can serve every voter, so the
-    bisection starts at that value.  With a limit, one test at the limit
-    comes first, and the bisection runs only below it when that test
-    passes.
-    """
-    if objective is Objective.SUM:
-        value = balanced_cost(winners, matrix)
-        assert value is not None, "a balanced assignment exists when k <= n"
-        return value if limit is None or value <= limit else None
-    floor = max(min(row[w] for w in winners) for row in matrix.rows)
-    if limit is not None and (
-        floor > limit or balanced_cost(winners, matrix, limit) is None
-    ):
-        return None
-    entries = {row[w] for row in matrix.rows for w in winners}
-    values = sorted(
-        x for x in entries if x >= floor and (limit is None or x < limit)
-    )
-    found = first_feasible(values, lambda bound: balanced_cost(winners, matrix, bound))
-    if found is not None:
-        return found[0]
-    assert limit is not None, "maximal bound is always feasible when k <= n"
-    return limit
+    return Solution(Assignment(winners, tuple(mapping)), value, True)
 
 
 def committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Solution:
@@ -325,10 +302,6 @@ def committee_solution(instance: ProblemInstance, winners: Sequence[int]) -> Sol
         value = evaluate(matrix, assignment.mapping, instance.objective)
         balanced = check_m_criterion(assignment, matrix.n, instance.k)
         return Solution(assignment, value, balanced)
-    bound = None
-    if instance.objective is Objective.MINIMAX:
-        bound = balanced_value(winners, matrix, instance.objective)
-    found = balanced_assignment(winners, matrix, bound)
-    assert found is not None, "a balanced assignment exists when k <= n"
-    cost, assignment = found
-    return Solution(assignment, cost if bound is None else bound, True)
+    solution = balanced_solution(winners, matrix, instance.objective)
+    assert solution is not None, "a balanced assignment exists when k <= n"
+    return solution

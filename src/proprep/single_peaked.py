@@ -40,7 +40,9 @@ class DPStats:
     cell_updates: int = 0
 
 
-def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
+def detect_axis(
+    election: Election, budget: SolverBudget = DEFAULT_BUDGET
+) -> Optional[tuple[int, ...]]:
     """Find an axis all votes are single-peaked on, or None if there is none.
 
     Builds the axis from the outside in, one step per pass of a single loop
@@ -60,8 +62,9 @@ def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
       option extends whenever the second does.
 
     Each step costs O(n) plus the replay, which advances each voter at most
-    m times overall.  Of the two mirror orientations, the one whose first
-    candidate has the smaller index is returned.
+    m times overall, and reads the budget's clock once.  Of the two mirror
+    orientations, the one whose first candidate has the smaller index is
+    returned.
     """
     m, n = election.m, election.n
     if m == 1:
@@ -94,6 +97,7 @@ def detect_axis(election: Election) -> Optional[tuple[int, ...]]:
 
     lo, hi, state = 0, m - 1, [(0, 0)] * n
     while lo <= hi:
+        budget.check()
         frontier = sorted({peel[v][sum(state[v])] for v in range(n)})
         if len(frontier) > 2 or (len(frontier) == 2 and lo == hi):
             return None

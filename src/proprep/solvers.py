@@ -8,8 +8,8 @@ per-voter minima, which `PackedColumns` packs into one int with a
 byte-aligned field per voter so that each step runs at C speed, and prunes
 every prefix whose best-representative bound cannot win, which needs no
 flow; under the balanced rule it then scores the committees left by value
-alone, in bound order until the next one can no longer win, and assigns
-voters only to the committee it returns.  Partition enumeration matches
+alone, in bound order until the next one can no longer win, and returns
+the seating that scored the winner.  Partition enumeration matches
 every admissible partition.  The remaining solvers are decision procedures:
 given the bound stored on the instance they either produce a witness
 solution meeting it or report that none exists by returning ``None``; one
@@ -18,13 +18,14 @@ function serves each solver name under every objective, so
 turns a decision procedure into an optimizer, and the table of named
 solvers, live in :mod:`proprep.solving`.
 
-No solver here seats voters itself: committees are scored by value with
-``assignment.balanced_value``, and every committee a solver settles on
+No solver here seats voters itself: subset enumeration scores committees
+with ``assignment.balanced_solution``, whose Monroe witness is the seating
+that found the value, and every committee another solver settles on
 becomes a solution through ``assignment.committee_solution``, the one
-committee scorer, whose Monroe witnesses come from the value scorer's
-seating.  ``assignment.transport`` matches partition blocks: partition
-enumeration calls it to match voter blocks to candidates, bisecting over
-bottleneck values with ``core.first_feasible`` under minimax.
+committee scorer, which calls it too.  ``assignment.transport`` matches
+partition blocks: partition enumeration calls it to match voter blocks to
+candidates, bisecting over bottleneck values with ``core.first_feasible``
+under minimax.
 
 All solvers are pure functions of their arguments.
 """
@@ -39,9 +40,9 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
-from .assignment import balanced_value, committee_solution, transport
+from .assignment import balanced_solution, committee_solution, transport
 from .core import (
     Assignment,
     BudgetExceededError,
@@ -94,8 +95,8 @@ DEFAULT_BUDGET = SolverBudget()
 class SearchStats:
     """Mutable counters filled in by the branching solver.
 
-    `leaf_calls` counts recursive calls that return without branching
-    further; it is the quantity bounded by the search-tree analysis.
+    `leaf_calls` counts search nodes that end without branching further;
+    it is the quantity bounded by the search-tree analysis.
     """
 
     leaf_calls: int = 0
@@ -293,11 +294,12 @@ def solve_subset_enum(
     committee)` order until the next pair is above the best `(value,
     committee)` pair so far; every committee not scored has value >= bound,
     so the answer is the plain minimum over all pairs.  Every committee,
-    the CC-optimal one included, is scored by value alone, a collected
-    minimax value only once the committee is known to beat the best pair;
-    only the committee returned is assigned voters, once.  Memory holds two
-    packed columns per pool candidate, packed once and shared by both walks,
-    and, under Monroe, the collected pairs.
+    the CC-optimal one included, is scored once, a collected minimax value
+    only once the committee is known to beat the best pair; the seating
+    that scored the committee returned is its witness, so no committee is
+    seated again.  Memory holds two packed columns per pool candidate,
+    packed once and shared by both walks, and, under Monroe, the collected
+    pairs.
     """
     m = instance.matrix.m
     pool = sorted(range(m) if candidate_pool is None else candidate_pool)
@@ -321,9 +323,10 @@ def solve_subset_enum(
 
     packing = _pack_pool(matrix, pool)
     _committee_walk(packing, k, objective, budget, math.inf, keep_strictly_better)
+    solution = committee_solution(instance, found[0])
     if instance.rule is Rule.CC:
-        return committee_solution(instance, found[0])
-    best = (balanced_value(found[0], matrix, objective), found[0])
+        return solution
+    best = (solution.objective_value, found[0])
     bounded: list[tuple[int, tuple[int, ...]]] = []
 
     def collect(value: int, committee: tuple[int, ...]) -> int:
@@ -338,10 +341,10 @@ def solve_subset_enum(
         _, committee = heapq.heappop(bounded)
         # Only a value <= limit makes (value, committee) beat the best pair.
         limit = best[0] if committee < best[1] else best[0] - 1
-        value = balanced_value(committee, matrix, objective, limit)
-        if value is not None:
-            best = (value, committee)
-    return committee_solution(instance, best[1])
+        scored = balanced_solution(committee, matrix, objective, limit)
+        if scored is not None:
+            solution, best = scored, (scored.objective_value, committee)
+    return solution
 
 
 def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
@@ -458,6 +461,30 @@ def _check_sparsity(matrix: MisrepMatrix, bound: int) -> None:
             )
 
 
+# A search node: it yields its children in branch order and returns the
+# committee it ends the search with, or None.
+Branch = Generator["Branch", None, Optional[frozenset[int]]]
+
+
+def _first_found(root: Branch) -> Optional[frozenset[int]]:
+    """The first committee a node returns, visiting nodes depth-first.
+
+    Nodes run in the order a recursion would call them, but the open ones
+    wait on a list, so a depth that grows with n needs no stack frames.
+    """
+    stack = [root]
+    while stack:
+        try:
+            child = next(stack[-1])
+        except StopIteration as stop:
+            if stop.value is not None:
+                return stop.value
+            stack.pop()
+        else:
+            stack.append(child)
+    return None
+
+
 def solve_cc_branch_rk(
     instance: ProblemInstance,
     budget: SolverBudget = DEFAULT_BUDGET,
@@ -482,7 +509,7 @@ def solve_cc_branch_rk(
 
     def branch_sum(
         remaining: tuple[int, ...], left: int, chosen: frozenset[int]
-    ) -> Optional[frozenset[int]]:
+    ) -> Branch:
         budget.check()
         if left < 0 or len(chosen) > k:
             stats.leaf_calls += 1
@@ -493,22 +520,20 @@ def solve_cc_branch_rk(
             stats.leaf_calls += 1
             return chosen
         v, rest = remaining[0], remaining[1:]
-        recursed = False
+        branched = False
         for c in range(matrix.m):
             if rows[v][c] > left:
                 continue
-            recursed = True
+            branched = True
             survivors = tuple(w for w in rest if rows[w][c] != 0)
-            found = branch_sum(survivors, left - rows[v][c], chosen | {c})
-            if found is not None:
-                return found
-        if not recursed:
+            yield branch_sum(survivors, left - rows[v][c], chosen | {c})
+        if not branched:
             stats.leaf_calls += 1
         return None
 
     def branch_minimax(
         remaining: tuple[int, ...], seats: int, chosen: frozenset[int]
-    ) -> Optional[frozenset[int]]:
+    ) -> Branch:
         budget.check()
         if not remaining:
             stats.leaf_calls += 1
@@ -517,24 +542,22 @@ def solve_cc_branch_rk(
             stats.leaf_calls += 1
             return None
         v = remaining[0]
-        recursed = False
+        branched = False
         for c in range(matrix.m):
             if rows[v][c] > bound:
                 continue
-            recursed = True
+            branched = True
             survivors = tuple(w for w in remaining if rows[w][c] > bound)
-            found = branch_minimax(survivors, seats - 1, chosen | {c})
-            if found is not None:
-                return found
-        if not recursed:
+            yield branch_minimax(survivors, seats - 1, chosen | {c})
+        if not branched:
             stats.leaf_calls += 1
         return None
 
     voters = tuple(range(matrix.n))
     if instance.objective is Objective.SUM:
-        chosen = branch_sum(voters, bound, frozenset())
+        chosen = _first_found(branch_sum(voters, bound, frozenset()))
     else:
-        chosen = branch_minimax(voters, k, frozenset())
+        chosen = _first_found(branch_minimax(voters, k, frozenset()))
     if chosen is None:
         return None
     solution = committee_solution(instance, pad_committee(chosen, k, matrix.m))

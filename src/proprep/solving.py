@@ -303,7 +303,7 @@ def solve(
     `ValueError`.
     """
     if solver == "auto":
-        rows = axis_rows(instance, detect_axis(instance.election))
+        rows = axis_rows(instance, detect_axis(instance.election, budget))
         return solve_auto(instance, rows, budget)
     return solver, _run_named(_spec(solver), instance, budget)
 
@@ -329,7 +329,8 @@ def _run_named(
     spec: SolverSpec, instance: ProblemInstance, budget: SolverBudget
 ) -> Optional[Solution]:
     """Run one solver, looking for the election's axis only if it reads one."""
-    rows = axis_rows(instance, detect_axis(instance.election)) if spec.axis else None
+    election = instance.election
+    rows = axis_rows(instance, detect_axis(election, budget)) if spec.axis else None
     if spec.axis and rows is None:
         raise ValueError("the election is not single-peaked; sp-* solvers need an axis")
     return spec.run(instance, rows, budget)

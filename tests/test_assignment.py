@@ -13,24 +13,28 @@ from hypothesis import strategies as st
 from proprep import assignment
 from proprep.assignment import (
     assign_cc,
-    balanced_assignment,
-    balanced_cost,
-    balanced_value,
+    balanced_solution,
+    committee_solution,
     transport,
 )
 from proprep.core import (
     ApprovalMisrep,
+    Assignment,
     BordaMisrep,
     BudgetExceededError,
     Election,
     ExplicitMisrep,
     MisrepMatrix,
     Objective,
+    ProblemInstance,
+    Rule,
     balanced_loads,
     build_misrep,
     check_m_criterion,
     evaluate,
+    verify_solution,
 )
+from proprep.fileio import worst_bound
 from proprep.generators import random_prefix_approvals
 
 from conftest import ranked
@@ -183,27 +187,55 @@ class TestEnumerateBalanced:
             next(enumerate_balanced_assignments((0, 1), 11))
 
 
+def seated(winners, matrix, bound):
+    """``_seat``'s seating at the bound as ``(cost, Assignment)``, or None."""
+    found = assignment._seat(winners, matrix, bound)
+    if found is None:
+        return None
+    cost, members = found
+    mapping = [-1] * matrix.n
+    for w, held in zip(winners, members):
+        for voter in held:
+            mapping[voter] = w
+    return cost, Assignment(winners, tuple(mapping))
+
+
+def seat_cost(winners, matrix, bound=None):
+    """``_seat``'s cost at the bound, or None."""
+    found = assignment._seat(winners, matrix, bound)
+    return None if found is None else found[0]
+
+
+def solution_value(winners, matrix, objective, limit=None):
+    """``balanced_solution``'s value, or None."""
+    found = balanced_solution(winners, matrix, objective, limit)
+    return None if found is None else found.objective_value
+
+
 class TestMonroeAssignments:
     def test_sum_on_skewed_profile(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        cost, witness = balanced_assignment((0, 1, 2), matrix)
-        assert cost == 2
-        assert check_m_criterion(witness, 6, 3)
-        assert evaluate(matrix, witness.mapping, Objective.SUM) == 2
+        solution = balanced_solution((0, 1, 2), matrix, Objective.SUM)
+        assert solution.objective_value == 2
+        assert solution.m_criterion_satisfied
+        assert check_m_criterion(solution.assignment, 6, 3)
+        assert evaluate(matrix, solution.assignment.mapping, Objective.SUM) == 2
 
     def test_minimax_zero_feasible_with_distinct_tops(self, profile_3v4c):
         matrix = borda(profile_3v4c)
-        found = balanced_assignment((0, 1, 2), matrix, 0)
+        found = balanced_solution((0, 1, 2), matrix, Objective.MINIMAX, 0)
         assert found is not None
-        assert found[1].mapping == (0, 1, 2)
+        assert found.objective_value == 0
+        assert found.assignment.mapping == (0, 1, 2)
 
     def test_minimax_zero_infeasible_without_top(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        assert balanced_assignment((0, 1, 3), matrix, 0) is None
+        assert assignment._seat((0, 1, 3), matrix, 0) is None
+        assert balanced_solution((0, 1, 3), matrix, Objective.MINIMAX, 0) is None
 
     def test_minimax_max_value_always_feasible(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        found = balanced_assignment((0, 1, 3), matrix, matrix.max_value())
+        found = seated((0, 1, 3), matrix, matrix.max_value())
         assert found is not None
         assert check_m_criterion(found[1], 6, 3)
 
@@ -224,33 +256,34 @@ class TestMonroeAssignments:
                 evaluate(matrix, mapping, Objective.MINIMAX)
                 for mapping in enumerate_balanced_assignments(winners, n)
             )
-            cost, witness = balanced_assignment(winners, matrix)
-            assert cost == best_sum
-            assert check_m_criterion(witness, n, k)
-            value = balanced_value(winners, matrix, Objective.MINIMAX)
-            assert value == best_max
-            _, witness = balanced_assignment(winners, matrix, value)
-            assert check_m_criterion(witness, n, k)
+            solution = balanced_solution(winners, matrix, Objective.SUM)
+            assert solution.objective_value == best_sum
+            assert check_m_criterion(solution.assignment, n, k)
+            solution = balanced_solution(winners, matrix, Objective.MINIMAX)
+            assert solution.objective_value == best_max
+            assert check_m_criterion(solution.assignment, n, k)
 
     def test_minimax_bound_search_is_tight(self, profile_6v4c):
         matrix = borda(profile_6v4c)
-        value = balanced_value((0, 1, 2), matrix, Objective.MINIMAX)
+        solution = balanced_solution((0, 1, 2), matrix, Objective.MINIMAX)
+        value = solution.objective_value
         assert value == 1
-        _, witness = balanced_assignment((0, 1, 2), matrix, value)
-        assert evaluate(matrix, witness.mapping, Objective.MINIMAX) == 1
-        assert balanced_assignment((0, 1, 2), matrix, value - 1) is None
+        assert evaluate(matrix, solution.assignment.mapping, Objective.MINIMAX) == 1
+        assert assignment._seat((0, 1, 2), matrix, value - 1) is None
 
     def test_minimax_value_is_the_first_feasible_table_value(self, monkeypatch):
         # The bisection starts at the committee's CC minimax value; its
         # answer is that of a scan over every table value with the flow.
+        # The witness is the seating of the bisection's own test at the
+        # value: no seating runs after the bisection, which makes at most
+        # floor(log2 L) + 1 tests over the L table values it starts from.
         probed = []
-        scorer = assignment.balanced_cost
+        seat = assignment._seat
 
-        def recorded(winners, matrix, bound=None):
+        def recorded(winners, matrix, bound):
             probed.append(bound)
-            return scorer(winners, matrix, bound)
+            return seat(winners, matrix, bound)
 
-        monkeypatch.setattr(assignment, "balanced_cost", recorded)
         rng = random.Random(1729)
         for trial in range(120):
             m = rng.randint(2, 6)
@@ -265,14 +298,20 @@ class TestMonroeAssignments:
             winners = tuple(sorted(rng.sample(range(m), k)))
             entries = sorted({row[w] for row in matrix.rows for w in winners})
             expected = next(
-                bound
-                for bound in entries
-                if balanced_assignment(winners, matrix, bound) is not None
+                bound for bound in entries if seat(winners, matrix, bound) is not None
             )
-            probed.clear()
-            assert balanced_value(winners, matrix, Objective.MINIMAX) == expected
             nearest = assign_cc(winners, matrix).mapping
-            assert min(probed) >= evaluate(matrix, nearest, Objective.MINIMAX)
+            nearest = evaluate(matrix, nearest, Objective.MINIMAX)
+            probed.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(assignment, "_seat", recorded)
+                solution = balanced_solution(winners, matrix, Objective.MINIMAX)
+            assert solution.objective_value == expected
+            assert min(probed) >= nearest
+            assert expected in probed
+            tried = sum(1 for bound in entries if bound >= nearest)
+            assert len(probed) <= tried.bit_length()
+            assert solution.assignment == seated(winners, matrix, expected)[1]
 
 
 @st.composite
@@ -360,7 +399,7 @@ class TestBalancedCost:
         for bound in bounds:
             flow = transport_seating(winners, matrix, bound)
             expected = None if flow is None else flow[0]
-            assert balanced_cost(winners, matrix, bound) == expected
+            assert seat_cost(winners, matrix, bound) == expected
             if matrix.n <= 8:
                 assert expected == brute[bound]
 
@@ -369,37 +408,37 @@ class TestBalancedCost:
     def test_minimax_bound_within_a_limit(self, table):
         matrix, winners = table
         entries = sorted({x for row in matrix.rows for x in row})
-        value = next(
-            b for b in entries if balanced_assignment(winners, matrix, b) is not None
-        )
-        assert balanced_value(winners, matrix, Objective.MINIMAX) == value
+        value = next(b for b in entries if seated(winners, matrix, b) is not None)
+        witness = seated(winners, matrix, value)[1]
+        assert solution_value(winners, matrix, Objective.MINIMAX) == value
         for limit in range(-1, max(max(row) for row in matrix.rows) + 2):
             expected = value if value <= limit else None
-            assert balanced_value(winners, matrix, Objective.MINIMAX, limit) == expected
+            found = balanced_solution(winners, matrix, Objective.MINIMAX, limit)
+            assert (None if found is None else found.objective_value) == expected
+            assert found is None or found.assignment == witness
 
     @settings(max_examples=200, deadline=None)
     @given(committee_tables())
     def test_sum_value_within_a_limit(self, table):
         matrix, winners = table
-        value = balanced_cost(winners, matrix)
-        assert balanced_value(winners, matrix, Objective.SUM) == value
+        value = seat_cost(winners, matrix)
+        assert solution_value(winners, matrix, Objective.SUM) == value
         for limit in (-1, 0, value - 1, value, value + 1):
             expected = value if value <= limit else None
-            assert balanced_value(winners, matrix, Objective.SUM, limit) == expected
+            assert solution_value(winners, matrix, Objective.SUM, limit) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(monroe_tables())
     def test_witness_is_a_cheapest_balanced_seating(self, table):
-        # The witness is `balanced_cost`'s own seating; `transport`, a
-        # separate min-cost flow, checks that it exists exactly when a flow
-        # does and that it costs what the cheapest flow costs.
+        # The witness is `_seat`'s own seating; `transport`, a separate
+        # min-cost flow, checks that it exists exactly when a flow does and
+        # that it costs what the cheapest flow costs.
         matrix, winners = table
         for bound in [None, *matrix.distinct_values()]:
             flow = transport_seating(winners, matrix, bound)
-            found = balanced_assignment(winners, matrix, bound)
+            found = seated(winners, matrix, bound)
             assert (found is None) == (flow is None)
             if found is None:
-                assert balanced_cost(winners, matrix, bound) is None
                 continue
             cost, witness = found
             assert witness.winner_set == winners
@@ -407,18 +446,39 @@ class TestBalancedCost:
             entries = [matrix.rows[v][w] for v, w in enumerate(witness.mapping)]
             assert bound is None or max(entries) <= bound
             assert cost == sum(entries) == flow[0]
-            assert cost == balanced_cost(winners, matrix, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(monroe_tables(), st.sampled_from(list(Objective)))
+    def test_committee_witness_is_the_seating_at_its_value(self, table, objective):
+        # `committee_solution` seats no committee again: its witness is the
+        # seating `_seat` finds at the value's own bound, none under sum and
+        # the value under minimax.
+        matrix, winners = table
+        m, n, k = matrix.m, matrix.n, len(winners)
+        votes = tuple(
+            tuple(sorted(range(m), key=row.__getitem__)) for row in matrix.rows
+        )
+        election = Election(tuple(f"c{i}" for i in range(m)), votes)
+        bound = worst_bound(matrix, objective)
+        instance = ProblemInstance(election, matrix, Rule.MONROE, objective, k, bound)
+        solution = committee_solution(instance, winners)
+        value = solution.objective_value
+        at = None if objective is Objective.SUM else value
+        assert solution.assignment == seated(winners, matrix, at)[1]
+        assert solution.m_criterion_satisfied
+        assert check_m_criterion(solution.assignment, n, k)
+        assert verify_solution(instance, solution).ok
 
     def test_a_winner_below_its_floor_is_infeasible(self):
         # Every voter has an entry within 3, but winner 3 has none, so it
         # cannot get its one voter.
         rows = ((3, 3, 0, 4), (3, 4, 4, 4), (2, 1, 4, 4), (3, 2, 4, 4), (4, 3, 3, 4))
         matrix = MisrepMatrix(rows)
-        assert balanced_cost((0, 1, 2, 3), matrix, 3) is None
-        assert balanced_assignment((0, 1, 2, 3), matrix, 3) is None
-        assert balanced_cost((0, 1, 2, 3), matrix, 4) == 10
+        assert seat_cost((0, 1, 2, 3), matrix, 3) is None
+        assert balanced_solution((0, 1, 2, 3), matrix, Objective.MINIMAX, 3) is None
+        assert seat_cost((0, 1, 2, 3), matrix, 4) == 10
 
     def test_a_voter_without_an_entry_is_infeasible(self):
         matrix = MisrepMatrix(((0, 1), (2, 2)))
-        assert balanced_cost((0, 1), matrix, 1) is None
-        assert balanced_cost((0, 1), matrix) == 2
+        assert seat_cost((0, 1), matrix, 1) is None
+        assert seat_cost((0, 1), matrix) == 2

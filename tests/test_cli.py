@@ -460,7 +460,7 @@ class TestSolve:
 
     def test_monroe_witness_over_2000_voters_is_answered(self, tmp_path, capsys):
         # The witness is the value scorer's seating, so seating 2000 voters
-        # costs about one `balanced_cost` call, not one Dijkstra per voter.
+        # costs one `_seat` run, not one Dijkstra per voter.
         # Seating reads no clock, so the budget alone would not catch a slow
         # witness: the wall time is checked against it too.
         instance_path = str(tmp_path / "n2000.elect")

@@ -293,6 +293,38 @@ class TestDetectAxis:
         assert axis is not None
         assert check_compatible(election.votes[0], axis)
 
+    def test_reads_the_clock_once_per_step(self, tmp_path, monkeypatch):
+        # The fake clock returns how often it was read before: once when the
+        # budget is made, then once per step.  A step places one candidate,
+        # or two when the voters' worst candidates differ, so one voter takes
+        # m steps and two mirrored voters m / 2.  A budget that runs out
+        # halfway stops the detection at the next step.
+        path = tmp_path / "sp60.elect"
+        argv = ["single-peaked", "--m", "60", "--n", "1000", "--k", "4"]
+        assert main(["gen", *argv, "--seed", "1", "--out", str(path)]) == 0
+        election = parse_instance(path.read_text()).election
+        expected = detect_axis(election)
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return len(reads) - 1
+
+        def steps(election, seconds=10**9):
+            reads.clear()
+            axis = detect_axis(election, SolverBudget(max_seconds=seconds))
+            return len(reads) - 1, axis
+
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+        assert steps(ranked("a b c d", "a b c d")) == (4, (0, 1, 2, 3))
+        assert steps(ranked("a b c d", "a b c d", "d c b a")) == (2, (0, 1, 2, 3))
+        taken, axis = steps(election)
+        assert axis == expected
+        assert 30 <= taken <= 60
+        with pytest.raises(BudgetExceededError):
+            steps(election, taken // 2)
+        assert len(reads) - 1 == taken // 2 + 1
+
     def test_cycle_under_a_long_tail_has_no_axis(self):
         election = cycle_under_tail(40)
         assert election.m == 43

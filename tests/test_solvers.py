@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proprep import assignment, solvers, solving
-from proprep.assignment import assign_cc, balanced_assignment, balanced_value
+from proprep.assignment import assign_cc, balanced_solution
 from proprep.cli import main
 from proprep.core import (
     ApprovalMisrep,
@@ -93,11 +94,8 @@ def best_by_scoring_every_committee(instance, pool):
         if instance.rule is Rule.CC:
             chosen = assign_cc(committee, matrix)
             return evaluate(matrix, chosen.mapping, instance.objective), chosen
-        bound = None
-        if instance.objective is Objective.MINIMAX:
-            bound = balanced_value(committee, matrix, instance.objective)
-        cost, chosen = balanced_assignment(committee, matrix, bound)
-        return cost if bound is None else bound, chosen
+        solution = balanced_solution(committee, matrix, instance.objective)
+        return solution.objective_value, solution.assignment
 
     committees = itertools.combinations(sorted(pool), instance.k)
     value, committee = min((score(c)[0], c) for c in committees)
@@ -175,6 +173,37 @@ def generated_monroe(tmp_path, objective, seed=0):
     ])
     assert code == 0
     return parse_instance(path.read_text())
+
+
+def record_scoring(monkeypatch):
+    """Record every `committee_solution`, `balanced_solution` and `_seat` call.
+
+    Events are ``(kind, committee, solution)``: ``"seat"``, with no solution,
+    when a run starts, and ``"scored"`` or ``"built"`` when a call returns.
+    """
+    events = []
+    build, score = solvers.committee_solution, assignment.balanced_solution
+    seat = assignment._seat
+
+    def recorded_build(instance, committee):
+        found = build(instance, committee)
+        events.append(("built", tuple(committee), found))
+        return found
+
+    def recorded_score(committee, matrix, objective, limit=None):
+        found = score(committee, matrix, objective, limit)
+        events.append(("scored", committee, found))
+        return found
+
+    def recorded_seat(winners, matrix, bound):
+        events.append(("seat", tuple(winners), None))
+        return seat(winners, matrix, bound)
+
+    monkeypatch.setattr(solvers, "committee_solution", recorded_build)
+    monkeypatch.setattr(assignment, "balanced_solution", recorded_score)
+    monkeypatch.setattr(solvers, "balanced_solution", recorded_score)
+    monkeypatch.setattr(assignment, "_seat", recorded_seat)
+    return events
 
 
 # Largest entries on each side of every field-width boundary, and past the
@@ -322,22 +351,26 @@ class TestSubsetEnum:
 
     def test_deadline_holds_while_scoring(self, tmp_path, monkeypatch):
         # Each scored committee takes one second on a fake clock.  Without a
-        # budget several committees are scored; with half a second the check
-        # after the first one stops the walk.
+        # budget several committees are scored, and the solution returned
+        # is the one its scoring built, never seated again; with half a
+        # second the check after the first one stops the walk.
         instance = generated_monroe(tmp_path, "sum")
         now = [0.0]
         scored = []
-        score = solvers.balanced_value
+        score = assignment.balanced_solution
 
         def slow(committee, matrix, objective, limit=None):
-            scored.append(committee)
             now[0] += 1.0
-            return score(committee, matrix, objective, limit)
+            scored.append((committee, score(committee, matrix, objective, limit)))
+            return scored[-1][1]
 
         monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: now[0]))
-        monkeypatch.setattr(solvers, "balanced_value", slow)
-        solve_subset_enum(instance)
+        monkeypatch.setattr(assignment, "balanced_solution", slow)
+        monkeypatch.setattr(solvers, "balanced_solution", slow)
+        solution = solve_subset_enum(instance)
         assert len(scored) > 1
+        assert len({committee for committee, _ in scored}) == len(scored)
+        assert any(found is solution for _, found in scored)
         scored.clear()
         with pytest.raises(BudgetExceededError):
             solve_subset_enum(instance, SolverBudget(max_seconds=0.5))
@@ -345,26 +378,20 @@ class TestSubsetEnum:
 
     @pytest.mark.parametrize("objective", ["sum", "minimax"])
     def test_no_committee_is_scored_twice(self, tmp_path, monkeypatch, objective):
-        # The CC-optimal committee is scored by value before the other
-        # committees within its value are collected; it must not be scored
-        # again, and voters are assigned only to the committee returned.
+        # The CC-optimal committee is scored before the other committees
+        # within its value are collected, through `committee_solution`; no
+        # committee is scored twice, and the solution returned is the one
+        # its scoring built, so the committee returned is never seated
+        # after it is scored.
         instance = generated_monroe(tmp_path, objective)
-        scored, built = [], []
-        score, build = solvers.balanced_value, solvers.committee_solution
-
-        def recorded(committee, matrix, objective, limit=None):
-            scored.append(committee)
-            return score(committee, matrix, objective, limit)
-
-        def recorded_build(instance, committee):
-            built.append(tuple(committee))
-            return build(instance, committee)
-
-        monkeypatch.setattr(solvers, "balanced_value", recorded)
-        monkeypatch.setattr(solvers, "committee_solution", recorded_build)
+        events = record_scoring(monkeypatch)
         solution = solve_subset_enum(instance)
+        scored = [committee for kind, committee, _ in events if kind == "scored"]
         assert len(set(scored)) == len(scored)
-        assert built == [solution.assignment.winner_set]
+        winners = solution.assignment.winner_set
+        last = max(i for i, event in enumerate(events) if event[2] is solution)
+        assert events[last][1] == winners
+        assert ("seat", winners, None) not in events[last + 1:]
 
     @pytest.mark.parametrize("rule", ["cc", "monroe"])
     @pytest.mark.parametrize(
@@ -373,21 +400,63 @@ class TestSubsetEnum:
     def test_at_most_two_assignments_per_solve(
         self, tmp_path, monkeypatch, rule, objective, seed
     ):
-        # Voters are assigned once, to the committee returned; every other
-        # committee is scored by value alone.  Under Monroe, seeds 4 (sum)
-        # and 1 (minimax) return a committee other than the CC-optimal one.
+        # Under CC voters are assigned once, to the committee returned, and
+        # nobody is seated.  Under Monroe the committee returned is seated
+        # only while it is scored, once under sum, and its solution is the
+        # one that scoring built; `committee_solution` scores only the
+        # CC-optimal committee.  Seeds 4 (sum) and 1 (minimax) return a
+        # committee other than the CC-optimal one.
         instance = generated_monroe(tmp_path, objective, seed)
         instance = dataclasses.replace(instance, rule=Rule(rule))
-        built = []
-        build = solvers.committee_solution
-
-        def recorded(instance, committee):
-            built.append(tuple(committee))
-            return build(instance, committee)
-
-        monkeypatch.setattr(solvers, "committee_solution", recorded)
+        cc_optimal = solve_subset_enum(
+            dataclasses.replace(instance, rule=Rule.CC)
+        ).assignment.winner_set
+        events = record_scoring(monkeypatch)
         solution = solve_subset_enum(instance)
-        assert built == [solution.assignment.winner_set]
+        winners = solution.assignment.winner_set
+        built = [event for event in events if event[0] == "built"]
+        assert [committee for _, committee, _ in built] == [cc_optimal]
+        if rule == "cc":
+            assert events == built and built[0][2] is solution
+            return
+        assert (winners != cc_optimal) == (seed in (1, 4))
+        first = min(i for i, event in enumerate(events) if event[2] is solution)
+        assert events[first][:2] == ("scored", winners)
+        assert ("seat", winners, None) not in events[first + 1:]
+        if objective == "sum":
+            assert events.count(("seat", winners, None)) == 1
+
+    @pytest.mark.parametrize("objective", ["sum", "minimax"])
+    def test_one_seating_answers_2000_voters(self, tmp_path, monkeypatch, objective):
+        # No committee beats the CC-optimal one on these files, and that
+        # committee's value takes one test under either objective, so one
+        # `_seat` run answers: its seating is the witness, and nothing is
+        # seated after it.
+        path = tmp_path / f"n2000-{objective}.elect"
+        assert main([
+            "gen", "random", "--m", "20", "--n", "2000", "--k", "2", "--rule",
+            "monroe", "--objective", objective, "--seed", "1", "--out", str(path),
+        ]) == 0
+        instance = parse_instance(path.read_text())
+        seatings = []
+        seat = assignment._seat
+
+        def counted(winners, matrix, bound):
+            seatings.append((tuple(winners), bound, seat(winners, matrix, bound)))
+            return seatings[-1][2]
+
+        monkeypatch.setattr(assignment, "_seat", counted)
+        solution = solve_subset_enum(instance)
+        assert len(seatings) == 1
+        winners, bound, (cost, members) = seatings[0]
+        assert winners == solution.assignment.winner_set
+        value = solution.objective_value
+        assert bound == (None if objective == "sum" else value)
+        assert objective != "sum" or cost == value
+        seating = {v: w for w, held in zip(winners, members) for v in held}
+        assert tuple(seating[v] for v in range(instance.matrix.n)) == (
+            solution.assignment.mapping
+        )
 
     def test_deadline_holds_while_walking_cc_committees(self, tmp_path, monkeypatch):
         # The fake clock reads the walk steps taken so far, so a budget of
@@ -579,6 +648,26 @@ class TestBranchSum:
             oracle = solve_subset_enum(instance).objective_value
             found = optimize(instance, "branch-rk")
             assert found.objective_value == oracle
+
+    def test_answers_1500_voters_without_recursion(self, tmp_path):
+        # Every voter a chosen candidate serves above 0 takes one level of
+        # the search, so its depth grows with n; the open nodes wait on a
+        # list, not on the call stack.  `auto` finds the same value.
+        path = tmp_path / "m3n1500.elect"
+        assert main([
+            "gen", "random", "--m", "3", "--n", "1500", "--k", "1", "--rule", "cc",
+            "--seed", "1", "--out", str(path),
+        ]) == 0
+        instance = parse_instance(path.read_text())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            name, solution = solve(instance, "branch-rk")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (name, solution.objective_value) == ("branch-rk", 1483)
+        assert verify_solution(instance, solution).ok
+        assert solve(instance)[1].objective_value == 1483
 
 
 class TestBranchMinimax:
@@ -997,7 +1086,7 @@ class TestPinnedSolves:
 
     def test_named_solves_are_pinned(self):
         # Everything above and every mapping; Monroe witnesses follow the
-        # seating of `assignment.balanced_cost`'s shortest paths.
+        # seating of `assignment._seat`'s shortest paths.
         counts, _, full = pinned_solves()
         assert counts == {"solved": 1771, "none": 540, "raised": 2651}
         assert full == (
