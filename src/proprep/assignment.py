@@ -10,25 +10,22 @@ feasibility, and finds a committee's value as the first feasible bound at or
 above its best-representative minimax value.
 
 Values and witnesses come from one run.  ``_seat`` is successive shortest
-paths on the k winner nodes, with no flow network; it seats every voter,
-and its tie-breaks fix which Monroe witness is printed.
+paths on the k winner nodes, with no flow network; it is the library's one
+seating routine, and its tie-breaks fix which Monroe witness is printed.
 ``balanced_solution`` is the one place that decides how a committee's
 balanced-rule value is found under each objective: one seating under sum,
 a bisection over bounds under minimax.  The seating at the value is the
 witness, so no committee is seated again once it is scored; subset
 enumeration in :mod:`proprep.solvers` scores every committee it tries with
-it and returns the best one's solution as it stands.
-``transport`` matches partition blocks: partition enumeration in
-:mod:`proprep.solvers` calls it to match voter blocks to candidates.  It is
-a min-cost flow on its own bipartite residual network, with left nodes
-taking load ranges, right nodes taking one unit each, and optional costs
-between.  ``committee_solution`` is the one committee scorer: a solver that
-settles on a committee, not an assignment, gets its ``Solution`` there.
+it and returns the best one's solution as it stands.  Partition
+enumeration matches voter blocks to candidates with it too: a table with
+one row per block and every candidate a winner.  ``committee_solution`` is
+the one committee scorer: a solver that settles on a committee, not an
+assignment, gets its ``Solution`` there.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Optional, Sequence
 
@@ -57,108 +54,6 @@ def assign_cc(winner_set: tuple[int, ...], matrix: MisrepMatrix) -> Assignment:
                 best = w
         mapping.append(best)
     return Assignment(winners, tuple(mapping))
-
-
-def transport(
-    loads: Sequence[tuple[int, int]],
-    costs: Sequence[Sequence[Optional[int]]],
-    amount: int,
-) -> Optional[tuple[int, list[int]]]:
-    """Cheapest way to send ``amount`` units from left to right nodes.
-
-    Left node ``i`` sends between ``loads[i][0]`` and ``loads[i][1]`` units.
-    Each right node ``r`` takes at most one unit, from a left node ``i``
-    with ``costs[i][r]`` not None, at that cost (which must be >= 0).
-    Returns ``(total_cost, owner)``, where ``owner[r]`` is the left node
-    serving ``r`` or -1, or None when no such flow exists.
-
-    This is successive shortest paths: Dijkstra with node potentials, valid
-    because every cost is nonnegative, finds each cheapest augmenting path
-    in the residual network.  The network's arcs run source to left, left
-    to right row by row, then right to sink; ties between equally cheap
-    flows follow that order.  Lower bounds are removed the usual way: a
-    super source supplies each left node its low, the source's balance
-    (``amount`` less the lows) is settled with the super source or the
-    super sink, and the sink owes ``amount`` to the super sink; a flow
-    exists when the super source can send everything it supplies.
-    """
-    left, right = len(loads), len(costs[0])
-    sink = 1 + left + right
-    start, end = sink + 1, sink + 2  # the super source and super sink
-    adjacent: list[list[int]] = [[] for _ in range(sink + 3)]
-    head: list[int] = []  # arc a runs into head[a]; a ^ 1 is its residual twin
-    room: list[int] = []
-    price: list[int] = []
-
-    def add(tail: int, to: int, capacity: int, cost: int) -> None:
-        adjacent[tail].append(len(head))
-        adjacent[to].append(len(head) + 1)
-        head.extend((to, tail))
-        room.extend((capacity, 0))
-        price.extend((cost, -cost))
-
-    for i, (low, high) in enumerate(loads):
-        if not 0 <= low <= high:
-            raise ValueError("need 0 <= low <= high")
-        add(0, 1 + i, high - low, 0)
-    pairs = []
-    for i, row in enumerate(costs):
-        for r, cost in enumerate(row):
-            if cost is not None:
-                if cost < 0:
-                    raise ValueError("costs must be >= 0")
-                pairs.append((i, r, len(head)))
-                add(1 + i, 1 + left + r, 1, cost)
-    for r in range(right):
-        add(1 + left + r, sink, 1, 0)
-    spare = amount - sum(low for low, _ in loads)
-    if spare > 0:
-        add(start, 0, spare, 0)
-    elif spare < 0:
-        add(0, end, -spare, 0)
-    for i, (low, _) in enumerate(loads):
-        if low:
-            add(start, 1 + i, low, 0)
-    add(sink, end, amount, 0)
-    supply = sum(room[arc] for arc in adjacent[start])
-    pushed = 0
-    potential = [0] * len(adjacent)
-    while pushed < supply:
-        dist = [math.inf] * len(adjacent)
-        via = [-1] * len(adjacent)
-        dist[start] = 0
-        heap = [(0, start)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for arc in adjacent[node]:
-                if room[arc] > 0:
-                    other = head[arc]
-                    reduced = d + price[arc] + potential[node] - potential[other]
-                    if reduced < dist[other]:
-                        dist[other] = reduced
-                        via[other] = arc
-                        heapq.heappush(heap, (reduced, other))
-        if dist[end] == math.inf:
-            return None
-        potential = [p + d if d < math.inf else p for p, d in zip(potential, dist)]
-        path = []
-        node = end
-        while node != start:
-            arc = via[node]
-            path.append(arc)
-            node = head[arc ^ 1]
-        step = min(room[arc] for arc in path)
-        for arc in path:
-            room[arc] -= step
-            room[arc ^ 1] += step
-        pushed += step
-    owner = [-1] * right
-    for i, r, arc in pairs:
-        if room[arc ^ 1]:
-            owner[r] = i
-    return sum(costs[i][r] for r, i in enumerate(owner) if i >= 0), owner
 
 
 def _seat(
@@ -256,7 +151,9 @@ def balanced_solution(
 ) -> Optional[Solution]:
     """A committee's solution under the balanced rule, or None if above `limit`.
 
-    ``winners`` is sorted.  The witness is the seating ``_seat`` finds at
+    ``winners`` is sorted and may outnumber the voters, as when partition
+    enumeration matches blocks to candidates: the loads are then 0..1, and
+    a seating still exists.  The witness is the seating ``_seat`` finds at
     the value's own bound, no bound under sum, the value under minimax, so
     a committee is seated once for its value and its witness together.
     Under minimax the value is the smallest bound admitting a balanced
@@ -267,7 +164,7 @@ def balanced_solution(
     """
     if objective is Objective.SUM:
         seated = _seat(winners, matrix, None)
-        assert seated is not None, "a balanced assignment exists when k <= n"
+        assert seated is not None, "a balanced assignment exists without a bound"
         value, members = seated
         if limit is not None and value > limit:
             return None
@@ -285,7 +182,7 @@ def balanced_solution(
         found = first_feasible(values, lambda bound: _seat(winners, matrix, bound))
         if found is not None:
             value, members = found[0], found[1][1]
-        assert found or limit is not None, "maximal bound is feasible when k <= n"
+        assert found or limit is not None, "the largest entry admits a seating"
     mapping = [-1] * matrix.n
     for w, held in zip(winners, members):
         for voter in held:

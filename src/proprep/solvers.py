@@ -22,10 +22,10 @@ No solver here seats voters itself: subset enumeration scores committees
 with ``assignment.balanced_solution``, whose Monroe witness is the seating
 that found the value, and every committee another solver settles on
 becomes a solution through ``assignment.committee_solution``, the one
-committee scorer, which calls it too.  ``assignment.transport`` matches
-partition blocks: partition enumeration calls it to match voter blocks to
-candidates, bisecting over bottleneck values with ``core.first_feasible``
-under minimax.
+committee scorer, which calls it too.  Partition enumeration matches voter
+blocks to candidates with ``balanced_solution`` as well, on a table with one
+row per block and every candidate a winner, so ``assignment._seat`` seats
+everything.
 
 All solvers are pure functions of their arguments.
 """
@@ -42,7 +42,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
-from .assignment import balanced_solution, committee_solution, transport
+from .assignment import balanced_solution, committee_solution
 from .core import (
     Assignment,
     BudgetExceededError,
@@ -54,7 +54,6 @@ from .core import (
     balanced_loads,
     check_m_criterion,
     evaluate,
-    first_feasible,
     pad_committee,
 )
 
@@ -373,38 +372,27 @@ def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
 
 def _match_blocks(
     blocks: Sequence[Sequence[int]], matrix: MisrepMatrix, objective: Objective
-) -> tuple[int, list[int]]:
+) -> tuple[int, tuple[int, ...]]:
     """Matching of blocks to distinct candidates at the least objective value.
 
     A block costs the sum of its voters' entries for a candidate under sum
     and their largest entry under minimax; the matching minimizes the total
-    under sum and the largest block cost under minimax.  Returns that value
-    and each candidate's block index, or -1.
+    under sum and the largest block cost under minimax.  That is the
+    balanced rule on the block table with every candidate a winner: with
+    b <= m blocks each candidate takes at most one block.  Among equally
+    good matchings ``_seat``'s tie-breaks choose, and so pick the committee
+    printed for a partition.  Returns that value and each block's candidate.
     """
     combine = sum if objective is Objective.SUM else max
-    costs = [
-        [combine(matrix.rows[v][c] for v in block) for c in range(matrix.m)]
-        for block in blocks
-    ]
-    loads = [(0, 1)] * len(blocks)
-    if objective is Objective.SUM:
-        result = transport(loads, costs, len(blocks))
-        assert result is not None, "matching blocks to candidates cannot fail when b <= m"
-        return result
-
-    def matching_at(limit: int) -> Optional[list[int]]:
-        # Every pair within the limit costs 0, not its bottleneck: among
-        # several matchings at the optimum, the committee chosen for a
-        # partition (and so the tie-break between partitions) is the one
-        # `transport` finds on this zero-cost network.
-        zeroed = [[0 if x <= limit else None for x in row] for row in costs]
-        result = transport(loads, zeroed, len(blocks))
-        return None if result is None else result[1]
-
-    values = sorted({x for row in costs for x in row})
-    found = first_feasible(values, matching_at)
-    assert found is not None, "matching always exists at the largest cost"
-    return found
+    costs = MisrepMatrix(
+        tuple(
+            tuple(combine(matrix.rows[v][c] for v in block) for c in range(matrix.m))
+            for block in blocks
+        )
+    )
+    matched = balanced_solution(tuple(range(matrix.m)), costs, objective)
+    assert matched is not None, "matching blocks to candidates cannot fail when b <= m"
+    return matched.objective_value, matched.assignment.mapping
 
 
 def solve_partition_enum(
@@ -435,12 +423,11 @@ def solve_partition_enum(
         if instance.rule is Rule.MONROE:
             if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
                 continue
-        value, owner = _match_blocks(blocks, matrix, instance.objective)
+        value, chosen = _match_blocks(blocks, matrix, instance.objective)
         mapping = [0] * n
-        for c, i in enumerate(owner):
-            if i >= 0:
-                for v in blocks[i]:
-                    mapping[v] = c
+        for block, c in zip(blocks, chosen):
+            for v in block:
+                mapping[v] = c
         committee = pad_committee(mapping, k, matrix.m)
         entry = (value, committee, tuple(mapping))
         if best is None or entry[:2] < best[:2]:

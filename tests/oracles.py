@@ -6,10 +6,10 @@ tested against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from proprep.assignment import transport
 from proprep.core import BudgetExceededError, balanced_loads
 from proprep.hardness import HittingSetInstance, RX3CInstance
 from proprep.stabbing import StabbingInstance
@@ -52,6 +52,33 @@ def enumerate_balanced_assignments(
         mapping[voter] = -1
 
     yield from generate(0)
+
+
+def cheapest_seating(
+    costs: Sequence[Sequence[Optional[int]]], loads: Sequence[tuple[int, int]]
+) -> Optional[int]:
+    """Least total cost of seating every row at a column, or None if none exists.
+
+    Row r may sit at column c when ``costs[r][c]`` is not None, at that
+    cost, and column c must seat between ``loads[c][0]`` and
+    ``loads[c][1]`` rows.  Rows are seated in order, so the load vector
+    names the row seated next and the search is memoized on it alone.
+    """
+
+    @functools.cache
+    def least(taken: tuple[int, ...]) -> Optional[int]:
+        row = sum(taken)
+        if row == len(costs):
+            return 0 if all(low <= t for t, (low, _) in zip(taken, loads)) else None
+        best = None
+        for c, cost in enumerate(costs[row]):
+            if cost is not None and taken[c] < loads[c][1]:
+                rest = least(taken[:c] + (taken[c] + 1,) + taken[c + 1 :])
+                if rest is not None and (best is None or cost + rest < best):
+                    best = cost + rest
+        return best
+
+    return least((0,) * len(loads))
 
 
 def check_compatible(vote: Sequence[int], axis: Sequence[int]) -> bool:
@@ -105,10 +132,10 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
 
     Tries every subset of at most k lines and every choice of which of them
     take the higher of the `balanced_loads` (as many as may: more capacity
-    never covers fewer), and finds the best capacity-respecting assignment
-    with ``transport``.  Each interval goes to a containing chosen line for
-    free or to a bypass node at cost 1, so the cost counts the intervals
-    left uncovered.
+    never covers fewer), and finds the best capacity-respecting seating
+    with ``cheapest_seating``.  Each interval sits at a containing chosen
+    line for free or at a bypass column at cost 1, so the cost counts the
+    intervals left uncovered.
     """
     if len(instance.intervals) > 8 or instance.num_lines > 6:
         raise BudgetExceededError(
@@ -122,12 +149,12 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
     for size in range(1, instance.k + 1):
         for lines in itertools.combinations(range(1, instance.num_lines + 1), size):
             costs = [
-                [0 if left <= line <= right else None for left, right in instance.intervals]
-                for line in lines
-            ] + [[1] * count]
+                [0 if left <= line <= right else None for line in lines] + [1]
+                for left, right in instance.intervals
+            ]
             for full in itertools.combinations(range(size), min(at_high, size)):
                 loads = [(0, high if pos in full else low) for pos in range(size)]
-                result = transport(loads + [(0, count)], costs, count)
-                assert result is not None, "the bypass node takes every interval"
-                best = max(best, count - result[0])
+                uncovered = cheapest_seating(costs, loads + [(0, count)])
+                assert uncovered is not None, "the bypass column takes every interval"
+                best = max(best, count - uncovered)
     return best

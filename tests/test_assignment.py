@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 
@@ -15,7 +14,6 @@ from proprep.assignment import (
     assign_cc,
     balanced_solution,
     committee_solution,
-    transport,
 )
 from proprep.core import (
     ApprovalMisrep,
@@ -38,7 +36,7 @@ from proprep.fileio import worst_bound
 from proprep.generators import random_prefix_approvals
 
 from conftest import ranked
-from oracles import enumerate_balanced_assignments
+from oracles import cheapest_seating, enumerate_balanced_assignments
 
 
 def borda(election):
@@ -51,97 +49,6 @@ def random_election(rng: random.Random, m: int, n: int) -> Election:
         tuple(rng.sample(range(m), m)) for _ in range(n)
     )
     return Election(names, votes)
-
-
-def brute_force_transport(loads, costs, amount):
-    """Cheapest owner map by trying every owner (or -1) for every right node."""
-    choices = [
-        [-1] + [i for i in range(len(loads)) if costs[i][r] is not None]
-        for r in range(len(costs[0]))
-    ]
-    best = None
-    for owner in itertools.product(*choices):
-        served = [owner.count(i) for i in range(len(loads))]
-        if sum(served) != amount or not all(
-            low <= count <= high for count, (low, high) in zip(served, loads)
-        ):
-            continue
-        cost = sum(costs[i][r] for r, i in enumerate(owner) if i >= 0)
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
-class TestTransport:
-    def test_matches_brute_force_on_random_tables(self):
-        rng = random.Random(2718)
-        infeasible = 0
-        for _ in range(300):
-            left, right = rng.randint(1, 3), rng.randint(1, 5)
-            costs = [
-                [None if rng.random() < 0.3 else rng.randint(0, 6) for _ in range(right)]
-                for _ in range(left)
-            ]
-            loads = []
-            for _ in range(left):
-                low = rng.randint(0, 2)
-                loads.append((low, rng.randint(low, 3)))
-            amount = rng.randint(0, right)
-            expected = brute_force_transport(loads, costs, amount)
-            result = transport(loads, costs, amount)
-            if expected is None:
-                infeasible += 1
-                assert result is None
-                continue
-            total, owner = result
-            assert total == expected
-            assert len(owner) == right
-            assert sum(costs[i][r] for r, i in enumerate(owner) if i >= 0) == total
-            for i, (low, high) in enumerate(loads):
-                assert low <= owner.count(i) <= high
-        assert infeasible > 0
-
-    def test_infeasible_when_a_load_cannot_be_met(self):
-        # Left node 0 must send two units but reaches only one right node.
-        assert transport([(2, 2)], [[1, None, None]], 2) is None
-        assert brute_force_transport([(2, 2)], [[1, None, None]], 2) is None
-
-    def test_owner_marks_unserved_right_nodes(self):
-        total, owner = transport([(0, 1), (0, 1)], [[5, 1, None], [2, None, 0]], 2)
-        assert (total, owner) == (1, [-1, 0, 1])
-
-    def test_witnesses_are_pinned(self):
-        # Partition enumeration's block matchings follow transport's
-        # tie-breaks, so its exact (cost, owner) on tie-heavy tables is fixed
-        # by this digest.
-        rng = random.Random(1402)
-        digest = hashlib.sha256()
-        infeasible = with_lows = 0
-        for trial in range(500):
-            top = 1 if trial % 2 else 3
-            left, right = rng.randint(1, 4), rng.randint(2, 8)
-            costs = [
-                [None if rng.random() < 0.15 else rng.randint(0, top) for _ in range(right)]
-                for _ in range(left)
-            ]
-            loads = []
-            for _ in range(left):
-                low = rng.choice((0, 0, 1, 2))
-                loads.append((low, rng.randint(low, 4)))
-            least = sum(low for low, _ in loads)
-            most = min(right, sum(high for _, high in loads))
-            if trial % 4 == 0 or least > most:
-                amount = rng.randint(0, right)
-            else:
-                amount = rng.randint(least, most)
-            result = transport(loads, costs, amount)
-            infeasible += result is None
-            with_lows += result is not None and least > 0
-            digest.update(repr(result).encode())
-        assert (infeasible, with_lows) == (95, 282)
-        assert digest.hexdigest() == (
-            "39bc1f976976671f8b78bca4518702710c7e83c6fdeda455787790e79cea1011"
-        )
 
 
 class TestAssignCC:
@@ -357,14 +264,14 @@ def monroe_tables(draw):
     return build_misrep(election, spec), winners
 
 
-def transport_seating(winners, matrix, bound):
-    """``transport``'s (cost, owner) with winners on the left and voters on the right."""
+def least_seating_cost(winners, matrix, bound):
+    """``cheapest_seating``'s cost with voters as rows and winners as columns."""
     low, high, _ = balanced_loads(matrix.n, len(winners))
     costs = [
-        [row[w] if bound is None or row[w] <= bound else None for row in matrix.rows]
-        for w in winners
+        [row[w] if bound is None or row[w] <= bound else None for w in winners]
+        for row in matrix.rows
     ]
-    return transport([(low, high)] * len(winners), costs, matrix.n)
+    return cheapest_seating(costs, [(low, high)] * len(winners))
 
 
 def cheapest_balanced_maps(matrix, winners, bounds):
@@ -397,8 +304,7 @@ class TestBalancedCost:
         if matrix.n <= 8:
             brute = cheapest_balanced_maps(matrix, winners, bounds)
         for bound in bounds:
-            flow = transport_seating(winners, matrix, bound)
-            expected = None if flow is None else flow[0]
+            expected = least_seating_cost(winners, matrix, bound)
             assert seat_cost(winners, matrix, bound) == expected
             if matrix.n <= 8:
                 assert expected == brute[bound]
@@ -430,14 +336,14 @@ class TestBalancedCost:
     @settings(max_examples=300, deadline=None)
     @given(monroe_tables())
     def test_witness_is_a_cheapest_balanced_seating(self, table):
-        # The witness is `_seat`'s own seating; `transport`, a separate
-        # min-cost flow, checks that it exists exactly when a flow does and
-        # that it costs what the cheapest flow costs.
+        # The witness is `_seat`'s own seating; an exhaustive search checks
+        # that it exists exactly when some seating does and that it costs
+        # what the cheapest seating costs.
         matrix, winners = table
         for bound in [None, *matrix.distinct_values()]:
-            flow = transport_seating(winners, matrix, bound)
+            least = least_seating_cost(winners, matrix, bound)
             found = seated(winners, matrix, bound)
-            assert (found is None) == (flow is None)
+            assert (found is None) == (least is None)
             if found is None:
                 continue
             cost, witness = found
@@ -445,7 +351,7 @@ class TestBalancedCost:
             assert check_m_criterion(witness, matrix.n, len(winners))
             entries = [matrix.rows[v][w] for v, w in enumerate(witness.mapping)]
             assert bound is None or max(entries) <= bound
-            assert cost == sum(entries) == flow[0]
+            assert cost == sum(entries) == least
 
     @settings(max_examples=300, deadline=None)
     @given(monroe_tables(), st.sampled_from(list(Objective)))

@@ -803,6 +803,29 @@ def run_quietly(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def solve_generated(gen: list[str], options: list[str]) -> float:
+    """Generate one case, solve it and verify an answer; the solve's seconds.
+
+    The solve must end in exit 0-3, and an exit-0 answer must pass
+    ``verify``.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        instance_path = os.path.join(directory, "case.elect")
+        code, _ = run_quietly(["gen", *gen, "--out", instance_path])
+        assert code == 0
+        start = time.perf_counter()
+        code, out = run_quietly(["solve", instance_path, *options])
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            solution_path = os.path.join(directory, "case.sol")
+            with open(solution_path, "w") as handle:
+                handle.write(out)
+            code, out = run_quietly(["verify", instance_path, solution_path])
+            assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+    return elapsed
+
+
 class TestAnyRun:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -821,24 +844,46 @@ class TestAnyRun:
         self, family, m, n, seed, rule, objective, misrep, solver, bound, data
     ):
         k = data.draw(st.integers(1, min(m, n)), label="k")
-        with tempfile.TemporaryDirectory() as directory:
-            instance_path = os.path.join(directory, "case.elect")
-            code, _ = run_quietly([
-                "gen", family, "--m", str(m), "--n", str(n), "--k", str(k),
+        solve_generated(
+            [
+                family, "--m", str(m), "--n", str(n), "--k", str(k),
                 "--seed", str(seed), "--rule", rule, "--objective", objective,
-                "--misrep", misrep, "--out", instance_path,
-            ])
-            assert code == 0
-            code, out = run_quietly(
-                ["solve", instance_path, "--solver", solver, "--R", bound]
-            )
-            assert code in (0, 1, 2, 3)
-            if code == 0:
-                solution_path = os.path.join(directory, "case.sol")
-                with open(solution_path, "w") as handle:
-                    handle.write(out)
-                code, out = run_quietly(["verify", instance_path, solution_path])
-                assert (code, out.splitlines()[-1]) == (0, "all checks passed")
+                "--misrep", misrep,
+            ],
+            ["--solver", solver, "--R", bound],
+        )
+
+
+class TestAnyLargeRun:
+    # A size ladder under a small budget: every solver stops at its budget,
+    # so each run ends within it plus SLACK, or answers sooner.
+    BUDGET, SLACK = 0.2, 0.3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["random", "single-peaked"]),
+        m=st.integers(2, 60),
+        n=st.integers(5, 200),
+        seed=st.integers(0, 999),
+        rule=st.sampled_from([rule.value for rule in Rule]),
+        objective=st.sampled_from([objective.value for objective in Objective]),
+        misrep=st.sampled_from(["borda", "approval"]),
+        solver=st.sampled_from(("auto",) + tuple(SOLVERS)),
+        data=st.data(),
+    )
+    def test_ends_within_the_budget_and_answers_verify(
+        self, family, m, n, seed, rule, objective, misrep, solver, data
+    ):
+        k = data.draw(st.integers(1, min(m, n)), label="k")
+        elapsed = solve_generated(
+            [
+                family, "--m", str(m), "--n", str(n), "--k", str(k),
+                "--seed", str(seed), "--rule", rule, "--objective", objective,
+                "--misrep", misrep,
+            ],
+            ["--solver", solver, "--budget-seconds", str(self.BUDGET)],
+        )
+        assert elapsed < self.BUDGET + self.SLACK
 
 
 @st.composite

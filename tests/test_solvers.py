@@ -331,8 +331,7 @@ class TestSubsetEnum:
         self, tmp_path, monkeypatch, objective
     ):
         # Scoring every committee would take at least C(9, 3) flows.  Every
-        # committee scored and every witness is seated by `assignment._seat`;
-        # `transport` only matches partition blocks.
+        # committee scored and every witness is seated by `assignment._seat`.
         instance = generated_monroe(tmp_path, objective)
         flows = []
         seat = assignment._seat
@@ -341,11 +340,7 @@ class TestSubsetEnum:
             flows.append(args)
             return seat(*args)
 
-        def unused(*args):
-            raise AssertionError("subset enumeration ran transport")
-
         monkeypatch.setattr(assignment, "_seat", counted)
-        monkeypatch.setattr(assignment, "transport", unused)
         solve_subset_enum(instance)
         assert 0 < len(flows) < math.comb(9, 3) / 10
 
@@ -594,6 +589,39 @@ class TestPartitionEnum:
     def test_balanced_rule_example(self, profile_6v4c):
         instance = instance_for(profile_6v4c, Rule.MONROE, Objective.SUM, k=3)
         assert solve_partition_enum(instance).objective_value == 2
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_block_matching_is_a_cheapest_injective_map(self, objective):
+        # Every injective block-to-candidate map is tried.  Under minimax
+        # the matching also costs the least in total among the maps at its
+        # bottleneck, since it is seated at the value with the real costs.
+        combine = sum if objective is Objective.SUM else max
+        rng = random.Random(4151)
+        for _ in range(400):
+            m, n = rng.randint(1, 6), rng.randint(1, 7)
+            top = rng.choice((1, 3, 9))
+            matrix = MisrepMatrix(
+                tuple(tuple(rng.randint(0, top) for _ in range(m)) for _ in range(n))
+            )
+            b = rng.randint(1, min(m, n))
+            cuts = sorted(rng.sample(range(1, n), b - 1))
+            voters = rng.sample(range(n), n)
+            blocks = [voters[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+            costs = [
+                [combine(matrix.rows[v][c] for v in block) for c in range(m)]
+                for block in blocks
+            ]
+            maps = [
+                [costs[i][c] for i, c in enumerate(chosen)]
+                for chosen in itertools.permutations(range(m), b)
+            ]
+            value, chosen = solvers._match_blocks(blocks, matrix, objective)
+            assert len(chosen) == b and len(set(chosen)) == b
+            assert value == min(map(combine, maps))
+            matched = [costs[i][c] for i, c in enumerate(chosen)]
+            assert combine(matched) == value
+            if objective is Objective.MINIMAX:
+                assert sum(matched) == min(sum(x) for x in maps if max(x) == value)
 
     def test_voter_budget(self):
         election = ranked("a b", *(["a b"] * 10))
@@ -1081,7 +1109,7 @@ class TestPinnedSolves:
         counts, values, _ = pinned_solves()
         assert counts == {"solved": 1771, "none": 540, "raised": 2651}
         assert values == (
-            "79bb7db39f8c2195336e5b56e436d5917681c7f1b8b751fd6484ba2b013035db"
+            "ce5f8422fd1a5e9dfe16713cc35ff324c42af97c3abad94cb906e10058475b22"
         )
 
     def test_named_solves_are_pinned(self):
@@ -1090,5 +1118,5 @@ class TestPinnedSolves:
         counts, _, full = pinned_solves()
         assert counts == {"solved": 1771, "none": 540, "raised": 2651}
         assert full == (
-            "fee6b948d724b5928ab9e0b2f0387368322c82c4c0e292ac52ceff84ebbf719a"
+            "2fcead7f3e0cee15d0fc35c4cfb0ce6082fc43cabec3c73dce0705c3fdd084ca"
         )
