@@ -495,25 +495,37 @@ def solve_cc_branch_rk(
     stats = SearchStats() if stats is None else stats
 
     def branch_sum(
-        remaining: tuple[int, ...], left: int, chosen: frozenset[int]
+        remaining: Sequence[int],
+        bests: Sequence[float],
+        total: float,
+        left: int,
+        chosen: frozenset[int],
     ) -> Branch:
+        # bests[i] is remaining[i]'s best entry over `chosen` (inf while
+        # nothing is chosen), and total their sum: what `chosen` alone
+        # would cost the voters left.
         budget.check()
         if left < 0 or len(chosen) > k:
             stats.leaf_calls += 1
             return None
-        if not remaining or (
-            chosen and sum(min(rows[w][c] for c in chosen) for w in remaining) <= left
-        ):
+        if not remaining or total <= left:
             stats.leaf_calls += 1
             return chosen
-        v, rest = remaining[0], remaining[1:]
+        v, rest, rest_bests = remaining[0], remaining[1:], bests[1:]
         branched = False
         for c in range(matrix.m):
             if rows[v][c] > left:
                 continue
             branched = True
-            survivors = tuple(w for w in rest if rows[w][c] != 0)
-            yield branch_sum(survivors, left - rows[v][c], chosen | {c})
+            survivors, kept = [], []
+            for w, best in zip(rest, rest_bests):
+                entry = rows[w][c]
+                if entry:
+                    survivors.append(w)
+                    kept.append(entry if entry < best else best)
+            yield branch_sum(
+                survivors, kept, sum(kept), left - rows[v][c], chosen | {c}
+            )
         if not branched:
             stats.leaf_calls += 1
         return None
@@ -542,7 +554,10 @@ def solve_cc_branch_rk(
 
     voters = tuple(range(matrix.n))
     if instance.objective is Objective.SUM:
-        chosen = _first_found(branch_sum(voters, bound, frozenset()))
+        unserved = [math.inf] * matrix.n
+        chosen = _first_found(
+            branch_sum(voters, unserved, math.inf, bound, frozenset())
+        )
     else:
         chosen = _first_found(branch_minimax(voters, k, frozenset()))
     if chosen is None:

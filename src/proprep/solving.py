@@ -1,14 +1,18 @@
 """Which solver suits which instance, written down once, in `SOLVERS`.
 
 `solve` runs one entry by name, or ``auto``, which tries those in
-`AUTO_ORDER`; `bench_roster` lists ``auto`` and the entries marked for
-bench that apply; `optimize` runs one at the worst bound.  Decision
-procedures share one bound search, `search_bound`.
+`AUTO_ORDER`, except that committee enumeration runs ahead of a solver
+whose estimated cost is higher than its own; `bench_roster` lists
+``auto`` and the entries marked for bench that apply; `optimize` runs one
+at the worst bound.  Decision procedures share one bound search,
+`search_bound`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -85,6 +89,7 @@ def search_bound(
 
 Applies = Callable[[ProblemInstance, SolverBudget], Optional[str]]
 Run = Callable[[ProblemInstance, Optional[AxisRows], SolverBudget], Optional[Solution]]
+Cost = Callable[[ProblemInstance], int]
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,9 @@ class SolverSpec:
     read.  It returns the best solution within the instance bound, or None,
     and raises ``ValueError`` when the solver cannot handle the instance.
     Runs look their solver functions up on this module when called, so a
-    wrapper installed there sees every call.
+    wrapper installed there sees every call.  ``cost``, where set, estimates
+    the run's work on an instance it suits, in units comparable across the
+    solvers that have one; ``auto`` reads it to order them.
     """
 
     name: str
@@ -105,6 +112,7 @@ class SolverSpec:
     run: Run
     bench: bool = False
     axis: bool = False
+    cost: Optional[Cost] = None
 
     def why_not(
         self, instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
@@ -167,6 +175,35 @@ def _minimax_r0_applies(
     if instance.objective is not Objective.MINIMAX or instance.bound != 0:
         return "needs objective=minimax at bound 0"
     return None
+
+
+def _subset_enum_cost(instance: ProblemInstance) -> int:
+    """C(m, k) committees, each scored with about k*n steps."""
+    matrix, k = instance.matrix, instance.k
+    return math.comb(matrix.m, k) * k * matrix.n
+
+
+def _sp_stab_cost(instance: ProblemInstance) -> int:
+    """n, plus the stabbing table's key space when some probe builds a table.
+
+    The DP answers in O(n) without a table when every interval spans the
+    axis.  Under sum (bound 0 on 0/1 entries) that is when every entry is
+    0.  Under minimax it holds at every bound the search probes when the
+    largest row minimum reaches the table's largest value: a probe below
+    that value leaves some voter without an interval, and one at it or
+    above gives every voter an interval spanning the axis.  Otherwise the
+    table is keyed by (interval, anchor, range end, budgets, capacity),
+    about n^2 m^2 k keys.
+    """
+    matrix, k = instance.matrix, instance.k
+    n, m, rows = matrix.n, matrix.m, matrix.rows
+    if instance.objective is Objective.SUM:
+        untabled = rows.count((0,) * m) == n
+    else:
+        # A row's minimum reaches the largest value only if the row is
+        # constant at it.
+        untabled = (max(chain.from_iterable(rows)),) * m in rows
+    return n if untabled else n + n * n * m * m * k
 
 
 def _run_subset_enum(
@@ -236,7 +273,13 @@ def _run_sp_stab(
 SOLVERS = {
     spec.name: spec
     for spec in (
-        SolverSpec("subset-enum", _subset_enum_applies, _run_subset_enum, bench=True),
+        SolverSpec(
+            "subset-enum",
+            _subset_enum_applies,
+            _run_subset_enum,
+            bench=True,
+            cost=_subset_enum_cost,
+        ),
         SolverSpec(
             "partition-enum", _partition_enum_applies, _run_partition_enum, bench=True
         ),
@@ -255,7 +298,12 @@ SOLVERS = {
             axis=True,
         ),
         SolverSpec(
-            "sp-stab", _needs(Rule.MONROE), _run_sp_stab, bench=True, axis=True
+            "sp-stab",
+            _needs(Rule.MONROE),
+            _run_sp_stab,
+            bench=True,
+            axis=True,
+            cost=_sp_stab_cost,
         ),
     )
 }
@@ -263,7 +311,10 @@ SOLVERS = {
 SOLVER_NAMES = ("auto", *SOLVERS)
 
 # The order auto tries: the axis methods, then the small-bound methods, and
-# committee enumeration last, as the fallback.
+# committee enumeration last, as the fallback.  Enumeration moves ahead of
+# a solver with a higher estimated cost when both suit the instance: on
+# single-peaked Monroe approvals with few committees it beats the stabbing
+# table, whose key space grows with n^2 m^2 k.
 AUTO_ORDER = (
     "sp-dp", "sp-greedy", "sp-stab", "constant-r", "minimax-r0", "subset-enum"
 )
@@ -276,19 +327,40 @@ def solve_auto(
 
     A solver that applies but then raises `ValueError` or exhausts its
     budget falls through to the next; an infeasible answer is final.
-    Committee enumeration runs last whatever its `applies` says.  All of
-    them run on the one `budget` and so on its one clock: a later solver
-    gets only the time left, and `BudgetExceededError` is raised when none
-    is.  Returns the name of the solver that answered, with its answer.
+    Committee enumeration runs last whatever its `applies` says, or, when
+    it applies, ahead of the first solver whose ``cost`` estimate is higher
+    than its own; within its candidate cap it fails only when the clock
+    runs out, so nothing would run after it.  All of them run on the one
+    `budget` and so on its one clock: a later solver gets only the time
+    left, and `BudgetExceededError` is raised when none is.  Returns the
+    name of the solver that answered, with its answer.
     """
     *structured, fallback = (SOLVERS[name] for name in AUTO_ORDER)
     for spec in structured:
         if spec.why_not(instance, rows, budget) is None:
+            if _cheaper(fallback, spec, instance, rows, budget):
+                break
             try:
                 return spec.name, spec.run(instance, rows, budget)
             except (BudgetExceededError, ValueError):
                 budget.check()
     return fallback.name, fallback.run(instance, rows, budget)
+
+
+def _cheaper(
+    first: SolverSpec,
+    then: SolverSpec,
+    instance: ProblemInstance,
+    rows: Optional[AxisRows],
+    budget: SolverBudget,
+) -> bool:
+    """Whether `first` suits the instance and its cost is below `then`'s."""
+    return (
+        first.cost is not None
+        and then.cost is not None
+        and first.why_not(instance, rows, budget) is None
+        and first.cost(instance) < then.cost(instance)
+    )
 
 
 def solve(

@@ -38,6 +38,7 @@ from proprep.core import (
     ProblemInstance,
     Rule,
     build_misrep,
+    verify_solution,
 )
 from proprep.fileio import parse_instance, render_instance, worst_bound
 from proprep.generators import random_election, random_prefix_approvals
@@ -321,9 +322,11 @@ class TestSolve:
     def test_auto_solvers_share_one_deadline(
         self, tmp_path, capsys, monkeypatch, spent, answered
     ):
+        # C(20, 10) committees cost more than the stabbing table's key
+        # space, so auto tries sp-stab first.
         path = str(tmp_path / "stab.elect")
         assert main([
-            "gen", "single-peaked", "--m", "6", "--n", "24", "--k", "2",
+            "gen", "single-peaked", "--m", "20", "--n", "20", "--k", "10",
             "--rule", "monroe", "--misrep", "approval", "--seed", "1",
             "--out", path,
         ]) == 0
@@ -427,11 +430,20 @@ class TestSolve:
             + "c2 c3\n"
         )
         instance_path = write("all-approve.elect", text)
-        code, out, err = run_cli(capsys, "solve", instance_path)
+        code, out, err = run_cli(
+            capsys, "solve", instance_path, "--solver", "sp-stab"
+        )
         assert code == 0, err
         assert "solver sp-stab" in out.splitlines()
         assert record_value(out) == 0
         solution_path = write("all-approve.sol", out)
+        code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
+        assert code == 0
+        # auto enumerates the three committees instead of filling the table.
+        code, out, err = run_cli(capsys, "solve", instance_path)
+        assert code == 0, err
+        assert record_value(out) == 0
+        solution_path = write("all-approve-auto.sol", out)
         code, out, _ = run_cli(capsys, "verify", instance_path, solution_path)
         assert code == 0
 
@@ -1163,6 +1175,81 @@ class TestSolverTable:
         name, solution = solving.solve_auto(instance, rows, solving.DEFAULT_BUDGET)
         assert name == answered_by
         assert solution.objective_value == solve_subset_enum(instance).objective_value
+
+
+def generated_monroe(*flags: str) -> ProblemInstance:
+    """A `gen single-peaked --rule monroe` instance with the given flags."""
+    code, text = run_quietly(["gen", "single-peaked", "--rule", "monroe", *flags])
+    assert code == 0
+    return parse_instance(text)
+
+
+class TestAutoByCost:
+    """On single-peaked Monroe profiles auto runs the cheaper estimate first."""
+
+    @pytest.mark.parametrize(
+        "flags, answered_by",
+        [
+            # 56 committees against a table over 500 voters.
+            (("--m", "8", "--n", "500", "--k", "3", "--misrep", "approval",
+              "--seed", "1"), "subset-enum"),
+            # C(20, 10) committees against a table over 20 voters.
+            (("--m", "20", "--n", "20", "--k", "10", "--misrep", "approval",
+              "--seed", "1"), "sp-stab"),
+            (("--m", "16", "--n", "40", "--k", "8", "--objective", "minimax",
+              "--seed", "1"), "sp-stab"),
+            # A voter approves nobody, so every probe ends before a table:
+            # below 1 that voter has no interval, at 1 every interval spans
+            # the axis.
+            (("--m", "6", "--n", "24", "--k", "2", "--misrep", "approval",
+              "--objective", "minimax", "--seed", "1"), "sp-stab"),
+            # Every voter approves someone, so the probe at 0 builds a table.
+            (("--m", "6", "--n", "24", "--k", "2", "--misrep", "approval",
+              "--objective", "minimax", "--seed", "2"), "subset-enum"),
+        ],
+    )
+    def test_auto_names_the_cheaper_solver(self, flags, answered_by):
+        instance = generated_monroe(*flags)
+        name, solution = solving.solve(instance)
+        assert name == answered_by
+        assert verify_solution(instance, solution).ok
+
+    def test_all_approve_profile_needs_no_table(self):
+        instance = parse_instance(ALL_APPROVE)
+        name, solution = solving.solve(instance)
+        assert (name, solution.objective_value) == ("sp-stab", 0)
+
+    def test_enumeration_answers_within_the_budget(self, write, capsys):
+        # The stabbing table over these 500 voters takes seconds to fill.
+        code, text, _ = run_cli(
+            capsys, "gen", "single-peaked", "--m", "8", "--n", "500", "--k", "3",
+            "--rule", "monroe", "--misrep", "approval", "--seed", "1",
+        )
+        assert code == 0
+        path = write("m8n500.elect", text)
+        code, out, err = run_cli(capsys, "solve", path, "--budget-seconds", "2")
+        assert code == 0, err
+        assert "solver subset-enum" in out.splitlines()
+        assert record_value(out) == 77
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 7),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 999),
+        objective=st.sampled_from([objective.value for objective in Objective]),
+        misrep=st.sampled_from(["borda", "approval"]),
+        data=st.data(),
+    )
+    def test_auto_matches_enumeration(self, m, n, seed, objective, misrep, data):
+        k = data.draw(st.integers(1, min(m, n)), label="k")
+        instance = generated_monroe(
+            "--m", str(m), "--n", str(n), "--k", str(k), "--seed", str(seed),
+            "--objective", objective, "--misrep", misrep,
+        )
+        _, solution = solving.solve(instance)
+        assert solution.objective_value == solve_subset_enum(instance).objective_value
+        assert verify_solution(instance, solution).ok
 
 
 def line_instance(objective: Objective, bound: int) -> ProblemInstance:
