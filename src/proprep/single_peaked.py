@@ -61,30 +61,36 @@ def detect_axis(
       candidate, so any completion's middle can be mirrored, and the first
       option extends whenever the second does.
 
-    Each step costs O(n) plus the replay, which advances each voter at most
-    m times overall, and reads the budget's clock once.  Of the two mirror
-    orientations, the one whose first candidate has the smaller index is
-    returned.
+    Each step is one pass over the voters per option tried: the pass replays
+    each voter and gathers the candidate it waits on next, which is the next
+    step's frontier.  Each voter's progress is two counters, the candidates
+    it has consumed from the left end and from the right.  A step costs O(n)
+    plus the replay, which advances each voter at most m times overall, and
+    reads the budget's clock once.  Of the two mirror orientations, the one
+    whose first candidate has the smaller index is returned.
     """
     m, n = election.m, election.n
     if m == 1:
         return (0,)
-    peel = [tuple(reversed(vote)) for vote in election.votes]
+    peel = [vote[::-1] for vote in election.votes]
     slot_of = [-1] * m
     axis = [-1] * m
 
-    def advance(state: list[tuple[int, int]]) -> bool:
+    def advance(left: list[int], right: list[int], waiting: set[int]) -> bool:
         """Replay each voter's worst-first elimination over the placed slots.
 
-        A voter consumes her next-worst candidate only while it sits at the
+        A voter consumes its next-worst candidate only while it sits at the
         current outermost unconsumed slot on either side; a placed candidate
-        stuck in the interior proves the partial axis wrong.
+        stuck in the interior proves the partial axis wrong.  Each voter's
+        first unplaced candidate goes into ``waiting``.
         """
         for v in range(n):
-            taken_left, taken_right = state[v]
-            while taken_left + taken_right < m:
-                slot = slot_of[peel[v][taken_left + taken_right]]
+            worst, taken_left, taken_right = peel[v], left[v], right[v]
+            taken = taken_left + taken_right
+            while taken < m:
+                slot = slot_of[worst[taken]]
                 if slot == -1:
+                    waiting.add(worst[taken])
                     break
                 if slot == taken_left:
                     taken_left += 1
@@ -92,13 +98,14 @@ def detect_axis(
                     taken_right += 1
                 else:
                     return False
-            state[v] = (taken_left, taken_right)
+                taken += 1
+            left[v], right[v] = taken_left, taken_right
         return True
 
-    lo, hi, state = 0, m - 1, [(0, 0)] * n
+    lo, hi, left, right = 0, m - 1, [0] * n, [0] * n
+    frontier = sorted({worst[0] for worst in peel})
     while lo <= hi:
         budget.check()
-        frontier = sorted({peel[v][sum(state[v])] for v in range(n)})
         if len(frontier) > 2 or (len(frontier) == 2 and lo == hi):
             return None
         x, y = frontier[0], frontier[-1]
@@ -109,14 +116,14 @@ def detect_axis(
         for placements in options:
             for candidate, slot in placements:
                 slot_of[candidate], axis[slot] = slot, candidate
-            trial = state[:]
-            if advance(trial):
+            trial_left, trial_right, waiting = left[:], right[:], set()
+            if advance(trial_left, trial_right, waiting):
                 break
             for candidate, slot in placements:
                 slot_of[candidate], axis[slot] = -1, -1
         else:
             return None
-        state = trial
+        left, right, frontier = trial_left, trial_right, sorted(waiting)
         lo += sum(1 for _, s in placements if s == lo)
         hi -= sum(1 for _, s in placements if s == hi)
     found = tuple(axis)

@@ -479,11 +479,13 @@ def _axis_cover(
     bound; the intervals are sorted by left end, ties in voter order, which
     the table's tie-breaks follow.  Under minimax a voter with no candidate
     within the bound makes the bound unreachable: None, before the table is
-    filled.  The covered lines, padded to k with the smallest unused
-    candidates, are the winners; those carrying the most voters take the
-    higher load, and the voters left out fill the free seats in voter order.
-    The solution is scored under the instance's objective.  `rows` is the
-    instance's table read along the axis.
+    filled.  Voters are read in index order, so under minimax the first
+    voter with no interval or with a gap decides.  The covered lines, padded
+    to k with the smallest unused candidates, are the winners; those
+    carrying the most voters take the higher load, and the voters left out
+    fill the free seats in voter order.  The solution is scored under the
+    instance's objective.  `rows` is the instance's table read along the
+    axis.
     """
     matrix, k, axis = problem.matrix, problem.k, rows.axis
     n = matrix.n
@@ -492,8 +494,8 @@ def _axis_cover(
         interval = rows.interval(v, bound)
         if interval is not None:
             spans.append((interval[0] + 1, interval[1] + 1, v))
-    if len(spans) < n and problem.objective is Objective.MINIMAX:
-        return None
+        elif problem.objective is Objective.MINIMAX:
+            return None
     spans.sort(key=lambda span: span[0])
     stabbing = StabbingInstance(
         tuple((left, right) for left, right, _ in spans), matrix.m, k, n

@@ -97,6 +97,56 @@ def check_compatible(vote: Sequence[int], axis: Sequence[int]) -> bool:
     return descending and ascending
 
 
+def first_axis_by_search(votes: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """The first axis a full outside-in search finds, or None if there is none.
+
+    Fills the open slots ``lo..hi`` from both ends.  At each depth every
+    voter's worst unplaced candidate is found from scratch; on any axis a
+    voter's worst among the candidates of ``lo..hi`` sits at ``lo`` or
+    ``hi``, so these candidates (at most two, one when ``lo == hi``) are
+    the only placements.  For two, the smaller index goes at ``lo`` first,
+    then at ``hi``; for one, ``lo`` then ``hi``.  Every option is searched
+    to full depth before the next is tried, and a complete axis counts
+    only when `check_compatible` accepts it for every vote.  Returned with
+    ``axis[0] < axis[-1]``.  Exponential in the number of candidates.
+    """
+    m = len(votes[0])
+    axis = [-1] * m
+
+    def search(lo: int, hi: int) -> Optional[tuple[int, ...]]:
+        if lo > hi:
+            found = tuple(axis)
+            return found if all(check_compatible(v, found) for v in votes) else None
+        placed = set(axis)
+        frontier = sorted(
+            {next(c for c in reversed(v) if c not in placed) for v in votes}
+        )
+        if len(frontier) > 2 or (len(frontier) == 2 and lo == hi):
+            return None
+        x, y = frontier[0], frontier[-1]
+        if x == y:
+            options = [((x, lo),), ((x, hi),)]
+        else:
+            options = [((x, lo), (y, hi)), ((y, lo), (x, hi))]
+        for placements in options:
+            for candidate, slot in placements:
+                axis[slot] = candidate
+            found = search(
+                lo + sum(1 for _, s in placements if s == lo),
+                hi - sum(1 for _, s in placements if s == hi),
+            )
+            for _, slot in placements:
+                axis[slot] = -1
+            if found is not None:
+                return found
+        return None
+
+    found = search(0, m - 1)
+    if found is None or found[0] < found[-1]:
+        return found
+    return found[::-1]
+
+
 def brute_hitting_set(hs: HittingSetInstance) -> bool:
     """Exhaustive decision for small hitting-set instances."""
     if hs.universe_size > 12:

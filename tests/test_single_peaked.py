@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import sys
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, ranked, time_limit
-from oracles import check_compatible
+from oracles import check_compatible, first_axis_by_search
 from proprep import solvers, solving
 from proprep.cli import main
 from proprep.core import (
@@ -292,6 +293,41 @@ class TestDetectAxis:
             sys.setrecursionlimit(limit)
         assert axis is not None
         assert check_compatible(election.votes[0], axis)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.permutations(range(m)), min_size=1, max_size=5)
+    ))
+    def test_matches_the_search_on_random_profiles(self, votes):
+        election = Election(tuple(f"c{i}" for i in range(len(votes[0]))), tuple(
+            tuple(vote) for vote in votes
+        ))
+        assert detect_axis(election) == first_axis_by_search(election.votes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_matches_the_search_with_one_vote_shuffled(self, m, n, rng):
+        # Most draws stay single-peaked, on the sampled axis or another; the
+        # rest have no axis, sometimes only after several placements.
+        election, _ = sample_single_peaked_election(rng, m, n)
+        votes = [list(vote) for vote in election.votes]
+        rng.shuffle(votes[rng.randrange(n)])
+        election = Election(election.candidates, tuple(map(tuple, votes)))
+        assert detect_axis(election) == first_axis_by_search(election.votes)
+
+    # sha256 of the space-separated axis, pinned because the clock test below
+    # compares the detection with itself.  The election does not depend on --k.
+    @pytest.mark.parametrize("m, n, seed, digest", [
+        (60, 1000, 1, "c4739ef87b41aab60c61d6ea4558011e220e12f51245ab792f729f353c67b957"),
+        (120, 3000, 7, "a9bf9d8ffa706ff804859faa21e6016036490abcf66155fcdd401955557f4209"),
+    ])
+    def test_large_profiles_keep_their_axis(self, tmp_path, m, n, seed, digest):
+        path = tmp_path / "sp.elect"
+        argv = ["single-peaked", "--m", str(m), "--n", str(n), "--k", "4"]
+        assert main(["gen", *argv, "--seed", str(seed), "--out", str(path)]) == 0
+        axis = detect_axis(parse_instance(path.read_text()).election)
+        assert axis is not None
+        assert hashlib.sha256(" ".join(map(str, axis)).encode()).hexdigest() == digest
 
     def test_reads_the_clock_once_per_step(self, tmp_path, monkeypatch):
         # The fake clock returns how often it was read before: once when the

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import instance_for, ranked
 from oracles import brute_force_stabbing
 from proprep import stabbing
+from proprep.cli import main
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -23,7 +24,12 @@ from proprep.core import (
     balanced_loads,
     build_misrep,
 )
-from proprep.single_peaked import AxisRows, sample_single_peaked_election
+from proprep.fileio import parse_instance
+from proprep.single_peaked import (
+    AxisRows,
+    detect_axis,
+    sample_single_peaked_election,
+)
 from proprep.solvers import DEFAULT_BUDGET, SolverBudget, solve_subset_enum
 from proprep.stabbing import (
     StabbingInstance,
@@ -573,6 +579,37 @@ class TestMinimaxPipeline:
                     assert solution.m_criterion_satisfied
                 else:
                     assert solution is None
+
+    def test_infeasible_probe_stops_at_the_first_voter_without_an_interval(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Voter 1 approves nobody, so bound 0 is out of reach once voter 1
+        # is read; the other 1998 voters need not be.  The digest pins the
+        # printed solution of the whole bound search.
+        path = tmp_path / "mm.elect"
+        argv = ["single-peaked", "--m", "6", "--n", "2000", "--k", "2"]
+        argv += ["--rule", "monroe", "--misrep", "approval", "--objective", "minimax"]
+        assert main(["gen", *argv, "--seed", "1", "--out", str(path)]) == 0
+        for solver in ("auto", "sp-stab"):
+            assert main(["solve", str(path), "--solver", solver]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "efd5eeef40016f29abc02e23311b8f5b956f022170ba6e01b90eae24a1f23c81"
+            )
+        problem = replace(parse_instance(path.read_text()), bound=0)
+        rows = AxisRows(problem.matrix, detect_axis(problem.election))
+        first = next(v for v in range(problem.matrix.n) if rows.interval(v, 0) is None)
+        assert first == 1
+        read = []
+        interval = AxisRows.interval
+
+        def counted(self, voter, bound):
+            read.append(voter)
+            return interval(self, voter, bound)
+
+        monkeypatch.setattr(AxisRows, "interval", counted)
+        assert solve_minimax_m_mw_sp(problem, rows) is None
+        assert len(read) <= first + 1
 
     def test_requires_minimax_objective(self, profile_3v4c):
         problem = instance_for(profile_3v4c, Rule.MONROE, Objective.SUM, k=2)
