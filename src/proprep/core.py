@@ -19,6 +19,18 @@ Tie-breaking is deterministic everywhere: among winner sets of equal value
 the lexicographically smallest sorted index sequence wins, and within a fixed
 committee each voter is mapped to her best winner with the lowest candidate
 index.
+
+Many voters often cast the same ballot, and every pass that depends only on
+a voter's ballot runs once per distinct ballot object: `shared` computes a
+result at the first voter holding an object (or a pair of objects) and
+hands it to the voters holding the same, and `distinct` lists the objects
+without repeats.  Both go by identity, never by value, so a profile
+without repeated objects pays a dictionary lookup per voter and hashes no
+ballot.  The parser makes equal ballot lines one object; an election built
+in code shares what its caller shares.  The election checks each distinct
+vote and computes its ranks once, and `build_misrep` checks each distinct
+(vote, approval set or table row) pair once and builds each row once, so
+voters that share a ballot share its row object.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 Point = TypeVar("Point")
 Result = TypeVar("Result")
+Item = TypeVar("Item")
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,12 +80,54 @@ class Objective(str, enum.Enum):
     MINIMAX = "minimax"
 
 
+_UNSEEN = object()
+
+
+def shared(
+    compute: Callable[[int, Item], Result],
+    items: Sequence[Item],
+    other: Optional[Sequence] = None,
+) -> list[Result]:
+    """``compute(index, items[index])`` for every index, once per distinct ballot.
+
+    A ballot is the object at the index, or with ``other`` the pair of
+    objects at the index in both.  ``compute`` runs at each ballot's first
+    index, in index order, so an error it raises names the first index
+    that holds the faulty ballot, and later copies get the same result
+    object.  Objects are told apart by identity, never by value: the
+    sequences keep them alive, so no ``id`` is reused, and no item is
+    hashed.
+    """
+    keys = map(id, items) if other is None else zip(map(id, items), map(id, other))
+    known: dict = {}
+    results = []
+    for index, key in enumerate(keys):
+        result = known.get(key, _UNSEEN)
+        if result is _UNSEEN:
+            result = known[key] = compute(index, items[index])
+        results.append(result)
+    return results
+
+
+def distinct(items: Iterable[Item]) -> list[Item]:
+    """The objects of ``items`` without repeats, by identity, in first-seen order."""
+    return list({id(item): item for item in items}.values())
+
+
 def _inverse(vote: Sequence[int]) -> tuple[int, ...]:
     """Each candidate's rank in a vote, by candidate index."""
     positions = [0] * len(vote)
     for rank, candidate in enumerate(vote):
         positions[candidate] = rank
     return tuple(positions)
+
+
+def _approval_row(approved: Sequence[int], m: int) -> tuple[int, ...]:
+    """0 for each approved candidate and 1 for the others, by candidate index."""
+    row = [1] * m
+    for candidate in approved:
+        row[candidate] = 0
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -108,12 +163,13 @@ class Election:
             seen.add(name)
         m = len(self.candidates)
         full = frozenset(range(m))
-        for voter, vote in enumerate(self.votes):
+
+        def ranks(voter: int, vote: Sequence[int]) -> tuple[int, ...]:
             if len(vote) != m or frozenset(vote) != full:
                 raise VoterError(voter, "vote is not a permutation")
-        object.__setattr__(
-            self, "_positions", tuple(map(_inverse, self.votes))
-        )
+            return _inverse(vote)
+
+        object.__setattr__(self, "_positions", tuple(shared(ranks, self.votes)))
 
     @property
     def m(self) -> int:
@@ -167,16 +223,16 @@ class MisrepMatrix:
         return len(self.rows[0])
 
     def max_value(self) -> int:
-        return max(max(row) for row in self.rows)
+        return max(map(max, distinct(self.rows)))
 
     def distinct_values(self) -> tuple[int, ...]:
         """All values appearing anywhere in the table, ascending."""
-        return tuple(sorted({x for row in self.rows for x in row}))
+        return tuple(sorted({x for row in distinct(self.rows) for x in row}))
 
 
 def table_scale(rows: Iterable[Iterable[Union[int, Fraction]]]) -> int:
     """Least common denominator of a rational table's entries."""
-    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return math.lcm(*(Fraction(x).denominator for row in distinct(rows) for x in row))
 
 
 def build_misrep(election: Election, spec: MisrepSpec) -> MisrepMatrix:
@@ -186,48 +242,57 @@ def build_misrep(election: Election, spec: MisrepSpec) -> MisrepMatrix:
     wrong length, a negative entry, a row ranking some pair against the
     voter's preference order) raises :class:`VoterError`, whose message
     names the voter and, for monotonicity, the candidate pair; a missing
-    approval set or table row raises ``ValueError``.
+    approval set or table row raises ``ValueError``.  An explicit table's
+    shapes and signs are checked for every voter before any row's order.
+    Each distinct (vote, approval set or table row) pair is checked once,
+    at its first voter, and each distinct approval set or table row object
+    is built into a row once, which the voters that hold it share.
     """
+    votes, m = election.votes, election.m
     if isinstance(spec, BordaMisrep):
         return MisrepMatrix(election._positions)
     if isinstance(spec, ApprovalMisrep):
-        if len(spec.approved) != election.n:
+        approvals = spec.approved
+        if len(approvals) != election.n:
             raise ValueError("one approval set per voter required")
-        rows = []
-        for v, approved in enumerate(spec.approved):
+
+        def check(v: int, approved: tuple[int, ...]) -> None:
             approved_set = frozenset(approved)
             if len(approved_set) != len(approved):
                 raise VoterError(v, "approves a candidate twice")
-            prefix = frozenset(election.votes[v][: len(approved_set)])
-            if approved_set != prefix:
+            if approved_set != frozenset(votes[v][: len(approved_set)]):
                 raise VoterError(v, "approval set is not a prefix of the ranking")
-            rows.append(
-                tuple(0 if c in approved_set else 1 for c in range(election.m))
-            )
+
+        shared(check, approvals, votes)
+        rows = shared(lambda _, approved: _approval_row(approved, m), approvals)
         return MisrepMatrix(tuple(rows))
     if isinstance(spec, ExplicitMisrep):
         if len(spec.rows) != election.n:
             raise ValueError("one table row per voter required")
-        for v, row in enumerate(spec.rows):
-            if len(row) != election.m:
-                raise VoterError(v, f"row needs {election.m} entries, got {len(row)}")
+
+        def check_shape(v: int, row: tuple[Union[int, Fraction], ...]) -> None:
+            if len(row) != m:
+                raise VoterError(v, f"row needs {m} entries, got {len(row)}")
             for x in row:
                 if x < 0:
                     raise VoterError(v, f"negative table entry {x}, must be >= 0")
-        scale = table_scale(spec.rows)
-        rows = tuple(
-            tuple(int(x * scale) for x in row) for row in spec.rows
-        )
-        for v, vote in enumerate(election.votes):
+
+        def check_order(v: int, row: tuple[int, ...]) -> None:
+            vote = votes[v]
             for better, worse in zip(vote, vote[1:]):
-                if rows[v][better] > rows[v][worse]:
+                if row[better] > row[worse]:
                     raise VoterError(
                         v,
                         "row is not monotone along the vote: candidates "
                         f"{election.candidates[better]!r} and "
                         f"{election.candidates[worse]!r} are out of order",
                     )
-        return MisrepMatrix(rows)
+
+        shared(check_shape, spec.rows)
+        scale = table_scale(spec.rows)
+        rows = shared(lambda _, row: tuple(int(x * scale) for x in row), spec.rows)
+        shared(check_order, rows, votes)
+        return MisrepMatrix(tuple(rows))
     raise TypeError(f"unknown misrepresentation spec {spec!r}")
 
 

@@ -25,8 +25,12 @@ Solution files carry the version tag ``proprep-solution v1`` and one
 ``value``, the ``m-criterion`` flag, the ``winners`` by name, and the
 ``assignment`` naming every voter's representative in voter order.
 
-Parsers raise :class:`ParseError`, whose message starts with the 1-based
-line number.  Rendering is deterministic, and parsing a rendered text
+The vote, approval and table blocks are read one slice each, and each
+distinct line text in a block is parsed once, so voters with equal lines
+share one vote, approval set or table row object, which :mod:`proprep.core`
+then checks and builds on once.  Parsers raise :class:`ParseError`, whose
+message starts with the 1-based line number; an error on a repeated line
+names its first line.  Rendering is deterministic, and parsing a rendered text
 reproduces the instance or solution exactly; an instance whose bound
 equals the worst reachable value renders its bound as ``-``.
 """
@@ -34,7 +38,8 @@ equals the worst reachable value renders its bound as ``-``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Callable, Optional, TypeVar, Union
 
 from .core import (
     ApprovalMisrep,
@@ -60,6 +65,9 @@ SOLUTION_TAG = "proprep-solution v1"
 _RULES = {rule.value: rule for rule in Rule}
 _OBJECTIVES = {objective.value: objective for objective in Objective}
 _KINDS = ("borda", "approval", "explicit")
+
+_ZERO_ONE = frozenset((0, 1))
+Parsed = TypeVar("Parsed")
 
 
 class ParseError(ValueError):
@@ -92,13 +100,43 @@ class _Cursor:
         self.lines = _meaningful_lines(text)
         self.at = 0
 
+    def ended(self, expecting: str) -> ParseError:
+        last = self.lines[-1][0] if self.lines else 1
+        return ParseError(last, f"unexpected end of file, expected {expecting}")
+
     def take(self, expecting: str) -> tuple[int, str]:
         if self.at >= len(self.lines):
-            last = self.lines[-1][0] if self.lines else 1
-            raise ParseError(last, f"unexpected end of file, expected {expecting}")
+            raise self.ended(expecting)
         pair = self.lines[self.at]
         self.at += 1
         return pair
+
+    def expect(self, marker: str) -> None:
+        number, line = self.take(f"the {marker} block")
+        if line != marker:
+            raise ParseError(number, f"expected {marker!r}, got {line!r}")
+
+    def block(
+        self, count: int, what: str, parse: Callable[[int, str], Parsed]
+    ) -> tuple[list[tuple[int, str]], tuple[Parsed, ...], Optional[ParseError]]:
+        """The next ``count`` lines, each parsed, and the error if fewer are left.
+
+        ``parse(number, text)`` runs once per distinct text, in file order,
+        so an error names the first line that has it, and equal lines share
+        one result object.  A file that ends first gives the error `take`
+        raises for the first voter without a line (``what`` of voter i),
+        returned so that the lines read can be checked first.
+        """
+        lines = self.lines[self.at : self.at + count]
+        self.at += len(lines)
+        parsed: dict[str, Parsed] = {}
+        for number, text in lines:
+            if text not in parsed:
+                parsed[text] = parse(number, text)
+        results = tuple(map(parsed.__getitem__, map(itemgetter(1), lines)))
+        if len(lines) < count:
+            return lines, results, self.ended(f"{what} of voter {len(lines)}")
+        return lines, results, None
 
     def done(self) -> None:
         if self.at < len(self.lines):
@@ -123,6 +161,17 @@ def _candidate_indices(
         return tuple(map(by_name.__getitem__, tokens))
     except KeyError as error:
         raise ParseError(number, f"unknown candidate {error.args[0]!r}") from None
+
+
+def _table_row(number: int, line: str) -> tuple[Union[int, Fraction], ...]:
+    entries = []
+    for token in line.split():
+        try:
+            entry = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(number, f"bad table entry {token!r}") from None
+        entries.append(entry if entry.denominator > 1 else int(entry))
+    return tuple(entries)
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -162,7 +211,6 @@ def parse_instance(text: str) -> ProblemInstance:
 
     names: list[str] = []
     name_numbers: list[int] = []
-    vote_lines: list[tuple[int, str]] = []
     cut_short: Optional[ParseError] = None
     try:
         for _ in range(m):
@@ -172,8 +220,6 @@ def parse_instance(text: str) -> ProblemInstance:
                 raise ParseError(number, "candidate name must be a single token")
             names.append(tokens[0])
             name_numbers.append(number)
-        for voter in range(n):
-            vote_lines.append(cursor.take(f"the vote of voter {voter}"))
     except ParseError as error:
         if not names:
             raise
@@ -182,7 +228,9 @@ def parse_instance(text: str) -> ProblemInstance:
     # the first error in file order is reported.  An unknown name resolves
     # to None, which no permutation holds.
     by_name = {name: index for index, name in enumerate(names)}
-    votes = tuple(tuple(map(by_name.get, line.split())) for _, line in vote_lines)
+    vote_lines, votes, missing = cursor.block(
+        n, "the vote", lambda _, line: tuple(map(by_name.get, line.split()))
+    )
     try:
         election = Election(tuple(names), votes or (tuple(range(len(names))),))
     except CandidateError as error:
@@ -193,54 +241,38 @@ def parse_instance(text: str) -> ProblemInstance:
         raise ParseError(
             number, f"vote of voter {error.voter} must rank all {m} candidates once"
         ) from None
-    if cut_short is not None:
-        raise cut_short
+    if cut_short or missing:
+        raise cut_short or missing
 
-    # The line each voter's approval set or table row came from.
-    row_numbers: list[int] = []
+    block: list[tuple[int, str]] = []
     spec: MisrepSpec
     if kind == "borda":
         spec = BordaMisrep()
     elif kind == "approval":
-        number, line = cursor.take("the #approve block")
-        if line != "#approve":
-            raise ParseError(number, f"expected '#approve', got {line!r}")
-        approvals: list[tuple[int, ...]] = []
-        for voter in range(n):
-            number, line = cursor.take(f"the approvals of voter {voter}")
-            row_numbers.append(number)
-            tokens = [] if line == "-" else line.split()
-            approvals.append(_candidate_indices(tokens, by_name, number))
-        spec = ApprovalMisrep(tuple(approvals))
+        cursor.expect("#approve")
+        block, approvals, missing = cursor.block(
+            n,
+            "the approvals",
+            lambda number, line: _candidate_indices(
+                [] if line == "-" else line.split(), by_name, number
+            ),
+        )
+        spec = ApprovalMisrep(approvals)
     else:
-        number, line = cursor.take("the #matrix block")
-        if line != "#matrix":
-            raise ParseError(number, f"expected '#matrix', got {line!r}")
-        rows: list[tuple[Union[int, Fraction], ...]] = []
-        for voter in range(n):
-            number, line = cursor.take(f"the table row of voter {voter}")
-            row_numbers.append(number)
-            tokens = line.split()
-            entries = []
-            for token in tokens:
-                try:
-                    entry = Fraction(token)
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(
-                        number, f"bad table entry {token!r}"
-                    ) from None
-                entries.append(entry if entry.denominator > 1 else int(entry))
-            rows.append(tuple(entries))
+        cursor.expect("#matrix")
+        block, rows, missing = cursor.block(n, "the table row", _table_row)
         # The bound is in the units of the fractional table, so it scales
         # along when build_misrep brings the table to integers.
         if bound is not None:
             bound *= table_scale(rows)
-        spec = ExplicitMisrep(tuple(rows))
+        spec = ExplicitMisrep(rows)
+    if missing:
+        raise missing
     cursor.done()
     try:
         matrix = build_misrep(election, spec)
     except VoterError as error:
-        raise ParseError(row_numbers[error.voter], str(error)) from None
+        raise ParseError(block[error.voter][0], str(error)) from None
 
     if bound is None:
         bound = worst_bound(matrix, objective)
@@ -255,11 +287,10 @@ def _detect_kind(instance: ProblemInstance) -> tuple[str, tuple[tuple[int, ...],
     if matrix == build_misrep(election, BordaMisrep()):
         return "borda", ()
     approvals = []
-    for v, row in enumerate(matrix.rows):
-        if any(x not in (0, 1) for x in row):
-            return "explicit", ()
-        approved = tuple(c for c in election.votes[v] if row[c] == 0)
-        if set(approved) != set(election.votes[v][: len(approved)]):
+    for vote, row in zip(election.votes, matrix.rows):
+        # An approval row is 0/1 and its zeros are a prefix of the vote.
+        approved = vote[: row.count(0)]
+        if not _ZERO_ONE.issuperset(row) or any([row[c] for c in approved]):
             return "explicit", ()
         approvals.append(approved)
     return "approval", tuple(approvals)
@@ -279,20 +310,18 @@ def render_instance(instance: ProblemInstance) -> str:
         f"{election.m} {election.n} {instance.k} {bound} "
         f"{instance.rule.value} {instance.objective.value} {kind}",
     ]
-    lines.extend(election.candidates)
+    names = election.candidates
+    lines.extend(names)
     for vote in election.votes:
-        lines.append(" ".join(election.candidates[c] for c in vote))
+        lines.append(" ".join([names[c] for c in vote]))
     if kind == "approval":
         lines.append("#approve")
         for approved in approvals:
-            if approved:
-                lines.append(" ".join(election.candidates[c] for c in approved))
-            else:
-                lines.append("-")
+            lines.append(" ".join([names[c] for c in approved]) if approved else "-")
     elif kind == "explicit":
         lines.append("#matrix")
         for row in matrix.rows:
-            lines.append(" ".join(str(x) for x in row))
+            lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

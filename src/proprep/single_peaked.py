@@ -9,6 +9,11 @@ contiguous intervals, and committees decompose along the axis.
 
 `detect_axis` returns an axis as a tuple of candidate indices in line order;
 the solvers take it as `AxisRows`, the only reading of a table along an axis.
+Many voters share a ballot, and everything here that depends on a ballot
+alone is done once per distinct ballot object (`core.shared`): the axis
+search replays each distinct vote, `AxisRows` reads each distinct row
+along the axis and finds its trough once, and the solvers find each
+distinct row's interval at a bound once.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from .core import (
     ProblemInstance,
     Rule,
     Solution,
+    distinct,
     pad_committee,
+    shared,
 )
 from .solvers import DEFAULT_BUDGET, SolverBudget
 
@@ -61,7 +68,9 @@ def detect_axis(
       candidate, so any completion's middle can be mirrored, and the first
       option extends whenever the second does.
 
-    Each step is one pass over the voters per option tried: the pass replays
+    The replay depends only on a vote, so it runs over the distinct vote
+    objects (`core.distinct`), and "voter" below means one of them.  Each
+    step is one pass over the voters per option tried: the pass replays
     each voter and gathers the candidate it waits on next, which is the next
     step's frontier.  Each voter's progress is two counters, the candidates
     it has consumed from the left end and from the right.  A step costs O(n)
@@ -69,10 +78,11 @@ def detect_axis(
     reads the budget's clock once.  Of the two mirror orientations, the one
     whose first candidate has the smaller index is returned.
     """
-    m, n = election.m, election.n
+    m = election.m
     if m == 1:
         return (0,)
-    peel = [vote[::-1] for vote in election.votes]
+    peel = [vote[::-1] for vote in distinct(election.votes)]
+    n = len(peel)
     slot_of = [-1] * m
     axis = [-1] * m
 
@@ -166,10 +176,14 @@ class AxisRows:
     Every voter's row read along the axis (``values``) and its first minimum
     position when it is a valley, or -1 (``troughs``), are computed on first
     use: each row is read at most once however many solvers and bounds use
-    it, and not at all by a solver that turns the instance down first.  A
-    valley row's positions within a bound are found by bisection on its two
-    monotone sides, in O(log m); any other row is scanned.  Raises
-    `ValueError` when the axis is not a permutation of the candidates.
+    it, and not at all by a solver that turns the instance down first.
+    Both are computed once per distinct row object, and voters that share a
+    row share its ``values`` object; a solver that needs every voter's
+    interval at a bound asks for it at the first voter of each row object
+    (``first``, ``firsts``).  A valley row's positions within a bound are
+    found by bisection on its two monotone sides, in O(log m); any other
+    row is scanned.  Raises `ValueError` when the axis is not a permutation
+    of the candidates.
     """
 
     def __init__(self, matrix: MisrepMatrix, axis: Sequence[int]) -> None:
@@ -182,11 +196,21 @@ class AxisRows:
     def values(self) -> list[tuple[int, ...]]:
         axis = self.axis
         read = itemgetter(*axis) if len(axis) > 1 else lambda row: (row[axis[0]],)
-        return [read(row) for row in self.matrix.rows]
+        return shared(lambda _, row: read(row), self.matrix.rows)
 
     @cached_property
     def troughs(self) -> list[int]:
-        return [_trough(values) for values in self.values]
+        return shared(lambda _, values: _trough(values), self.values)
+
+    @cached_property
+    def first(self) -> list[int]:
+        """Per voter, the first voter that holds the same row object."""
+        return shared(lambda voter, _: voter, self.matrix.rows)
+
+    @cached_property
+    def firsts(self) -> list[int]:
+        """The voters that hold a row object first, in voter order."""
+        return [voter for voter, first in enumerate(self.first) if first == voter]
 
     def interval(self, voter: int, bound: int) -> Optional[tuple[int, int]]:
         """First and last position within the bound, or None; `ValueError` on a gap."""
@@ -364,8 +388,8 @@ def solve_cc_minimax_sp(
     repeatedly stab the right endpoint of the earliest-ending interval not
     yet covered.  Feasible when that needs at most k stabs.  `rows` is the
     instance's table read along the axis, which a bound search reads once
-    and passes to every probe; a probe takes O(n log m + m) when every row
-    is a valley.
+    and passes to every probe; a probe reads each distinct row once and
+    takes O(d log m + m) for d distinct rows when every row is a valley.
 
     Only the intervals at this one bound need to be contiguous, so the
     matrix is not checked for single-troughedness as a whole; a voter whose
@@ -379,7 +403,7 @@ def solve_cc_minimax_sp(
     # The sweep over intervals sorted by right end stabs at r exactly when
     # some interval ending at r starts after the last stab.
     latest_left = [-1] * m
-    for v in range(matrix.n):
+    for v in rows.firsts:
         interval = rows.interval(v, bound)
         if interval is None:
             return None

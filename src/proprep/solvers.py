@@ -39,6 +39,7 @@ import struct
 import sys
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
@@ -591,6 +592,17 @@ def _unique_value_candidates(matrix: MisrepMatrix, bound: int) -> list[dict[int,
     return tables
 
 
+def _tops_exceed(tables: list[dict[int, int]], k: int, bound: int) -> bool:
+    """Whether every committee of k leaves more than `bound` voters paying.
+
+    Voters who share a top (their zero-cost candidate) form a group, and a
+    committee of k serves at most k groups at cost 0; each voter of the
+    other groups pays at least 1, and the smallest groups pay least.
+    """
+    groups = sorted(Counter(table[0] for table in tables).values())
+    return sum(groups[: max(len(groups) - k, 0)]) > bound
+
+
 def solve_constantR(
     instance: ProblemInstance, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
@@ -598,7 +610,9 @@ def solve_constantR(
 
     At most `bound` voters can be served at nonzero cost, so it enumerates
     which voters those are and at what cost each is served; everyone else is
-    pinned to their zero-cost candidate.  Works for both rules.
+    pinned to their zero-cost candidate.  Works for both rules.  When more
+    than `bound` voters must pay on any committee (`_tops_exceed`), it
+    answers None in O(nm) without enumerating.
     """
     if instance.objective is not Objective.SUM:
         raise ValueError("constant-bound solver handles the sum objective")
@@ -608,6 +622,8 @@ def solve_constantR(
             f"bound {bound} exceeds the constant-bound cap of {budget.max_constant_bound}"
         )
     tables = _unique_value_candidates(matrix, bound)
+    if _tops_exceed(tables, k, bound):
+        return None
     n = matrix.n
 
     def try_assignment(mapping: list[int]) -> Optional[Solution]:

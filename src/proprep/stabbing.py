@@ -47,7 +47,10 @@ bound.  The covered lines, padded to k winners, then seat the voters the
 cover left out.  Under the sum objective on 0/1 misrepresentation the bound
 is 0 and the most intervals covered give the least total misrepresentation;
 under minimax the instance bound is met exactly when every interval is
-covered.
+covered.  Voters that share a row object share its interval: each distinct
+row's interval at a bound is found once per call, at its first voter
+(`AxisRows.first`), and the 0/1 check reads each distinct row once.  The
+table itself is still keyed by voter.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .core import (
     Solution,
     balanced_loads,
     check_m_criterion,
+    distinct,
     evaluate,
     pad_committee,
 )
@@ -490,9 +494,11 @@ def _axis_cover(
     matrix, k, axis = problem.matrix, problem.k, rows.axis
     n = matrix.n
     spans = []
-    for v in range(n):
-        interval = rows.interval(v, bound)
+    found: list[Optional[tuple[int, int]]] = [None] * n  # by first voter
+    for v, first in enumerate(rows.first):
+        interval = found[first] if first < v else rows.interval(v, bound)
         if interval is not None:
+            found[v] = interval
             spans.append((interval[0] + 1, interval[1] + 1, v))
         elif problem.objective is Objective.MINIMAX:
             return None
@@ -534,7 +540,7 @@ def solve_monroe_sum_sp(
         raise ValueError("this pipeline handles the sum objective")
     if problem.rule is not Rule.MONROE:
         raise ValueError("this reduction handles the balanced rule")
-    if any(x not in (0, 1) for row in problem.matrix.rows for x in row):
+    if any(x not in (0, 1) for row in distinct(problem.matrix.rows) for x in row):
         raise ValueError("misrepresentation values must all be 0 or 1")
     covered, solution = _axis_cover(problem, rows, 0, budget)
     assert solution.objective_value == problem.matrix.n - covered

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, time_limit
 import proprep
-from proprep import cli, single_peaked, solving
+from proprep import cli, core, single_peaked, solving, stabbing
 from proprep.cli import build_parser, main
 from proprep.core import (
     ApprovalMisrep,
@@ -1134,7 +1134,9 @@ class TestSolverTable:
         assert solution is not None
         assert len(probes) > 1 and len(reads) == 1
         assert all(rows is probes[0][1] for _, rows in probes)
-        assert len(troughs) == instance.matrix.n
+        # Once per distinct row object, and the generated profile repeats rows.
+        distinct_rows = len({id(row) for row in instance.matrix.rows})
+        assert len(troughs) == distinct_rows < instance.matrix.n
 
     def test_sp_stab_reads_the_rows_once_per_search(self, capsys, monkeypatch):
         code, text, _ = run_cli(
@@ -1151,7 +1153,41 @@ class TestSolverTable:
         assert solution is not None
         assert len(probes) > 1 and len(reads) == 1
         assert all(rows is probes[0][1] for _, rows, _ in probes)
-        assert len(troughs) == instance.matrix.n
+        # Once per distinct row object, and the generated profile repeats rows.
+        distinct_rows = len({id(row) for row in instance.matrix.rows})
+        assert len(troughs) == distinct_rows < instance.matrix.n
+
+    def test_identical_voters_are_read_once(self, monkeypatch):
+        # The all-approve text: 3 candidates, 1500 voters with one ballot.
+        names = ("c1", "c2", "c3")
+        ranking = " ".join(names) + "\n"
+        text = (
+            "proprep v1\n3 1500 1 - monroe sum approval\n"
+            + "".join(name + "\n" for name in names)
+            + ranking * 1500
+            + "#approve\n"
+            + ranking * 1500
+        )
+        inverses = counting(monkeypatch, core, "_inverse")
+        approval_rows = counting(monkeypatch, core, "_approval_row")
+        instance = parse_instance(text)
+        assert len(inverses) == len(approval_rows) == 1
+        replayed = []
+        distinct = single_peaked.distinct
+        monkeypatch.setattr(
+            single_peaked,
+            "distinct",
+            lambda items: replayed.append(len(distinct(items))) or distinct(items),
+        )
+        assert single_peaked.detect_axis(instance.election) == (0, 1, 2)
+        assert replayed == [1]  # the axis search replays one vote
+        troughs = counting(monkeypatch, single_peaked, "_trough")
+        intervals = counting(monkeypatch, single_peaked.AxisRows, "interval")
+        probes = counting(monkeypatch, stabbing, "_axis_cover")
+        name, solution = solving.solve(instance, "sp-stab")
+        assert (name, solution.objective_value) == ("sp-stab", 0)
+        assert len(troughs) == 1
+        assert len(probes) == 1 and len(intervals) == len(probes)
 
     @pytest.mark.parametrize(
         "rows, answered_by",

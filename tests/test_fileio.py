@@ -217,6 +217,122 @@ class TestParseInstance:
         assert "monotone" in str(error)
 
 
+REPEATED = """\
+proprep v1
+3 4 1 - monroe sum approval
+a
+b
+c
+a b c
+a b c
+c b a
+a b c
+#approve
+a
+a
+c b
+a
+"""
+
+REPEATED_TABLE = """\
+proprep v1
+3 3 1 - cc sum explicit
+a
+b
+c
+a b c
+a b c
+a b c
+#matrix
+0 1/2 1
+0 1/2 1
+0 1/2 1
+"""
+
+
+def cut_after(text: str, line: int) -> str:
+    return "\n".join(text.splitlines()[:line]) + "\n"
+
+
+class TestBlocksAndRepeats:
+    """Each block is read at once, and equal lines are parsed once."""
+
+    def test_equal_lines_share_one_object(self):
+        instance = parse_instance(REPEATED)
+        votes, rows = instance.election.votes, instance.matrix.rows
+        assert votes[0] is votes[1] is votes[3] and votes[2] == (2, 1, 0)
+        assert rows[0] is rows[1] is rows[3] and rows[2] == (1, 0, 0)
+        positions = instance.election._positions
+        assert positions[0] is positions[1] is positions[3]
+        table = parse_instance(REPEATED_TABLE).matrix.rows
+        assert table[0] is table[1] is table[2] == (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "text, line, missing",
+        [
+            (REPEATED, 7, "the vote of voter 2"),
+            (REPEATED, 5, "the vote of voter 0"),
+            (REPEATED, 12, "the approvals of voter 2"),
+            (REPEATED, 10, "the approvals of voter 0"),
+            (REPEATED_TABLE, 10, "the table row of voter 1"),
+        ],
+    )
+    def test_a_block_cut_short_names_the_first_missing_voter(self, text, line, missing):
+        expected = f"line {line}: unexpected end of file, expected {missing}"
+        assert str(error_for(cut_after(text, line))) == expected
+        # Trailing comments and blank lines do not move the reported line.
+        assert str(error_for(cut_after(text, line) + "\n# the end\n")) == expected
+
+    def test_a_bad_line_cut_short_is_reported_before_the_end_of_file(self):
+        text = cut_after(lines_replaced(REPEATED, 12, "a x"), 13)
+        assert str(error_for(text)) == "line 12: unknown candidate 'x'"
+
+    @pytest.mark.parametrize(
+        "line, replacement, message",
+        [
+            (7, "a b x", "unknown candidate 'x'"),
+            (7, "a a b", "vote of voter 1 must rank all 3 candidates once"),
+            (12, "a x", "unknown candidate 'x'"),
+            (12, "b", "voter 1: approval set is not a prefix of the ranking"),
+            (12, "a a", "voter 1: approves a candidate twice"),
+        ],
+    )
+    def test_a_repeated_bad_line_is_blamed_on_its_first_voter(
+        self, line, replacement, message
+    ):
+        text = REPEATED
+        for repeat in (line, line + 2):
+            text = lines_replaced(text, repeat, replacement)
+        assert str(error_for(text)) == f"line {line}: {message}"
+
+    def test_a_shared_line_is_checked_against_each_vote_it_comes_with(self):
+        # Voters 0 and 2 approve the same line, a prefix of voter 0's vote
+        # only; voters 0 and 2 also give the same table row.
+        text = lines_replaced(REPEATED, 8, "b c a")
+        text = lines_replaced(lines_replaced(text, 11, "a"), 13, "a")
+        expected = "line 13: voter 2: approval set is not a prefix of the ranking"
+        assert str(error_for(text)) == expected
+        table = lines_replaced(REPEATED_TABLE, 8, "c b a")
+        error = str(error_for(table))
+        assert error.startswith("line 12: voter 2: row is not monotone along the vote")
+
+    @pytest.mark.parametrize(
+        "replacement, message",
+        [
+            ("0 1/2 x", "bad table entry 'x'"),
+            ("0 -1 1", "voter 1: negative table entry -1, must be >= 0"),
+            ("1 0 2", "voter 1: row is not monotone along the vote"),
+        ],
+    )
+    def test_a_repeated_bad_row_is_blamed_on_its_first_voter(
+        self, replacement, message
+    ):
+        text = REPEATED_TABLE
+        for repeat in (11, 12):
+            text = lines_replaced(text, repeat, replacement)
+        assert str(error_for(text)).startswith(f"line 11: {message}")
+
+
 class TestRenderInstance:
     def test_borda_round_trip(self):
         instance = parse_instance(BASIC)

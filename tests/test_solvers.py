@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -763,6 +764,37 @@ class TestConstantBound:
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=1, bound=4)
         with pytest.raises(BudgetExceededError):
             solve_constantR(instance)
+
+
+    def test_gives_up_at_once_when_the_tops_outnumber_the_bound(self, tmp_path):
+        # 1500 voters over 3 candidates with k = 1: about 1000 voters pay on
+        # any committee, far above every bound within the cap of 3.
+        path = tmp_path / "m3.elect"
+        argv = ["gen", "random", "--m", "3", "--n", "1500", "--k", "1", "--rule", "cc"]
+        assert main([*argv, "--seed", "1", "--out", str(path)]) == 0
+        started = time.perf_counter()
+        argv = ["solve", str(path), "--solver", "constant-r", "--budget-seconds", "10"]
+        assert main(argv) == 3
+        assert time.perf_counter() - started < 5
+        instance = parse_instance(path.read_text())
+        for bound in range(4):
+            assert solve_constantR(dataclasses.replace(instance, bound=bound)) is None
+
+    def test_pruning_agrees_with_the_unpruned_search(self, monkeypatch):
+        rng = random.Random(26)
+        pruned = 0
+        for _ in range(200):
+            rule = rng.choice((Rule.CC, Rule.MONROE))
+            instance = random_borda_instance(
+                rng, rule, Objective.SUM, max_m=4, max_n=7, bound=rng.randint(0, 3)
+            )
+            answer = solve_constantR(instance)
+            tables = solvers._unique_value_candidates(instance.matrix, instance.bound)
+            pruned += solvers._tops_exceed(tables, instance.k, instance.bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_tops_exceed", lambda *args: False)
+                assert solve_constantR(instance) == answer
+        assert pruned > 20
 
 
 class TestBalancedRuleDecision:
