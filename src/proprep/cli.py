@@ -57,7 +57,7 @@ from .hardness import (
     gen_rx3c_monroe,
     gen_vc_minimax,
 )
-from .single_peaked import detect_axis, sample_single_peaked_election
+from .single_peaked import detect_axis, sample_single_peaked_votes
 from .solvers import DEFAULT_BUDGET, SolverBudget
 
 
@@ -206,10 +206,8 @@ def _gen_profile(args: argparse.Namespace) -> ProblemInstance:
     if args.family == "random":
         election = random_election(rng, args.m, args.n)
     else:
-        sampled, _ = sample_single_peaked_election(rng, args.m, args.n)
-        election = Election(
-            tuple(f"c{i + 1}" for i in range(args.m)), sampled.votes
-        )
+        votes, _ = sample_single_peaked_votes(rng, args.m, args.n)
+        election = Election(tuple(f"c{i + 1}" for i in range(args.m)), votes)
     misrep = args.misrep or "borda"
     if misrep == "borda":
         matrix = build_misrep(election, BordaMisrep())

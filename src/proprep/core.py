@@ -28,14 +28,16 @@ without repeats.  Both go by identity, never by value, so a profile
 without repeated objects pays a dictionary lookup per voter and hashes no
 ballot.  The parser makes equal ballot lines one object; an election built
 in code shares what its caller shares.  The election checks each distinct
-vote and computes its ranks once, and `build_misrep` checks each distinct
-(vote, approval set or table row) pair once and builds each row once, so
-voters that share a ballot share its row object.
+vote once, and ranks each once when a Borda table first reads the ranks;
+`build_misrep` checks each distinct (vote, approval set or table row) pair
+once and builds each row once, so voters that share a ballot share its row
+object.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,12 +166,15 @@ class Election:
         m = len(self.candidates)
         full = frozenset(range(m))
 
-        def ranks(voter: int, vote: Sequence[int]) -> tuple[int, ...]:
+        for vote in distinct(self.votes):
             if len(vote) != m or frozenset(vote) != full:
+                voter = next(v for v, other in enumerate(self.votes) if other is vote)
                 raise VoterError(voter, "vote is not a permutation")
-            return _inverse(vote)
 
-        object.__setattr__(self, "_positions", tuple(shared(ranks, self.votes)))
+    @functools.cached_property
+    def _positions(self) -> tuple[tuple[int, ...], ...]:
+        """Each voter's rank of every candidate, built on first use (Borda)."""
+        return tuple(shared(lambda _, vote: _inverse(vote), self.votes))
 
     @property
     def m(self) -> int:

@@ -431,6 +431,15 @@ def sample_single_peaked_election(
     nearer unused neighbor on a coin flip, which reaches every compatible
     ranking.
     """
+    votes, axis = sample_single_peaked_votes(rng, num_candidates, num_voters)
+    names = tuple(f"c{i}" for i in range(num_candidates))
+    return Election(names, votes), axis
+
+
+def sample_single_peaked_votes(
+    rng: random.Random, num_candidates: int, num_voters: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The votes and axis of `sample_single_peaked_election`, same draws."""
     axis = list(range(num_candidates))
     rng.shuffle(axis)
     votes = []
@@ -452,5 +461,4 @@ def sample_single_peaked_election(
                 order.append(axis[left])
                 left -= 1
         votes.append(tuple(order))
-    names = tuple(f"c{i}" for i in range(num_candidates))
-    return Election(names, tuple(votes)), tuple(axis)
+    return tuple(votes), tuple(axis)

@@ -5,9 +5,11 @@ Two families live here.  The enumeration solvers (`solve_subset_enum`,
 the reference oracles for everything else.  Subset enumeration walks the
 committees depth-first in lexicographic order, sharing each prefix's
 per-voter minima, which `PackedColumns` packs into one int with a
-byte-aligned field per voter so that each step runs at C speed, and prunes
+byte-aligned field per voter so that each step runs at C speed, prunes
 every prefix whose best-representative bound cannot win, which needs no
-flow; under the balanced rule it then scores the committees left by value
+flow, and rejects most last seats without a fold: by one AND of coverage
+masks under minimax, by singleton gains under sum (CC is submodular).
+Under the balanced rule it then scores the committees left by value
 alone, in bound order until the next one can no longer win, and returns
 the seating that scored the winner.  Partition enumeration matches
 every admissible partition.  The remaining solvers are decision procedures:
@@ -217,57 +219,108 @@ def _committee_walk(
     child at pool position `j` is bounded by the CC value of its parent's
     prefix plus every candidate in `pool[j:]`, a lower bound on every
     committee below it; the bound never falls as `j` grows, so the first
-    child above `limit` ends the loop over its siblings.  A last seat is
-    scored directly, which costs what its bound would.  Under minimax both
-    tests are one threshold test, and a committee's largest entry is read
-    only once it passes.  Every committee with CC value <= `limit` is
-    passed to `leaf` with that value, and `leaf` returns the limit for the
-    rest of the walk.  The clock is read about every `_ENTRIES_PER_CHECK`
-    voter entries, and at least every 1024 nodes.
+    child above `limit` ends the loop over its siblings.  Every committee
+    with CC value <= `limit` is passed to `leaf` with that value, and
+    `leaf` returns the limit for the rest of the walk.  The clock is read
+    about every `_ENTRIES_PER_CHECK` voter entries, and at least every
+    1024 nodes, skipped leaves included.
+
+    Minimax: min(a, b) > t exactly when a > t and b > t, so for the limit t
+    each pool column and suffix is flagged once, in `high`, where its entry
+    is above t, and each frame flags its prefix's minima (`uncovered`).  A
+    child whose flags meet its suffix's is pruned, and a leaf whose flags
+    meet its column's rejected, by one AND; only a leaf that passes is
+    folded.  When `leaf` lowers the limit the flags are made again, and each
+    open frame flags its minima again before its next test: a stale mask
+    flags too few voters, so it prunes too little and passes committees
+    above the new limit.
+
+    Sum: a node with two seats left folds each child's column once, keeping
+    the folds, their values vals[c], and base, its prefix's value.  For a
+    prefix P and candidates j, l, let a, b, c be voter v's best entry in P,
+    j and l; x = min(a, b) and y = min(a, c) are both <= a, so
+    min(a, b, c) = min(x, y) = x + y - max(x, y) >= x + y - a.  Summed over
+    the voters, value(P+j+l) >= vals[j] + vals[l] - base (the gain of l
+    only shrinks once j is in), so leaf l under child j is skipped without
+    a fold when vals[j] - base + vals[l] > limit, and a leaf that passes is
+    folded and compared as before.  Neither test rejects a committee within
+    the limit, so `leaf` sees what a walk that folds every leaf passes it.
     """
     pool, packed = packing.pool, packing.packed
     columns, suffix = packing.columns, packing.suffix
     fold, fields, high = packed.min, packed.fields, packed.high
-    over = packed.over(limit)
     every = max(1, min(1024, _ENTRIES_PER_CHECK // packing.n))
-    nodes = 0
+    nodes, end = 0, len(pool)
 
-    if objective is Objective.SUM:
+    def flags(limit: float) -> tuple[int, list[int], list[int]]:
+        add = packed.over(limit)
+        over = [(x + add) & high for x in columns]
+        return add, over, [(x + add) & high for x in suffix]
 
-        def score(minima: int) -> Optional[int]:
-            value = sum(fields(minima))
-            return value if value <= limit else None
-
-        def pruned(minima: int) -> bool:
-            return sum(fields(minima)) > limit
-
-    else:
-
-        def score(minima: int) -> Optional[int]:
-            return None if (minima + over) & high else max(fields(minima))
-
-        def pruned(minima: int) -> bool:
-            return (minima + over) & high != 0
-
-    def extend(start: int, prefix: tuple[int, ...], minima: int) -> None:
-        nonlocal limit, over, nodes
+    def extend_minimax(start: int, prefix: tuple[int, ...], minima: int) -> None:
+        nonlocal limit, add, over, over_suffix, nodes
         seats = k - len(prefix)
-        for j in range(start, len(pool) - seats + 1):
+        seen, uncovered = limit, (minima + add) & high
+        for j in range(start, end - seats + 1):
             if nodes % every == 0:
                 budget.check()
             nodes += 1
+            if seen != limit:
+                seen, uncovered = limit, (minima + add) & high
             if seats == 1:
-                value = score(fold(minima, columns[j]))
-                if value is not None:
+                if not uncovered & over[j]:
+                    value = max(fields(fold(minima, columns[j])))
                     after = leaf(value, prefix + (pool[j],))
                     if after != limit:
-                        limit, over = after, packed.over(after)
-            elif pruned(fold(minima, suffix[j])):
+                        limit = after
+                        add, over, over_suffix = flags(after)
+            elif uncovered & over_suffix[j]:
                 return
             else:
-                extend(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
+                extend_minimax(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
 
-    extend(0, (), packing.top)
+    def last_seat(
+        start: int, prefix: tuple[int, ...], minima: int, vals: list[int], gain: int
+    ) -> None:
+        # vals[l] - gain is at most the value of prefix + pool[l].
+        nonlocal limit, nodes
+        for l in range(start, end):
+            if nodes % every == 0:
+                budget.check()
+            nodes += 1
+            if vals[l] - gain > limit:
+                continue
+            value = sum(fields(fold(minima, columns[l])))
+            if value <= limit:
+                limit = leaf(value, prefix + (pool[l],))
+
+    def extend_sum(start: int, prefix: tuple[int, ...], minima: int) -> None:
+        nonlocal nodes
+        seats = k - len(prefix)
+        vals: list[int] = []
+        for j in range(start, end - seats + 1):
+            if nodes % every == 0:
+                budget.check()
+            nodes += 1
+            if sum(fields(fold(minima, suffix[j]))) > limit:
+                return
+            if seats > 2:
+                extend_sum(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
+                continue
+            if not vals:  # j == start: the folds serve every child
+                children = [fold(minima, c) for c in columns[start:]]
+                vals = [0] * start + [sum(fields(child)) for child in children]
+                base = sum(fields(minima))
+            gain = base - vals[j]
+            last_seat(j + 1, prefix + (pool[j],), children[j - start], vals, gain)
+
+    if objective is Objective.MINIMAX:
+        add, over, over_suffix = flags(limit)
+        extend_minimax(0, (), packing.top)
+    elif k == 1:
+        last_seat(0, (), packing.top, [0] * end, 0)  # no bound but 0
+    else:
+        extend_sum(0, (), packing.top)
 
 
 def solve_subset_enum(
@@ -282,24 +335,24 @@ def solve_subset_enum(
     package.
 
     Committees are walked depth-first in lexicographic order, sharing each
-    prefix's per-voter minima, and a prefix is pruned once the CC value of
-    the prefix plus every candidate left is above the limit.  Under the
+    prefix's per-voter minima; a prefix is pruned once the CC value of the
+    prefix plus every candidate left is above the limit, and most last seats
+    above it are rejected before their fold (`_committee_walk`).  Under the
     CC rule that walk is the whole solver: the limit is one below the best
     value so far and only a strictly smaller value replaces it, so ties go
     to the lexicographically smallest committee.  A committee's CC value is
     a lower bound on its Monroe value (the same assignment with load limits
-    added), so under Monroe the CC-optimal committee is scored first and
-    its value U becomes the limit of a second walk that collects every
-    committee with CC value <= U.  Those are scored in ascending `(bound,
-    committee)` order until the next pair is above the best `(value,
-    committee)` pair so far; every committee not scored has value >= bound,
-    so the answer is the plain minimum over all pairs.  Every committee,
-    the CC-optimal one included, is scored once, a collected minimax value
-    only once the committee is known to beat the best pair; the seating
-    that scored the committee returned is its witness, so no committee is
-    seated again.  Memory holds two packed columns per pool candidate,
-    packed once and shared by both walks, and, under Monroe, the collected
-    pairs.
+    added), so under Monroe the CC-optimal committee is scored first and its
+    value U becomes the limit of a second walk that collects every committee
+    with CC value <= U.  Those are scored in ascending `(bound, committee)`
+    order until the next pair is above the best `(value, committee)` pair so
+    far; every committee not scored has value >= bound, so the answer is the
+    plain minimum over all pairs.  Every committee, the CC-optimal one
+    included, is scored once, a collected minimax value only once the
+    committee is known to beat the best pair; the seating that scored the
+    committee returned is its witness, so no committee is seated again.
+    Memory holds two packed columns per pool candidate, packed once and
+    shared by both walks, and, under Monroe, the collected pairs.
     """
     m = instance.matrix.m
     pool = sorted(range(m) if candidate_pool is None else candidate_pool)

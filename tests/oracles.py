@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from proprep.core import BudgetExceededError, balanced_loads
 from proprep.hardness import HittingSetInstance, RX3CInstance
@@ -208,3 +208,43 @@ def brute_force_stabbing(instance: StabbingInstance) -> int:
                 assert uncovered is not None, "the bypass column takes every interval"
                 best = max(best, count - uncovered)
     return best
+
+
+def walk_by_lists(
+    rows: Sequence[Sequence[int]],
+    pool: Sequence[int],
+    k: int,
+    combine: Callable[[Iterable[int]], int],
+    limit: float,
+    leaf: Callable[[int, tuple[int, ...]], float],
+) -> int:
+    """The committee walk's visits, with plain per-voter lists.
+
+    Prefixes grow depth-first in lexicographic order from each voter's
+    largest entry.  A child at pool position j ends its siblings' loop when
+    its prefix plus all of pool[j:] is above `limit` under `combine` (sum
+    or max); a last seat goes to `leaf` when its committee is within the
+    limit, and `leaf` returns the new limit.  Every last seat is tried, so
+    this folds every leaf.  Returns the number of nodes visited: every child
+    tried, the one that ends its loop and every last seat included.
+    """
+    columns = [[row[c] for row in rows] for c in pool]
+    suffix = [list(map(min, columns[-1], *columns[j:])) for j in range(len(pool))]
+    nodes = 0
+
+    def extend(start: int, prefix: tuple[int, ...], minima: list[int]) -> None:
+        nonlocal limit, nodes
+        seats = k - len(prefix)
+        for j in range(start, len(pool) - seats + 1):
+            nodes += 1
+            child = list(map(min, minima, columns[j]))
+            if seats == 1:
+                if combine(child) <= limit:
+                    limit = leaf(combine(child), prefix + (pool[j],))
+            elif combine(map(min, minima, suffix[j])) > limit:
+                return
+            else:
+                extend(j + 1, prefix + (pool[j],), child)
+
+    extend(0, (), [max(row) for row in rows])
+    return nodes

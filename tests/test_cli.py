@@ -648,6 +648,18 @@ class TestGen:
         assert detect_axis(instance.election) is not None
         assert instance.election.candidates[0] == "c1"
 
+    def test_single_peaked_family_builds_one_election(self, capsys, monkeypatch):
+        # The votes of `sample_single_peaked_election`, from the same draws,
+        # go straight into the election named c1.., which is built once.
+        built = counting(monkeypatch, core.Election, "__post_init__")
+        code, out, _ = run_cli(
+            capsys, "gen", "single-peaked", "--m", "6", "--n", "40", "--k", "2",
+            "--seed", "3",
+        )
+        assert code == 0 and len(built) == 1
+        sampled, _ = single_peaked.sample_single_peaked_election(random.Random(3), 6, 40)
+        assert parse_instance(out).election.votes == sampled.votes
+
     def test_exact_cover_family_shape(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "rx3c-monroe", "--n", "3")
         assert code == 0
@@ -1171,7 +1183,8 @@ class TestSolverTable:
         inverses = counting(monkeypatch, core, "_inverse")
         approval_rows = counting(monkeypatch, core, "_approval_row")
         instance = parse_instance(text)
-        assert len(inverses) == len(approval_rows) == 1
+        assert len(approval_rows) == 1
+        assert inverses == []  # only a Borda table reads the ranks
         replayed = []
         distinct = single_peaked.distinct
         monkeypatch.setattr(
@@ -1188,6 +1201,18 @@ class TestSolverTable:
         assert (name, solution.objective_value) == ("sp-stab", 0)
         assert len(troughs) == 1
         assert len(probes) == 1 and len(intervals) == len(probes)
+        assert inverses == []
+
+    def test_identical_borda_voters_are_ranked_once(self, monkeypatch):
+        # The same 1500 voters under a Borda table: their one vote is ranked
+        # once, when the table is built, and every voter shares its row.
+        ranking = "c1 c2 c3\n"
+        text = "proprep v1\n3 1500 1 - monroe sum borda\nc1\nc2\nc3\n" + ranking * 1500
+        inverses = counting(monkeypatch, core, "_inverse")
+        instance = parse_instance(text)
+        assert len(inverses) == 1
+        rows = instance.matrix.rows
+        assert rows[0] == (0, 1, 2) and all(row is rows[0] for row in rows)
 
     @pytest.mark.parametrize(
         "rows, answered_by",

@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,7 @@ from proprep.solvers import (
 from proprep.solving import SOLVERS, optimize, solve
 
 from conftest import instance_for, ranked, threshold
+from oracles import walk_by_lists
 
 
 def random_borda_instance(rng, rule, objective, max_m=5, max_n=6, bound=0):
@@ -485,6 +487,28 @@ class TestSubsetEnum:
             solve_subset_enum(instance, SolverBudget(max_seconds=deadline))
         assert len(steps) * n <= deadline + m * n + 2 * 2**16
 
+    def test_deadline_holds_while_walking_minimax_committees(
+        self, tmp_path, monkeypatch
+    ):
+        # A rejected minimax leaf takes no fold, so this clock ticks once per
+        # read instead.  A full solve reads it once every 65536 // n = 655
+        # nodes of those the list walk visits, rejected leaves included,
+        # and a budgeted one raises at the first read past the deadline, so
+        # the walk stops within 1024 nodes of it.
+        instance = generated_cc(tmp_path, 20, 100, 6, "minimax")
+        rows = instance.matrix.rows
+        nodes = walk_by_lists(rows, range(20), 6, max, math.inf, lambda v, _: v - 1)
+        reads = []
+        clock = SimpleNamespace(monotonic=lambda: reads.append(1) or len(reads))
+        monkeypatch.setattr(solvers, "time", clock)
+        solve_subset_enum(instance, SolverBudget(max_seconds=math.inf))
+        checks = len(reads) - 1  # the first read starts the budget
+        assert checks == -(-nodes // 655) > 16
+        reads.clear()
+        with pytest.raises(BudgetExceededError):
+            solve_subset_enum(instance, SolverBudget(max_seconds=checks // 2))
+        assert len(reads) - 1 == checks // 2 + 1
+
     def test_one_budget_is_one_clock_across_calls(self, tmp_path, monkeypatch):
         # The clock starts when the budget is made, not when a solver is
         # called: the second call on the same budget finds it spent.
@@ -562,6 +586,146 @@ class TestSubsetEnum:
         steps = count_walk_steps(monkeypatch)
         solve_subset_enum(instance)
         assert 0 < len(steps) < math.comb(20, 10) / 5
+
+
+@st.composite
+def walk_tables(draw):
+    """Rows of a Borda, approval or wide-entry table, m <= 6 and n <= 8."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["borda", "approval", "wide"]))
+    if kind == "borda":
+        return [draw(st.permutations(range(m))) for _ in range(n)]
+    entry = st.integers(0, 1) if kind == "approval" else st.integers(0, 2**70)
+    row = st.lists(entry, min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+def walked(k, objective, limit, leaf, rows, pool):
+    """The committee walk's `leaf` calls and node count, with a check per node."""
+    calls, checks = [], []
+
+    def recorded(value, committee):
+        calls.append((committee, value))
+        return leaf(value)
+
+    budget = SimpleNamespace(check=lambda: checks.append(1))
+    packing = solvers._pack_pool(MisrepMatrix(tuple(map(tuple, rows))), pool)
+    with mock.patch.object(solvers, "_ENTRIES_PER_CHECK", 0):
+        solvers._committee_walk(packing, k, objective, budget, limit, recorded)
+    return calls, len(checks)
+
+
+def walked_by_lists(k, objective, limit, leaf, rows, pool):
+    """`walked`, from `walk_by_lists`."""
+    calls = []
+
+    def recorded(value, committee):
+        calls.append((committee, value))
+        return leaf(value)
+
+    combine = sum if objective is Objective.SUM else max
+    return calls, walk_by_lists(rows, pool, k, combine, limit, recorded)
+
+
+class TestCommitteeWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_tables(), st.data())
+    def test_singleton_gains_bound_each_pair(self, rows, data):
+        # value(P+j+l) >= value(P+j) + value(P+l) - value(P), from each
+        # voter's largest entry, as the walk's sum leaves are skipped.
+        m = len(rows[0])
+        candidate = st.integers(0, m - 1)
+        j, l = data.draw(st.lists(candidate, min_size=2, max_size=2, unique=True))
+        prefix = data.draw(st.sets(candidate))
+
+        def value(committee):
+            return sum(min([max(row), *(row[c] for c in committee)]) for row in rows)
+
+        assert value(prefix | {j, l}) >= (
+            value(prefix | {j}) + value(prefix | {l}) - value(prefix)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tied_instances(),
+        st.sampled_from([1, 2**7, 2**64 + 3]),
+        st.one_of(st.none(), st.integers(-1, 16)),
+    )
+    def test_agrees_with_the_list_walk(self, drawn, scale, bound):
+        # Keeping the strictly better committees from no limit, as the CC
+        # walk does, or collecting those within a fixed limit, as the
+        # second Monroe walk does: `leaf` sees the same committees in the
+        # same order and the walk visits the same nodes as one that folds
+        # every leaf and tests every child against plain lists.
+        instance, pool = drawn
+        rows = [[x * scale for x in row] for row in instance.matrix.rows]
+        pool = sorted(range(instance.matrix.m) if pool is None else pool)
+        if bound is None:
+            limit, leaf = math.inf, lambda value: value - 1
+        else:
+            limit = -1 if bound < 0 else bound * scale
+            leaf = lambda value: limit  # noqa: E731
+        args = (instance.k, instance.objective, limit, leaf, rows, pool)
+        assert walked(*args) == walked_by_lists(*args)
+
+    def test_minimax_limit_falls_deep_in_the_walk(self):
+        # Voter v's entry is its distance from candidate 1 + v % 9, so the
+        # one committee of three at value 1 is (2, 5, 8), and the limit
+        # falls again and again under open frames, five times within the
+        # last-seat loop under (0, 1).
+        rows = [[abs(c - 1 - v % 9) for c in range(10)] for v in range(18)]
+        args = (3, Objective.MINIMAX, math.inf, lambda v: v - 1, rows, range(10))
+        calls, nodes = walked(*args)
+        assert (calls, nodes) == walked_by_lists(*args)
+        assert [value for _, value in calls] == [7, 6, 5, 4, 3, 2, 1]
+        assert calls[-1][0] == (2, 5, 8)
+        assert [committee[:2] for committee, _ in calls].count((0, 1)) == 5
+
+    @pytest.mark.parametrize("table", ["borda", "approval", "explicit"])
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_monroe_collects_every_committee_within_its_bound(
+        self, monkeypatch, table, objective
+    ):
+        # The second walk's limit U is the Monroe value of the CC-optimal
+        # committee, and it passes every committee whose CC value is <= U,
+        # in lexicographic order, with that value.
+        rng = random.Random(f"collect/{table}/{objective.value}")
+        walks = []
+        walk = solvers._committee_walk
+
+        def recorded(packing, k, objective, budget, limit, leaf):
+            calls = []
+            walks.append((limit, calls))
+
+            def seen(value, committee):
+                calls.append((committee, value))
+                return leaf(value, committee)
+
+            walk(packing, k, objective, budget, limit, seen)
+
+        monkeypatch.setattr(solvers, "_committee_walk", recorded)
+        combine = sum if objective is Objective.SUM else max
+        for trial in range(40):
+            instance = random_table_instance(rng, Rule.MONROE, objective, table)
+            m, k, rows = instance.matrix.m, instance.k, instance.matrix.rows
+            pool = sorted(rng.sample(range(m), rng.randint(k, m)))
+            pool = range(m) if trial % 2 else pool
+            walks.clear()
+            solve_subset_enum(instance, candidate_pool=pool)
+            (_, first), (bound, collected) = walks
+            cc_optimal = first[-1][0]
+            assert bound == balanced_solution(
+                cc_optimal, instance.matrix, objective
+            ).objective_value
+            values = {
+                committee: combine(min(row[c] for c in committee) for row in rows)
+                for committee in itertools.combinations(pool, k)
+            }
+            assert collected == [
+                (committee, value)
+                for committee, value in values.items()
+                if value <= bound
+            ]
 
 
 class TestPartitionEnum:
