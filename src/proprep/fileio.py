@@ -284,15 +284,21 @@ def parse_instance(text: str) -> ProblemInstance:
 
 def _detect_kind(instance: ProblemInstance) -> tuple[str, tuple[tuple[int, ...], ...]]:
     election, matrix = instance.election, instance.matrix
-    if matrix == build_misrep(election, BordaMisrep()):
-        return "borda", ()
-    approvals = []
+    approvals: Optional[list[tuple[int, ...]]] = []
     for vote, row in zip(election.votes, matrix.rows):
         # An approval row is 0/1 and its zeros are a prefix of the vote.
         approved = vote[: row.count(0)]
         if not _ZERO_ONE.issuperset(row) or any([row[c] for c in approved]):
-            return "explicit", ()
+            approvals = None
+            break
         approvals.append(approved)
+    # A Borda row holds every value 0..m-1, so only with m <= 2 can a table
+    # be both approval-shaped and Borda; Borda wins there.
+    if approvals is None or election.m <= 2:
+        if matrix == build_misrep(election, BordaMisrep()):
+            return "borda", ()
+    if approvals is None:
+        return "explicit", ()
     return "approval", tuple(approvals)
 
 

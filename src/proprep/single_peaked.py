@@ -440,6 +440,8 @@ def sample_single_peaked_votes(
     rng: random.Random, num_candidates: int, num_voters: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The votes and axis of `sample_single_peaked_election`, same draws."""
+    if num_candidates < 1 or num_voters < 1:
+        raise ValueError("need at least one candidate and one voter")
     axis = list(range(num_candidates))
     rng.shuffle(axis)
     votes = []

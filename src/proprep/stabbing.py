@@ -13,17 +13,24 @@ leftmost useful chosen line and that the keyed interval gets covered; the
 update either assigns it to the anchor (continuing or retiring the anchor) or
 to a line further right, which splits the range into independent halves.
 
-Every option of an entry reads a maximum over a range of later intervals, and
-entries with other budgets or anchors read the same ranges.  Those maxima are
-shared: each is a suffix maximum over the intervals of one range in index
-order, stored in its own table, so an option costs one lookup instead of a
-scan over the intervals.  Continuing the anchor and the left half of a split
-read the best entry anchored at a line within a range; retiring the anchor
-and the right half read the best entry that opens a fresh line.  The anchor
-capacity is capped by c, the number of intervals from the keyed one on that
-contain the anchor and end inside the range.  The anchor can take no other
-interval, so a capacity above c never binds, and entries that differ only
-above c share one table entry.
+Continuing the anchor, the left half of a split and the right half on its new
+line each read the entry of the first later interval anchored at a line
+within a range, that is, containing the line and ending inside it.  No
+maximum over the later anchored intervals is needed: for a fixed range,
+budgets and anchor capacity, entries never increase along those intervals in
+index order.  Take a best cover for a later anchored interval q and an
+earlier one p.  Put p on the anchor x1, which p contains; if the anchor was
+full, drop one of its intervals.  p is now the lowest covered interval, and
+the count has not fallen.  So the first later anchored interval's entry is
+the best of them, and the earliest among equals.  Retiring the anchor, or the
+right half's new line, reads the best entry that opens a fresh line within a
+range; that maximum is shared, as a suffix maximum over the intervals that
+end in the range in index order, stored in its own table, so an option costs
+one lookup instead of a scan over the intervals, and entries with other
+budgets or anchors read the same one.  The anchor capacity is capped by c,
+the number of intervals from the keyed one on that contain the anchor and end
+inside the range.  The anchor can take no other interval, so a capacity above
+c never binds, and entries that differ only above c share one table entry.
 
 No option of an entry (i, x1, x2) covers more than the later intervals that
 end in [x1, x2], and an option replaces the best so far only when strictly
@@ -142,15 +149,11 @@ class _BalancedTable:
 
     ``entries`` maps ``(i, x1, x2, full, lean, b)`` to ``(value, choice)``,
     with the capacity ``b`` capped as the module docstring describes.
-    Two tables of shared maxima, each a suffix maximum over intervals in
-    index order, feed it; their values are ``(value, entry key)``, with
-    ``(0, None)`` for an empty range, and ties go to the earliest interval:
-    - ``chains[x1, x2, p, full, lean, b]``: the best entry over the
-      intervals from position ``p`` on of ``anchored(x1, x2)``, all with
-      anchor ``x1``, range end ``x2``, the budgets and capacity ``b``;
-    - ``tails[xf, x2, p, full, lean]``: the best entry that opens a fresh
-      line ``x`` with ``xf < x <= x2`` on an interval from position ``p`` on
-      of ``ending(xf, x2)``, spending a full or a lean line.
+    ``tails[xf, x2, p, full, lean]`` holds ``(value, entry key)``, the best
+    entry that opens a fresh line ``x`` with ``xf < x <= x2`` on an interval
+    from position ``p`` on of ``ending(xf, x2)``, spending a full or a lean
+    line; it is a suffix maximum over those intervals in index order, and
+    ties go to the earliest interval.
 
     Every node is a generator.  It yields ``(node, table, key)`` for each
     dependency missing from its table, is sent that dependency's value, and
@@ -161,7 +164,6 @@ class _BalancedTable:
         self.intervals = instance.intervals
         self.lo, self.hi, _ = balanced_loads(instance.num_targets, instance.k)
         self.entries: dict[tuple, tuple[int, tuple]] = {}
-        self.chains: dict[tuple, tuple[int, Optional[tuple]]] = {}
         self.tails: dict[tuple, tuple[int, Optional[tuple]]] = {}
         self._anchored: dict[tuple[int, int], list[int]] = {}
         self._ending: dict[tuple[int, int], list[int]] = {}
@@ -221,27 +223,30 @@ class _BalancedTable:
     def layout(self, i: int, x1: int, x2: int) -> tuple:
         """Where the ranges an entry (i, x1, x2) reads start after interval i.
 
-        Returns ``(chain_at, chain_room, retire_at, reach, splits)``: the
-        position and count of the later intervals anchored in [x1, x2], the
-        position of the later intervals ending in (x1, x2] (None if there
-        are none), the count of later intervals ending in [x1, x2], which
-        bounds what any option covers, and per split line x the position
-        and count for [x1, x - 1] (left) and [x, x2] (right) and the
-        position for (x, x2] (tail).  Entries that differ only in their
-        budgets and capacity share one layout.
+        Returns ``(chain_next, chain_room, retire_at, reach, splits)``: the
+        first later interval anchored in [x1, x2] (None if there is none)
+        and the count of later ones, the position of the later intervals
+        ending in (x1, x2] (None if there are none), the count of later
+        intervals ending in [x1, x2], which bounds what any option covers,
+        and per split line x the first later interval and count for
+        [x1, x - 1] (left) and [x, x2] (right) and the position for
+        (x, x2] (tail).  Entries that differ only in their budgets and
+        capacity share one layout.
         """
         key = (i, x1, x2)
         found = self._layouts.get(key)
         if found is not None:
             return found
 
-        def after(members: list[int]) -> tuple[int, int]:
+        def after(members: list[int]) -> tuple[Optional[int], int]:
             at = bisect_right(members, i)
-            return at, len(members) - at
+            room = len(members) - at
+            return (members[at] if room else None), room
 
         def tail_after(xf: int) -> Optional[int]:
-            at, room = after(self.ending(xf, x2))
-            return at if room else None
+            ends = self.ending(xf, x2)
+            at = bisect_right(ends, i)
+            return at if at < len(ends) else None
 
         splits = tuple(
             (
@@ -260,17 +265,17 @@ class _BalancedTable:
     def entry(self, key: tuple):
         """Most intervals coverable from entry ``key``, with its choice."""
         i, x1, x2, full, lean, b = key
-        chains, tails = self.chains, self.tails
+        entries, tails = self.entries, self.tails
         hi, lo = self.hi, self.lo
-        chain_at, chain_room, retire_at, reach, splits = self.layout(i, x1, x2)
+        chain_next, chain_room, retire_at, reach, splits = self.layout(i, x1, x2)
         best, choice = 0, ("anchor", None)
         if b > 1 and chain_room:
             # The anchor takes this interval and stays open for the next
             # lowest-indexed covered interval, which must contain it.
-            sub = (x1, x2, chain_at, full, lean, min(b - 1, chain_room))
-            value, chained = chains.get(sub) or (yield self.chain, chains, sub)
+            sub = (chain_next, x1, x2, full, lean, min(b - 1, chain_room))
+            value = (entries.get(sub) or (yield self.entry, entries, sub))[0]
             if value > best:
-                best, choice = value, ("chain", chained)
+                best, choice = value, ("chain", sub)
         # Every option covers only later intervals ending in [x1, x2], so
         # once one covers all of them no later option is strictly better.
         if best == reach:
@@ -286,7 +291,7 @@ class _BalancedTable:
                     return best + 1, choice
         # Some line x right of the anchor takes this interval.  Intervals
         # ending left of x stay with the anchor's side; the rest move right.
-        for x, left_at, left_room, right_at, right_room, tail_at in splits:
+        for x, left_next, left_room, right_next, right_room, tail_at in splits:
             for full_left in range(full + 1):
                 for lean_left in range(lean + 1):
                     full_right = full - full_left
@@ -295,13 +300,14 @@ class _BalancedTable:
                         continue
                     best_left, left_key = 0, None
                     if left_room:
-                        sub = (
-                            x1, x - 1, left_at, full_left, lean_left,
+                        left_key = (
+                            left_next, x1, x - 1, full_left, lean_left,
                             min(b, left_room),
                         )
-                        best_left, left_key = (
-                            chains.get(sub) or (yield self.chain, chains, sub)
-                        )
+                        best_left = (
+                            entries.get(left_key)
+                            or (yield self.entry, entries, left_key)
+                        )[0]
                     spends = []
                     if full_right >= 1:
                         spends.append((full_right - 1, lean_right, hi - 1))
@@ -310,13 +316,14 @@ class _BalancedTable:
                     for full_rest, lean_rest, b_rest in spends:
                         best_right, right_key = 0, None
                         if b_rest >= 1 and right_room:
-                            sub = (
-                                x, x2, right_at, full_rest, lean_rest,
+                            right_key = (
+                                right_next, x, x2, full_rest, lean_rest,
                                 min(b_rest, right_room),
                             )
-                            best_right, right_key = (
-                                chains.get(sub) or (yield self.chain, chains, sub)
-                            )
+                            best_right = (
+                                entries.get(right_key)
+                                or (yield self.entry, entries, right_key)
+                            )[0]
                         if tail_at is not None and self.opens(full_rest, lean_rest):
                             sub = (x, x2, tail_at, full_rest, lean_rest)
                             value, rest = (
@@ -330,27 +337,6 @@ class _BalancedTable:
                             if best == reach:
                                 return best + 1, choice
         return best + 1, choice
-
-    def chain(self, key: tuple):
-        """This position's entry, unless a later one is strictly better."""
-        x1, x2, at, full, lean, b = key
-        span = self.anchored(x1, x2)
-        sub = (span[at], x1, x2, full, lean, b)
-        value = (self.entries.get(sub) or (yield self.entry, self.entries, sub))[0]
-        room = len(span) - at - 1
-        if room:
-            # A later entry covers at most the intervals from the next
-            # anchored one on that end in [x1, x2], as `layout`'s reach.
-            ends = self.ending(x1 - 1, x2)
-            if value < len(ends) - bisect_left(ends, span[at + 1]):
-                later = (x1, x2, at + 1, full, lean, min(b, room))
-                rest = (
-                    self.chains.get(later)
-                    or (yield self.chain, self.chains, later)
-                )
-                if rest[0] > value:
-                    return rest
-        return value, sub
 
     def tail(self, key: tuple):
         """The best fresh line on this position's interval, then later ones."""

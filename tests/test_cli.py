@@ -543,6 +543,49 @@ class TestSolve:
         assert code == 0
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize(
+        "flags, code, value",
+        [
+            (("--rule", "cc"), 0, 0),
+            (("--objective", "minimax"), 0, 1),
+            (("--rule", "cc", "--objective", "minimax", "--R", "0"), 0, 0),
+            (("--objective", "minimax", "--R", "0"), 1, None),
+        ],
+    )
+    def test_rule_and_objective_overrides(self, write, capsys, flags, code, value):
+        # The file says monroe sum, k=3, whose value is 2.
+        path = write("b.elect", BALANCED6)
+        found, out, err = run_cli(capsys, "solve", path, *flags)
+        assert found == code
+        if value is None:
+            assert out == ""
+            assert "infeasible: no outcome has value <= 0 (monroe, minimax, k=3)" in err
+        else:
+            assert record_value(out) == value
+
+    @pytest.mark.parametrize("seed, code", [(1, 0), (2, 1)])
+    def test_auto_reaches_minimax_r0(self, tmp_path, capsys, seed, code):
+        # CC minimax at bound 0 on a profile with no axis: every solver auto
+        # tries before minimax-r0 passes on it.
+        path = str(tmp_path / "r0.elect")
+        assert run_cli(
+            capsys, "gen", "random", "--m", "6", "--n", "8", "--k", "4",
+            "--rule", "cc", "--objective", "minimax", "--bound", "0",
+            "--seed", str(seed), "--out", path,
+        )[0] == 0
+        assert run_cli(capsys, "detect-axis", path)[0] == 1
+        found, out, err = run_cli(capsys, "solve", path)
+        assert found == code
+        if code == 1:
+            assert out == ""
+            assert "infeasible: no outcome has value <= 0 (cc, minimax, k=4)" in err
+            return
+        assert "solver minimax-r0" in out
+        assert record_value(out) == 0
+        solution_path = str(tmp_path / "r0.sol")
+        Path(solution_path).write_text(out)
+        assert run_cli(capsys, "verify", path, solution_path)[0] == 0
+
 
 class TestDetectAxis:
     def test_prints_the_axis(self, write, capsys):
@@ -660,6 +703,17 @@ class TestGen:
         sampled, _ = single_peaked.sample_single_peaked_election(random.Random(3), 6, 40)
         assert parse_instance(out).election.votes == sampled.votes
 
+    def test_approval_instances_are_written_without_ranking(self, capsys, monkeypatch):
+        # Only a Borda table needs the ranks, and an approval-shaped table
+        # over more than two candidates is never one.
+        ranked_votes = counting(monkeypatch, core, "_inverse")
+        code, out, _ = run_cli(
+            capsys, "gen", "single-peaked", "--m", "6", "--n", "200", "--k", "2",
+            "--rule", "monroe", "--misrep", "approval",
+        )
+        assert code == 0 and "#approve" in out
+        assert ranked_votes == []
+
     def test_exact_cover_family_shape(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "rx3c-monroe", "--n", "3")
         assert code == 0
@@ -766,6 +820,30 @@ class TestGen:
         assert run_cli(capsys, "solve", path, f"--R={text}") == (
             2, "", "--R must be a nonnegative integer or '-'\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("hs-approval", "--universe", "3", "--set", "1,x", "--k", "1"),
+                "--set expects comma-separated integers, got '1,x'",
+            ),
+            (
+                ("vc-minimax", "--edge", "0,1", "--k", "1", "--objective", "sum"),
+                "the vc-minimax family always uses the minimax objective",
+            ),
+            *(
+                (
+                    (family, "--m", m, "--n", n, "--k", "1"),
+                    "error: need at least one candidate and one voter",
+                )
+                for family in ("random", "single-peaked")
+                for m, n in (("0", "3"), ("3", "0"))
+            ),
+        ],
+    )
+    def test_bad_family_inputs(self, capsys, argv, message):
+        assert run_cli(capsys, "gen", *argv) == (2, "", message + "\n")
 
     def test_generator_caps_exit_3(self, capsys):
         code, _, err = run_cli(

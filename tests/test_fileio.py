@@ -78,6 +78,18 @@ def error_for(text: str) -> ParseError:
     return caught.value
 
 
+# A bad field in the header line, and the message that names it.
+HEADER_ERRORS = {
+    "x 3 1 - cc sum borda": "candidate count must be an integer, got 'x'",
+    "4 3 0 - cc sum borda": "winner count must be >= 1, got 0",
+    "4 3 1 -2 cc sum borda": "bound must be >= 0, got -2",
+    "4 3 1 x cc sum borda": "bound must be an integer or '-', got 'x'",
+    "4 3 1 - veto sum borda": "unknown rule 'veto'",
+    "4 3 1 - cc median borda": "unknown objective 'median'",
+    "4 3 1 - cc sum plurality": "unknown misrepresentation kind 'plurality'",
+}
+
+
 class TestParseInstance:
     def test_borda_header_and_votes(self):
         instance = parse_instance(BASIC)
@@ -114,19 +126,11 @@ class TestParseInstance:
         assert error.line == 2
         assert "7 fields" in str(error)
 
-    @pytest.mark.parametrize(
-        "header",
-        [
-            "x 3 1 - cc sum borda",
-            "4 3 0 - cc sum borda",
-            "4 3 1 -2 cc sum borda",
-            "4 3 1 - veto sum borda",
-            "4 3 1 - cc median borda",
-            "4 3 1 - cc sum plurality",
-        ],
-    )
+    @pytest.mark.parametrize("header", HEADER_ERRORS)
     def test_bad_header_fields(self, header):
-        assert error_for(lines_replaced(BASIC, 2, header)).line == 2
+        error = error_for(lines_replaced(BASIC, 2, header))
+        assert error.line == 2
+        assert str(error) == f"line 2: {HEADER_ERRORS[header]}"
 
     def test_reserved_candidate_name(self):
         assert error_for(lines_replaced(BASIC, 3, "-")).line == 3
@@ -369,6 +373,15 @@ class TestRenderInstance:
         )
         text = render_instance(instance)
         assert "#approve" in text
+        assert parse_instance(text) == instance
+
+    @pytest.mark.parametrize("votes", [("a", "a"), ("a b", "b a", "a b")])
+    def test_borda_wins_over_approval_on_one_or_two_candidates(self, votes):
+        # Each voter approving just their top choice gives the Borda table.
+        election = ranked(*votes)
+        instance = instance_for(election, Rule.MONROE, Objective.SUM, 1)
+        text = render_instance(instance)
+        assert text.splitlines()[1].split()[6] == "borda"
         assert parse_instance(text) == instance
 
 

@@ -242,6 +242,28 @@ class TestSolveMaxBal:
         assert covered == brute_force_stabbing(instance)
         validate_cover(instance, cover)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(stabbing_instances(), repeated_interval_instances()))
+    def test_entries_never_increase_along_the_anchored_intervals(self, instance):
+        # Continuing the anchor and a split's halves read only the first
+        # later anchored interval's entry, which is exact only if the entry
+        # of the next anchored interval, at the same capped capacity, never
+        # covers more.
+        with pytest.MonkeyPatch.context() as patch:
+            tables = built_tables(patch)
+            solve_max_bal_1rs(instance)
+        for table in tables:
+            for key, (value, _) in list(table.entries.items()):
+                i, x1, x2, full, lean, b = key
+                span = table.anchored(x1, x2)
+                at = span.index(i) + 1
+                if at == len(span):
+                    continue
+                later = (span[at], x1, x2, full, lean, min(b, len(span) - at))
+                assert table.run(
+                    table.entry, table.entries, later, DEFAULT_BUDGET
+                )[0] <= value
+
     @pytest.mark.parametrize(
         "intervals, num_lines, k, num_targets, assigned",
         [
@@ -290,15 +312,25 @@ class TestSolveMaxBal:
 
     def test_capped_capacity_keeps_all_approve_tables_small(self, monkeypatch):
         # Two intervals that miss line 1 keep the instance off the all-full
-        # path and every chain on line 1 short of the later intervals it
-        # could reach, so each chain reads every later position.  The cap
-        # at the intervals left merges those reads; without it the table
-        # holds O(n²) entries.
+        # path, so the table is built; line 2 takes every interval.
         tables = built_tables(monkeypatch)
         n, m = 300, 3
         instance = make_instance([(1, m)] * (n - 2) + [(2, m)] * 2, m, 1)
         covered, _ = solve_max_bal_1rs(instance)
         assert covered == n
+        (table,) = tables
+        assert len(table.entries) <= n * m * m
+        # With short intervals at both ends no line takes every interval,
+        # so the top tail opens a line, at full capacity, on interval after
+        # interval.  The cap at the intervals left merges the entries of
+        # those lines that differ only above it; without it the table holds
+        # O(n²) entries.
+        tables.clear()
+        m = 4
+        short = [(1, 1), (1, 2), (3, 4), (4, 4)]
+        instance = make_instance([(1, m)] * (n - len(short)) + short, m, 1)
+        covered, _ = solve_max_bal_1rs(instance)
+        assert covered == n - 2
         (table,) = tables
         assert len(table.entries) <= n * m * m
 
