@@ -467,9 +467,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         return 3
     except RecursionError as error:
-        # No solver is meant to recurse as deep as the instance is large;
-        # should one still overflow the interpreter's stack, that is a
-        # resource cap like any other, not a traceback.
+        # The only recursion left is the committee walk of the enumerations,
+        # k levels deep; should it still overflow the interpreter's stack,
+        # that is a resource cap like any other, not a traceback.
         print(f"recursion limit exceeded: {error}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as error:

@@ -29,6 +29,13 @@ blocks to candidates with ``balanced_solution`` as well, on a table with one
 row per block and every candidate a winner, so ``assignment._seat`` seats
 everything.
 
+The generator searches share one runner, `run_nodes`: the branching
+solver, partition enumeration and the stabbing table of
+:mod:`proprep.stabbing` write each search node as a generator that yields
+the nodes it needs, and the runner keeps the open ones on a list and reads
+the clock.  No search is as deep on the call stack as the instance is
+large; the committee walk alone recurses, k levels deep.
+
 All solvers are pure functions of their arguments.
 """
 
@@ -42,8 +49,8 @@ import sys
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 from .assignment import balanced_solution, committee_solution
 from .core import (
@@ -91,6 +98,41 @@ class SolverBudget:
 
 
 DEFAULT_BUDGET = SolverBudget()
+
+
+def run_nodes(node: Callable, table: Optional[dict], key, budget: SolverBudget):
+    """Run the search node ``node(key)`` and every node below it; return its value.
+
+    A node is a generator.  It yields ``(node, table, key)`` for each value
+    it needs, is sent the value that ``node(key)`` returns, and returns its
+    own value, which is stored at ``table[key]`` unless ``table`` is None.
+    Suspended nodes wait on a list, not on the call stack, so a search as
+    deep as the instance is large needs no interpreter frames.  The
+    budget's clock is read before the first node and then once every 256
+    nodes opened.
+    """
+    budget.check()
+    stack = [(table, key, node(key))]
+    sent = None
+    opened = 1
+    while True:
+        table, key, frame = stack[-1]
+        try:
+            need = frame.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+            if table is not None:
+                table[key] = sent
+            if not stack:
+                return sent
+            continue
+        node, table, key = need
+        stack.append((table, key, node(key)))
+        sent = None
+        opened += 1
+        if not opened % 256:
+            budget.check()
 
 
 @dataclass
@@ -400,30 +442,6 @@ def solve_subset_enum(
     return solution
 
 
-def _partitions(n: int, max_blocks: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n) into at most max_blocks blocks.
-
-    Blocks are ordered by their smallest member, so the enumeration order is
-    deterministic.
-    """
-    blocks: list[list[int]] = []
-
-    def extend(v: int) -> Iterator[list[list[int]]]:
-        if v == n:
-            yield blocks
-            return
-        for block in blocks:
-            block.append(v)
-            yield from extend(v + 1)
-            block.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([v])
-            yield from extend(v + 1)
-            blocks.pop()
-
-    yield from extend(0)
-
-
 def _match_blocks(
     blocks: Sequence[Sequence[int]], matrix: MisrepMatrix, objective: Objective
 ) -> tuple[int, tuple[int, ...]]:
@@ -458,9 +476,11 @@ def solve_partition_enum(
     blocks get distinct members via a matching.  The load-balanced rule only
     admits partitions into exactly k blocks with balanced sizes; the
     unconstrained rule admits any partition into at most k blocks, since
-    unused seats can be filled arbitrarily.
+    unused seats can be filled arbitrarily.  Partitions are built by a
+    search node per voter, which `run_nodes` drives, so the depth n needs
+    no interpreter frames; the clock is also read once per partition.
     """
-    matrix, k = instance.matrix, instance.k
+    matrix, k, objective = instance.matrix, instance.k, instance.objective
     n = matrix.n
     if n > budget.max_partition_voters:
         raise BudgetExceededError(
@@ -470,22 +490,38 @@ def solve_partition_enum(
     if instance.rule is Rule.MONROE:
         low, high, at_high = balanced_loads(n, k)
         required_sizes = sorted([high] * at_high + [low] * (k - at_high))
-
+    blocks: list[list[int]] = []
     best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
-    for blocks in _partitions(n, k):
-        budget.check()
-        if instance.rule is Rule.MONROE:
-            if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
-                continue
-        value, chosen = _match_blocks(blocks, matrix, instance.objective)
-        mapping = [0] * n
-        for block, c in zip(blocks, chosen):
-            for v in block:
-                mapping[v] = c
-        committee = pad_committee(mapping, k, matrix.m)
-        entry = (value, committee, tuple(mapping))
-        if best is None or entry[:2] < best[:2]:
-            best = entry
+
+    def place(v: int):
+        # Voter v joins each block in order, then a new one, so blocks stay
+        # ordered by their smallest member and the order is deterministic.
+        nonlocal best
+        if v == n:
+            budget.check()
+            if instance.rule is Rule.MONROE:
+                if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
+                    return None
+            value, chosen = _match_blocks(blocks, matrix, objective)
+            mapping = [0] * n
+            for block, c in zip(blocks, chosen):
+                for w in block:
+                    mapping[w] = c
+            committee = pad_committee(mapping, k, matrix.m)
+            entry = (value, committee, tuple(mapping))
+            if best is None or entry[:2] < best[:2]:
+                best = entry
+            return None
+        for block in blocks:
+            block.append(v)
+            yield place, None, v + 1
+            block.pop()
+        if len(blocks) < k:
+            blocks.append([v])
+            yield place, None, v + 1
+            blocks.pop()
+
+    run_nodes(place, None, 0, budget)
     assert best is not None
     value, committee, mapping = best
     assignment = Assignment(committee, mapping)
@@ -502,30 +538,6 @@ def _check_sparsity(matrix: MisrepMatrix, bound: int) -> None:
             )
 
 
-# A search node: it yields its children in branch order and returns the
-# committee it ends the search with, or None.
-Branch = Generator["Branch", None, Optional[frozenset[int]]]
-
-
-def _first_found(root: Branch) -> Optional[frozenset[int]]:
-    """The first committee a node returns, visiting nodes depth-first.
-
-    Nodes run in the order a recursion would call them, but the open ones
-    wait on a list, so a depth that grows with n needs no stack frames.
-    """
-    stack = [root]
-    while stack:
-        try:
-            child = next(stack[-1])
-        except StopIteration as stop:
-            if stop.value is not None:
-                return stop.value
-            stack.pop()
-        else:
-            stack.append(child)
-    return None
-
-
 def solve_cc_branch_rk(
     instance: ProblemInstance,
     budget: SolverBudget = DEFAULT_BUDGET,
@@ -540,6 +552,9 @@ def solve_cc_branch_rk(
     voter it serves within the bound, and the committee allowance shrinks
     by one per choice.  Requires each voter to have at most bound+1
     candidates within the bound (rank-based tables always satisfy this).
+    Each node takes its state as one tuple and yields its children to
+    `run_nodes` in branch order; the first committee a child answers with
+    is passed up at once and ends the search.
     """
     if instance.rule is not Rule.CC:
         raise ValueError("branching solver handles the unconstrained rule")
@@ -548,17 +563,11 @@ def solve_cc_branch_rk(
     rows = matrix.rows
     stats = SearchStats() if stats is None else stats
 
-    def branch_sum(
-        remaining: Sequence[int],
-        bests: Sequence[float],
-        total: float,
-        left: int,
-        chosen: frozenset[int],
-    ) -> Branch:
+    def branch_sum(state: tuple):
         # bests[i] is remaining[i]'s best entry over `chosen` (inf while
         # nothing is chosen), and total their sum: what `chosen` alone
         # would cost the voters left.
-        budget.check()
+        remaining, bests, total, left, chosen = state
         if left < 0 or len(chosen) > k:
             stats.leaf_calls += 1
             return None
@@ -577,17 +586,16 @@ def solve_cc_branch_rk(
                 if entry:
                     survivors.append(w)
                     kept.append(entry if entry < best else best)
-            yield branch_sum(
-                survivors, kept, sum(kept), left - rows[v][c], chosen | {c}
-            )
+            child = (survivors, kept, sum(kept), left - rows[v][c], chosen | {c})
+            found = yield branch_sum, None, child
+            if found is not None:
+                return found
         if not branched:
             stats.leaf_calls += 1
         return None
 
-    def branch_minimax(
-        remaining: tuple[int, ...], seats: int, chosen: frozenset[int]
-    ) -> Branch:
-        budget.check()
+    def branch_minimax(state: tuple):
+        remaining, seats, chosen = state
         if not remaining:
             stats.leaf_calls += 1
             return chosen
@@ -601,19 +609,19 @@ def solve_cc_branch_rk(
                 continue
             branched = True
             survivors = tuple(w for w in remaining if rows[w][c] > bound)
-            yield branch_minimax(survivors, seats - 1, chosen | {c})
+            found = yield branch_minimax, None, (survivors, seats - 1, chosen | {c})
+            if found is not None:
+                return found
         if not branched:
             stats.leaf_calls += 1
         return None
 
     voters = tuple(range(matrix.n))
     if instance.objective is Objective.SUM:
-        unserved = [math.inf] * matrix.n
-        chosen = _first_found(
-            branch_sum(voters, unserved, math.inf, bound, frozenset())
-        )
+        root = (voters, [math.inf] * matrix.n, math.inf, bound, frozenset())
+        chosen = run_nodes(branch_sum, None, root, budget)
     else:
-        chosen = _first_found(branch_minimax(voters, k, frozenset()))
+        chosen = run_nodes(branch_minimax, None, (voters, k, frozenset()), budget)
     if chosen is None:
         return None
     solution = committee_solution(instance, pad_committee(chosen, k, matrix.m))
@@ -788,27 +796,15 @@ def m_mw_rk_decider(
 def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:
     """Minimax decision at bound zero: every voter must get a zero-cost winner.
 
-    Rank-based rows have exactly one zero per voter, so the assignment is
-    forced; all that remains is counting the forced winners and, for the
-    load-balanced rule, checking their loads.
+    A minimax value of 0 is a sum value of 0, so with exactly one zero per
+    voter this is the constant-bound sum decision at bound zero, which pins
+    every voter to their top and checks the forced winners.
     """
     if instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the minimax objective")
     if instance.bound != 0:
         raise ValueError("this solver decides only the bound-zero case")
-    matrix, k = instance.matrix, instance.k
-    for v, row in enumerate(matrix.rows):
+    for v, row in enumerate(instance.matrix.rows):
         if row.count(0) != 1:
             raise ValueError(f"voter {v}: exactly one zero-cost candidate required")
-    tops = tuple(row.index(0) for row in matrix.rows)
-    forced = sorted(set(tops))
-    if instance.rule is Rule.CC:
-        if len(forced) > k:
-            return None
-        return committee_solution(instance, pad_committee(forced, k, matrix.m))
-    if len(forced) != k:
-        return None
-    assignment = Assignment(tuple(forced), tops)
-    if not check_m_criterion(assignment, matrix.n, k):
-        return None
-    return Solution(assignment, 0, True)
+    return solve_constantR(replace(instance, objective=Objective.SUM))

@@ -41,11 +41,13 @@ line builds no table at all: it is answered directly in O(n), with the
 cover the table's tie-breaks give, consecutive blocks of intervals in index
 order on lines 1, 2, ..., full lines first.
 
-The tables are filled top-down from the best first line, on an explicit
-stack rather than by recursion, so the depth of the instance is not bounded
-by the interpreter's stack; the wall-clock budget is checked as entries are
-opened.  Choices are recorded so a witness cover can be replayed, not just
-counted, and ties go to the first option in the order the update lists them.
+The tables are filled top-down from the best first line by
+`solvers.run_nodes`, the runner every generator search shares, which keeps
+the open entries on an explicit stack rather than recursing, so the depth of
+the instance is not bounded by the interpreter's stack; it reads the
+wall-clock budget as entries are opened.  Choices are recorded so a witness
+cover can be replayed, not just counted, and ties go to the first option in
+the order the update lists them.
 
 The balanced (fixed-load) committee rule on a single-peaked profile takes one
 path through the solver, `_axis_cover`: candidates become lines at their
@@ -79,7 +81,7 @@ from .core import (
     pad_committee,
 )
 from .single_peaked import AxisRows
-from .solvers import DEFAULT_BUDGET, SolverBudget
+from .solvers import DEFAULT_BUDGET, SolverBudget, run_nodes
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,10 @@ class _BalancedTable:
     line; it is a suffix maximum over those intervals in index order, and
     ties go to the earliest interval.
 
-    Every node is a generator.  It yields ``(node, table, key)`` for each
-    dependency missing from its table, is sent that dependency's value, and
-    returns its own value; `run` keeps the suspended nodes on its own stack.
+    Every node is a search node of `solvers.run_nodes`: it yields
+    ``(node, table, key)`` for each dependency missing from its table, is
+    sent that dependency's value, and returns its own value, which the
+    runner stores in the table named with it.
     """
 
     def __init__(self, instance: StabbingInstance):
@@ -192,33 +195,6 @@ class _BalancedTable:
     def opens(self, full: int, lean: int) -> bool:
         """Whether the budgets allow a fresh line of either class."""
         return full >= 1 or (lean >= 1 and self.lo >= 1)
-
-    def run(self, node, table: dict, key: tuple, budget: SolverBudget):
-        """Fill ``table[key]`` and everything below it; return its value.
-
-        The budget's clock is checked before the first node and then once
-        every 256 nodes opened.
-        """
-        budget.check()
-        stack = [(table, key, node(key))]
-        sent = None
-        opened = 1
-        while True:
-            table, key, frame = stack[-1]
-            try:
-                need = frame.send(sent)
-            except StopIteration as done:
-                stack.pop()
-                table[key] = sent = done.value
-                if not stack:
-                    return sent
-                continue
-            node, table, key = need
-            stack.append((table, key, node(key)))
-            sent = None
-            opened += 1
-            if not opened % 256:
-                budget.check()
 
     def layout(self, i: int, x1: int, x2: int) -> tuple:
         """Where the ranges an entry (i, x1, x2) reads start after interval i.
@@ -273,9 +249,9 @@ class _BalancedTable:
             # The anchor takes this interval and stays open for the next
             # lowest-indexed covered interval, which must contain it.
             sub = (chain_next, x1, x2, full, lean, min(b - 1, chain_room))
-            value = (entries.get(sub) or (yield self.entry, entries, sub))[0]
-            if value > best:
-                best, choice = value, ("chain", sub)
+            # `best` is still 0 and every entry is at least 1: no `if` needed.
+            best = (entries.get(sub) or (yield self.entry, entries, sub))[0]
+            choice = ("chain", sub)
         # Every option covers only later intervals ending in [x1, x2], so
         # once one covers all of them no later option is strictly better.
         if best == reach:
@@ -400,7 +376,7 @@ def _table_cover(
     # of them; with an interval to cover, k >= 1 seats always open a line.
     full = balanced_loads(instance.num_targets, instance.k)[2]
     top = (0, instance.num_lines, 0, full, instance.k - full)
-    covered, top_key = table.run(table.tail, table.tails, top, budget)
+    covered, top_key = run_nodes(table.tail, table.tails, top, budget)
     placements = table.replay(top_key)
     assert len(placements) == covered
     by_line: dict[int, list[int]] = {}

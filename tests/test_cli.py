@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, time_limit
 import proprep
-from proprep import cli, core, single_peaked, solving, stabbing
+from proprep import cli, core, single_peaked, solvers, solving, stabbing
 from proprep.cli import build_parser, main
 from proprep.core import (
     ApprovalMisrep,
@@ -501,6 +502,28 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("recursion limit exceeded:")
+
+    def test_partition_enum_at_a_raised_cap_ends_on_the_clock(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A partition of 1500 voters is 1500 search nodes deep; they wait on
+        # the runner's list, not on the interpreter's stack, so the clock
+        # ends the search.  Each read of the patched clock is 1 s later.
+        path = str(tmp_path / "n1500.elect")
+        assert main([
+            "gen", "random", "--m", "3", "--n", "1500", "--k", "2",
+            "--rule", "monroe", "--seed", "1", "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        reads = []
+        clock = SimpleNamespace(monotonic=lambda: reads.append(1) or len(reads))
+        monkeypatch.setattr(solvers, "time", clock)
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", "partition-enum",
+            "--budget-partition-voters", "3000", "--budget-seconds", "5",
+        )
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == "budget exceeded: wall-clock budget exhausted"
 
     def test_auto_matches_enumeration_on_small_instances(self, write, capsys):
         cases = itertools.product(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from proprep.core import (
     ApprovalMisrep,
     Assignment,
+    MisrepMatrix,
     BordaMisrep,
     CandidateError,
     Election,
@@ -25,6 +26,7 @@ from proprep.core import (
     check_m_criterion,
     evaluate,
     first_feasible,
+    pad_committee,
     verify_solution,
 )
 
@@ -225,6 +227,48 @@ class TestVerifySolution:
         by_name = {check.name: check.passed for check in report.checks}
         assert by_name["objective-value"]
         assert not by_name["bound"]
+
+
+TWO_VOTERS = ranked("a b c", "a b c", "b c a")
+MALFORMED = {
+    "election-without-candidates": (
+        lambda: Election((), ()), "election needs at least one candidate"
+    ),
+    "election-without-voters": (
+        lambda: Election(("a",), ()), "election needs at least one voter"
+    ),
+    "one-approval-set-too-few": (
+        lambda: build_misrep(TWO_VOTERS, ApprovalMisrep(((0,),))),
+        "one approval set per voter required",
+    ),
+    "one-table-row-too-few": (
+        lambda: build_misrep(TWO_VOTERS, ExplicitMisrep(((0, 1, 2),))),
+        "one table row per voter required",
+    ),
+    "table-of-the-wrong-shape": (
+        lambda: ProblemInstance(
+            TWO_VOTERS, MisrepMatrix(((0, 1), (1, 0))), Rule.CC, Objective.SUM, 1, 0
+        ),
+        "table shape does not match the election",
+    ),
+    "assignment-without-winners": (
+        lambda: Assignment((), ()), "winner set must not be empty"
+    ),
+    "committee-that-cannot-be-padded": (
+        lambda: pad_committee([0], 3, 2), "cannot pad committee to size k"
+    ),
+    "short-mapping": (
+        lambda: evaluate(MisrepMatrix(((0, 1), (1, 0))), (0,), Objective.SUM),
+        "mapping must cover every voter exactly once",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_rejected_with_its_message(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 class TestFirstFeasible:

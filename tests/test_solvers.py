@@ -524,12 +524,20 @@ class TestSubsetEnum:
         solve_subset_enum(instance, SolverBudget(max_seconds=1.0))
 
     @pytest.mark.parametrize(
-        "pool", [[0, 0, 1], [-1, 0], [0, 1, 4]], ids=["duplicate", "negative", "past-m"]
+        "pool, message",
+        [
+            ([0, 0, 1], "candidate pool must hold distinct indices in 0..3, got [0, 0, 1]"),
+            ([-1, 0], "candidate pool must hold distinct indices in 0..3, got [-1, 0]"),
+            ([0, 1, 4], "candidate pool must hold distinct indices in 0..3, got [0, 1, 4]"),
+            ([3], "candidate pool smaller than the committee size"),
+        ],
+        ids=["duplicate", "negative", "past-m", "smaller-than-k"],
     )
-    def test_rejects_a_malformed_candidate_pool(self, profile_3v4c, pool):
+    def test_rejects_a_malformed_candidate_pool(self, profile_3v4c, pool, message):
         instance = instance_for(profile_3v4c, Rule.CC, Objective.SUM, k=2)
-        with pytest.raises(ValueError, match="candidate pool"):
+        with pytest.raises(ValueError) as caught:
             solve_subset_enum(instance, candidate_pool=pool)
+        assert str(caught.value) == message
 
     @settings(max_examples=300, deadline=None)
     @given(tied_instances())

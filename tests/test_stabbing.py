@@ -75,15 +75,15 @@ def axis_cover(problem, axis, monkeypatch):
 
 
 def built_tables(monkeypatch):
-    """Record every `_BalancedTable` that `solve_max_bal_1rs` fills."""
+    """Record every `_BalancedTable` that `solve_max_bal_1rs` builds."""
     tables = []
-    run = stabbing._BalancedTable.run
+    init = stabbing._BalancedTable.__init__
 
     def keep(table, *args):
         tables.append(table)
-        return run(table, *args)
+        init(table, *args)
 
-    monkeypatch.setattr(stabbing._BalancedTable, "run", keep)
+    monkeypatch.setattr(stabbing._BalancedTable, "__init__", keep)
     return tables
 
 
@@ -173,6 +173,10 @@ class TestStabbingInstance:
         with pytest.raises(ValueError, match="k must be"):
             StabbingInstance(((1, 1),), num_lines=3, k=4, num_targets=1)
 
+    def test_rejects_no_lines(self):
+        with pytest.raises(ValueError, match="^need at least one line$"):
+            StabbingInstance((), num_lines=0, k=1, num_targets=0)
+
     def test_rejects_too_few_targets(self):
         with pytest.raises(ValueError, match="num_targets"):
             StabbingInstance(((1, 1), (2, 2)), num_lines=3, k=1, num_targets=1)
@@ -260,7 +264,7 @@ class TestSolveMaxBal:
                 if at == len(span):
                     continue
                 later = (span[at], x1, x2, full, lean, min(b, len(span) - at))
-                assert table.run(
+                assert stabbing.run_nodes(
                     table.entry, table.entries, later, DEFAULT_BUDGET
                 )[0] <= value
 
