@@ -135,17 +135,6 @@ def run_nodes(node: Callable, table: Optional[dict], key, budget: SolverBudget):
             budget.check()
 
 
-@dataclass
-class SearchStats:
-    """Mutable counters filled in by the branching solver.
-
-    `leaf_calls` counts search nodes that end without branching further;
-    it is the quantity bounded by the search-tree analysis.
-    """
-
-    leaf_calls: int = 0
-
-
 # Native array formats by item size: 1, 2, 4 and 8 bytes.
 _NATIVE_FORMATS = {struct.calcsize(code): code for code in "BHIQ"}
 # The walk reads the clock after about this many voter entries folded, and
@@ -478,7 +467,9 @@ def solve_partition_enum(
     unconstrained rule admits any partition into at most k blocks, since
     unused seats can be filled arbitrarily.  Partitions are built by a
     search node per voter, which `run_nodes` drives, so the depth n needs
-    no interpreter frames; the clock is also read once per partition.
+    no interpreter frames; a voter joins a block only while every block
+    can still end with an admissible size, so no partition reached is
+    thrown away.  The clock is also read once per partition.
     """
     matrix, k, objective = instance.matrix, instance.k, instance.objective
     n = matrix.n
@@ -487,21 +478,20 @@ def solve_partition_enum(
             f"partition enumeration over {n} voters exceeds the budget cap "
             f"of {budget.max_partition_voters}"
         )
-    if instance.rule is Rule.MONROE:
-        low, high, at_high = balanced_loads(n, k)
-        required_sizes = sorted([high] * at_high + [low] * (k - at_high))
+    # Every block ends with low..high voters.
+    low, high = balanced_loads(n, k)[:2] if instance.rule is Rule.MONROE else (0, n)
     blocks: list[list[int]] = []
+    short = k * low  # voters the blocks, open or still to open, lack to reach low
     best: Optional[tuple[int, tuple[int, ...], tuple[int, ...]]] = None
 
     def place(v: int):
         # Voter v joins each block in order, then a new one, so blocks stay
         # ordered by their smallest member and the order is deterministic.
-        nonlocal best
+        # It joins only where the voters after it can still make up the
+        # shortfall, so every partition reached is admissible.
+        nonlocal best, short
         if v == n:
             budget.check()
-            if instance.rule is Rule.MONROE:
-                if len(blocks) != k or sorted(len(b) for b in blocks) != required_sizes:
-                    return None
             value, chosen = _match_blocks(blocks, matrix, objective)
             mapping = [0] * n
             for block, c in zip(blocks, chosen):
@@ -512,13 +502,21 @@ def solve_partition_enum(
             if best is None or entry[:2] < best[:2]:
                 best = entry
             return None
+        after = n - v - 1
         for block in blocks:
-            block.append(v)
-            yield place, None, v + 1
-            block.pop()
-        if len(blocks) < k:
+            fills = len(block) < low
+            if len(block) < high and short - fills <= after:
+                block.append(v)
+                short -= fills
+                yield place, None, v + 1
+                short += fills
+                block.pop()
+        fills = low > 0
+        if len(blocks) < k and short - fills <= after:
             blocks.append([v])
+            short -= fills
             yield place, None, v + 1
+            short += fills
             blocks.pop()
 
     run_nodes(place, None, 0, budget)
@@ -539,9 +537,7 @@ def _check_sparsity(matrix: MisrepMatrix, bound: int) -> None:
 
 
 def solve_cc_branch_rk(
-    instance: ProblemInstance,
-    budget: SolverBudget = DEFAULT_BUDGET,
-    stats: Optional[SearchStats] = None,
+    instance: ProblemInstance, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
     """Decision procedure for the unconstrained rule, either objective.
 
@@ -551,17 +547,20 @@ def solve_cc_branch_rk(
     at 0 are covered.  Under minimax each chosen candidate absorbs every
     voter it serves within the bound, and the committee allowance shrinks
     by one per choice.  Requires each voter to have at most bound+1
-    candidates within the bound (rank-based tables always satisfy this).
-    Each node takes its state as one tuple and yields its children to
-    `run_nodes` in branch order; the first committee a child answers with
-    is passed up at once and ends the search.
+    candidates within the bound (rank-based tables always satisfy this),
+    so a node has at most bound+1 children.  A sum branch spends at least 1
+    from the bound or takes a seat, and a minimax branch takes a seat, so
+    the search tree has at most (bound+1)^(bound+k) leaves under sum and
+    (bound+1)^k under minimax.  Each node takes its state as one tuple and
+    yields its children to `run_nodes` in branch order, so the runner sees
+    every node open and close; the first committee a child answers with is
+    passed up at once and ends the search.
     """
     if instance.rule is not Rule.CC:
         raise ValueError("branching solver handles the unconstrained rule")
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     _check_sparsity(matrix, bound)
     rows = matrix.rows
-    stats = SearchStats() if stats is None else stats
 
     def branch_sum(state: tuple):
         # bests[i] is remaining[i]'s best entry over `chosen` (inf while
@@ -569,17 +568,13 @@ def solve_cc_branch_rk(
         # would cost the voters left.
         remaining, bests, total, left, chosen = state
         if left < 0 or len(chosen) > k:
-            stats.leaf_calls += 1
             return None
         if not remaining or total <= left:
-            stats.leaf_calls += 1
             return chosen
         v, rest, rest_bests = remaining[0], remaining[1:], bests[1:]
-        branched = False
         for c in range(matrix.m):
             if rows[v][c] > left:
                 continue
-            branched = True
             survivors, kept = [], []
             for w, best in zip(rest, rest_bests):
                 entry = rows[w][c]
@@ -590,30 +585,22 @@ def solve_cc_branch_rk(
             found = yield branch_sum, None, child
             if found is not None:
                 return found
-        if not branched:
-            stats.leaf_calls += 1
         return None
 
     def branch_minimax(state: tuple):
         remaining, seats, chosen = state
         if not remaining:
-            stats.leaf_calls += 1
             return chosen
         if seats == 0:
-            stats.leaf_calls += 1
             return None
         v = remaining[0]
-        branched = False
         for c in range(matrix.m):
             if rows[v][c] > bound:
                 continue
-            branched = True
             survivors = tuple(w for w in remaining if rows[w][c] > bound)
             found = yield branch_minimax, None, (survivors, seats - 1, chosen | {c})
             if found is not None:
                 return found
-        if not branched:
-            stats.leaf_calls += 1
         return None
 
     voters = tuple(range(matrix.n))

@@ -6,10 +6,12 @@ tested against them.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from proprep import solvers
 from proprep.core import BudgetExceededError, balanced_loads
 from proprep.hardness import HittingSetInstance, RX3CInstance
 from proprep.stabbing import StabbingInstance
@@ -52,6 +54,41 @@ def enumerate_balanced_assignments(
         mapping[voter] = -1
 
     yield from generate(0)
+
+
+@contextlib.contextmanager
+def count_leaves() -> Iterator[list]:
+    """Collect the key of every search node that returns without a child.
+
+    Inside the block `solvers.run_nodes` runs each node through a wrapper
+    that passes every yield and send through to the real node, so the
+    search runs as before; a node that returns before yielding is a leaf
+    of the search tree.  The list holds the leaves' keys in visiting order.
+    """
+    real, leaves = solvers.run_nodes, []
+
+    def counted(node: Callable) -> Callable:
+        def wrapped(key):
+            frame, sent, leaf = node(key), None, True
+            while True:
+                try:
+                    child, table, child_key = frame.send(sent)
+                except StopIteration as done:
+                    if leaf:
+                        leaves.append(key)
+                    return done.value
+                leaf = False
+                sent = yield counted(child), table, child_key
+
+        return wrapped
+
+    solvers.run_nodes = lambda node, table, key, budget: real(
+        counted(node), table, key, budget
+    )
+    try:
+        yield leaves
+    finally:
+        solvers.run_nodes = real
 
 
 def cheapest_seating(

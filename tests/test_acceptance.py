@@ -14,7 +14,12 @@ from dataclasses import replace
 from typing import Callable, Optional
 
 from conftest import ranked, threshold
-from oracles import brute_exact_3_cover, brute_force_stabbing, brute_hitting_set
+from oracles import (
+    brute_exact_3_cover,
+    brute_force_stabbing,
+    brute_hitting_set,
+    count_leaves,
+)
 from proprep.core import (
     ApprovalMisrep,
     BordaMisrep,
@@ -46,7 +51,6 @@ from proprep.single_peaked import (
 )
 from proprep.solvers import (
     DEFAULT_BUDGET,
-    SearchStats,
     SolverBudget,
     solve_cc_branch_rk,
     solve_partition_enum,
@@ -429,6 +433,6 @@ def test_criterion_7_structural_identities():
     for _ in range(100):
         instance = random_instance(rng, Rule.CC, Objective.SUM, "borda")
         bound = rng.randint(0, 4)
-        stats = SearchStats()
-        solve_cc_branch_rk(replace(instance, bound=bound), DEFAULT_BUDGET, stats)
-        assert stats.leaf_calls <= (bound + 1) ** (bound + instance.k)
+        with count_leaves() as leaves:
+            solve_cc_branch_rk(replace(instance, bound=bound), DEFAULT_BUDGET)
+        assert len(leaves) <= (bound + 1) ** (bound + instance.k)

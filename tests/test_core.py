@@ -271,6 +271,12 @@ def test_malformed_input_is_rejected_with_its_message(build, message):
     assert str(caught.value) == message
 
 
+def test_unknown_misrepresentation_spec_is_a_type_error():
+    with pytest.raises(TypeError) as caught:
+        build_misrep(TWO_VOTERS, "borda")
+    assert str(caught.value) == "unknown misrepresentation spec 'borda'"
+
+
 class TestFirstFeasible:
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 33])
     def test_finds_the_first_feasible_point_within_the_attempt_bound(self, length):

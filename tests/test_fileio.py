@@ -173,6 +173,20 @@ class TestParseInstance:
         error = error_for(text)
         assert "unexpected end of file" in str(error)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: unexpected end of file, expected the format tag"),
+            (
+                "\n".join(BASIC.splitlines()[:2]) + "\n",
+                "line 2: unexpected end of file, expected a candidate name",
+            ),
+        ],
+        ids=["empty", "header-only"],
+    )
+    def test_file_ending_early_names_what_it_expected(self, text, message):
+        assert str(error_for(text)) == message
+
     def test_trailing_garbage(self):
         error = error_for(BASIC + "c1 beats everyone\n")
         assert error.line == 10

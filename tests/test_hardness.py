@@ -42,6 +42,11 @@ class TestHittingSetInstance:
         assert hs.universe_size == 3
         assert hs.budget == 1
 
+    def test_rejects_an_empty_universe(self):
+        message = "^universe must have at least one element$"
+        with pytest.raises(ValueError, match=message):
+            HittingSetInstance(0, ((0,),), 1)
+
     def test_rejects_an_empty_set(self):
         with pytest.raises(ValueError, match="empty"):
             HittingSetInstance(3, ((0, 1), ()), 1)
@@ -103,6 +108,11 @@ class TestRX3CInstance:
     def test_rejects_sets_without_three_distinct_members(self):
         with pytest.raises(ValueError, match="three distinct"):
             RX3CInstance(3, ((0, 1, 2), (0, 1, 2), (0, 1, 1)))
+
+    def test_rejects_elements_outside_the_ground_set(self):
+        message = "^set 2 mentions an element outside the ground set$"
+        with pytest.raises(ValueError, match=message):
+            RX3CInstance(3, ((0, 1, 2), (0, 1, 2), (0, 1, 3)))
 
     def test_rejects_uneven_occurrence_counts(self):
         family = ((0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 3, 4), (3, 4, 5), (3, 4, 5))

@@ -40,7 +40,6 @@ from proprep.generators import random_election, random_prefix_approvals
 from proprep.single_peaked import sample_single_peaked_election
 from proprep.solvers import (
     PackedColumns,
-    SearchStats,
     SolverBudget,
     solve_cc_branch_rk,
     solve_constantR,
@@ -52,7 +51,7 @@ from proprep.solvers import (
 from proprep.solving import SOLVERS, optimize, solve
 
 from conftest import instance_for, ranked, threshold
-from oracles import walk_by_lists
+from oracles import count_leaves, walk_by_lists
 
 
 def random_borda_instance(rng, rule, objective, max_m=5, max_n=6, bound=0):
@@ -796,6 +795,19 @@ class TestPartitionEnum:
             if objective is Objective.MINIMAX:
                 assert sum(matched) == min(sum(x) for x in maps if max(x) == value)
 
+    @pytest.mark.parametrize("rule, partitions", [(Rule.MONROE, 280), (Rule.CC, 3281)])
+    def test_reaches_only_admissible_partitions(self, rule, partitions):
+        # Nine voters fall into three blocks of three in 9!/(3!^4) = 280
+        # ways, and into at most three blocks in S(9,1) + S(9,2) + S(9,3)
+        # = 1 + 255 + 3025 ways; each partition is one leaf of the search.
+        votes = ["a b c d", "b c d a", "c d a b", "d a b c"] * 2 + ["a c b d"]
+        election = ranked("a b c d", *votes)
+        instance = instance_for(election, rule, Objective.SUM, k=3)
+        with count_leaves() as leaves:
+            solution = solve_partition_enum(instance)
+        assert len(leaves) == partitions
+        assert solution.objective_value == solve_subset_enum(instance).objective_value
+
     def test_voter_budget(self):
         election = ranked("a b", *(["a b"] * 10))
         instance = instance_for(election, Rule.CC, Objective.SUM, k=1)
@@ -838,9 +850,9 @@ class TestBranchSum:
             instance = random_borda_instance(
                 rng, Rule.CC, Objective.SUM, bound=bound
             )
-            stats = SearchStats()
-            solve_cc_branch_rk(instance, stats=stats)
-            assert stats.leaf_calls <= (bound + 1) ** (bound + instance.k)
+            with count_leaves() as leaves:
+                solve_cc_branch_rk(instance)
+            assert len(leaves) <= (bound + 1) ** (bound + instance.k)
 
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(8128)
@@ -893,9 +905,19 @@ class TestBranchMinimax:
             instance = random_borda_instance(
                 rng, Rule.CC, Objective.MINIMAX, bound=bound
             )
-            stats = SearchStats()
-            solve_cc_branch_rk(instance, stats=stats)
-            assert stats.leaf_calls <= (bound + 1) ** instance.k
+            with count_leaves() as leaves:
+                solve_cc_branch_rk(instance)
+            assert len(leaves) <= (bound + 1) ** instance.k
+
+    def test_voter_without_a_candidate_within_the_bound_is_a_leaf(self):
+        # Choosing a serves voter 0; voter 1 approves nothing, so no
+        # candidate is within bound 0 of it and its node cannot branch.
+        election = ranked("a b", "a b", "b a")
+        matrix = build_misrep(election, ApprovalMisrep(((0,), ())))
+        instance = instance_for(election, Rule.CC, Objective.MINIMAX, 2, 0, matrix)
+        with count_leaves() as leaves:
+            assert solve_cc_branch_rk(instance) is None
+        assert leaves == [((1,), 1, frozenset({0}))]
 
 
 class TestConstantBound:

@@ -182,6 +182,34 @@ class TestStabbingInstance:
             StabbingInstance(((1, 1), (2, 2)), num_lines=3, k=1, num_targets=1)
 
 
+# Covers that break one rule of `validate_cover` on four intervals (1, 2),
+# three lines and k = 3 (loads 1..2, one line may take 2), and the message.
+BAD_COVERS = {
+    "more-lines-than-k": (
+        ((1, ()), (2, ()), (3, ()), (1, ())), "cover uses more lines than allowed"
+    ),
+    "line-out-of-range": (((4, ()),), "line 4 out of range"),
+    "interval-missing-its-line": (
+        ((3, (0,)),), "interval 0 does not contain line 3"
+    ),
+    "interval-assigned-twice": (((1, (0,)), (2, (0,))), "interval 0 assigned twice"),
+    "line-overloaded": (((1, (0, 1, 2)),), "line 1 overloaded"),
+    "too-many-full-lines": (
+        ((1, (0, 1)), (2, (2, 3))), "too many lines at the higher capacity"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "assigned, message", BAD_COVERS.values(), ids=BAD_COVERS.keys()
+)
+def test_validate_cover_rejects_with_its_message(assigned, message):
+    instance = make_instance([(1, 2)] * 4, 3, 3)
+    with pytest.raises(ValueError) as caught:
+        validate_cover(instance, stabbing.StabbingCover(assigned))
+    assert str(caught.value) == message
+
+
 class TestBruteForce:
     def test_two_lines_cover_three_intervals(self):
         instance = make_instance([(1, 2), (1, 1), (2, 3)], 3, 2)
