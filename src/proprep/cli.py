@@ -466,12 +466,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
         return 3
-    except RecursionError as error:
-        # The only recursion left is the committee walk of the enumerations,
-        # k levels deep; should it still overflow the interpreter's stack,
-        # that is a resource cap like any other, not a traceback.
-        print(f"recursion limit exceeded: {error}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

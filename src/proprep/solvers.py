@@ -33,8 +33,8 @@ The generator searches share one runner, `run_nodes`: the branching
 solver, partition enumeration and the stabbing table of
 :mod:`proprep.stabbing` write each search node as a generator that yields
 the nodes it needs, and the runner keeps the open ones on a list and reads
-the clock.  No search is as deep on the call stack as the instance is
-large; the committee walk alone recurses, k levels deep.
+the clock.  The committee walk keeps its frames on a list too, so no
+search is as deep on the call stack as the instance is large.
 
 All solvers are pure functions of their arguments.
 """
@@ -256,6 +256,11 @@ def _committee_walk(
     about every `_ENTRIES_PER_CHECK` voter entries, and at least every
     1024 nodes, skipped leaves included.
 
+    The frames wait on a list, not on the call stack, however large k is:
+    each holds an iterator over its node's pool positions left, its prefix
+    and its minima.  With a generator per node on `run_nodes` instead, the
+    minimax walks over the `cc-enum` corpus took a quarter longer.
+
     Minimax: min(a, b) > t exactly when a > t and b > t, so for the limit t
     each pool column and suffix is flagged once, in `high`, where its entry
     is above t, and each frame flags its prefix's minima (`uncovered`).  A
@@ -288,27 +293,32 @@ def _committee_walk(
         over = [(x + add) & high for x in columns]
         return add, over, [(x + add) & high for x in suffix]
 
-    def extend_minimax(start: int, prefix: tuple[int, ...], minima: int) -> None:
+    def extend_minimax() -> None:
         nonlocal limit, add, over, over_suffix, nodes
-        seats = k - len(prefix)
-        seen, uncovered = limit, (minima + add) & high
-        for j in range(start, end - seats + 1):
-            if nodes % every == 0:
-                budget.check()
-            nodes += 1
-            if seen != limit:
-                seen, uncovered = limit, (minima + add) & high
-            if seats == 1:
-                if not uncovered & over[j]:
-                    value = max(fields(fold(minima, columns[j])))
-                    after = leaf(value, prefix + (pool[j],))
-                    if after != limit:
-                        limit = after
-                        add, over, over_suffix = flags(after)
-            elif uncovered & over_suffix[j]:
-                return
-            else:
-                extend_minimax(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
+        stack = [(iter(range(end - k + 1)), (), packing.top)]
+        while stack:
+            node = positions, prefix, minima = stack.pop()
+            seats = k - len(prefix)
+            uncovered = (minima + add) & high
+            for j in positions:
+                if nodes % every == 0:
+                    budget.check()
+                nodes += 1
+                if seats == 1:
+                    if not uncovered & over[j]:
+                        value = max(fields(fold(minima, columns[j])))
+                        after = leaf(value, prefix + (pool[j],))
+                        if after != limit:
+                            limit = after
+                            add, over, over_suffix = flags(after)
+                            uncovered = (minima + add) & high
+                elif uncovered & over_suffix[j]:
+                    break
+                else:
+                    below = iter(range(j + 1, end - seats + 2))
+                    child = below, prefix + (pool[j],), fold(minima, columns[j])
+                    stack += node, child
+                    break
 
     def last_seat(
         start: int, prefix: tuple[int, ...], minima: int, vals: list[int], gain: int
@@ -325,33 +335,38 @@ def _committee_walk(
             if value <= limit:
                 limit = leaf(value, prefix + (pool[l],))
 
-    def extend_sum(start: int, prefix: tuple[int, ...], minima: int) -> None:
+    def extend_sum() -> None:
         nonlocal nodes
-        seats = k - len(prefix)
-        vals: list[int] = []
-        for j in range(start, end - seats + 1):
-            if nodes % every == 0:
-                budget.check()
-            nodes += 1
-            if sum(fields(fold(minima, suffix[j]))) > limit:
-                return
-            if seats > 2:
-                extend_sum(j + 1, prefix + (pool[j],), fold(minima, columns[j]))
-                continue
-            if not vals:  # j == start: the folds serve every child
-                children = [fold(minima, c) for c in columns[start:]]
-                vals = [0] * start + [sum(fields(child)) for child in children]
-                base = sum(fields(minima))
-            gain = base - vals[j]
-            last_seat(j + 1, prefix + (pool[j],), children[j - start], vals, gain)
+        stack = [(iter(range(end - k + 1)), (), packing.top)]
+        while stack:
+            node = positions, prefix, minima = stack.pop()
+            seats = k - len(prefix)
+            vals: list[int] = []  # a two-seat node never resumes
+            for j in positions:
+                if nodes % every == 0:
+                    budget.check()
+                nodes += 1
+                if sum(fields(fold(minima, suffix[j]))) > limit:
+                    break
+                if seats > 2:
+                    below = iter(range(j + 1, end - seats + 2))
+                    child = below, prefix + (pool[j],), fold(minima, columns[j])
+                    stack += node, child
+                    break
+                if not vals:  # the first child: the folds serve every child
+                    children = [0] * j + [fold(minima, c) for c in columns[j:]]
+                    vals = [0] * j + [sum(fields(c)) for c in children[j:]]
+                    base = sum(fields(minima))
+                gain = base - vals[j]
+                last_seat(j + 1, prefix + (pool[j],), children[j], vals, gain)
 
     if objective is Objective.MINIMAX:
         add, over, over_suffix = flags(limit)
-        extend_minimax(0, (), packing.top)
+        extend_minimax()
     elif k == 1:
         last_seat(0, (), packing.top, [0] * end, 0)  # no bound but 0
     else:
-        extend_sum(0, (), packing.top)
+        extend_sum()
 
 
 def solve_subset_enum(

@@ -492,17 +492,6 @@ class TestSolve:
         assert code == 0
         assert "all checks passed" in out
 
-    def test_recursion_error_exits_3(self, write, capsys, monkeypatch):
-        def too_deep(instance, budget):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(solving, "solve_subset_enum", too_deep)
-        path = write("f.elect", FIG1)
-        code, out, err = run_cli(capsys, "solve", path, "--solver", "subset-enum")
-        assert (code, out) == (3, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("recursion limit exceeded:")
-
     def test_partition_enum_at_a_raised_cap_ends_on_the_clock(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -1,20 +1,23 @@
-"""No code in the package recurses as deep as an instance is large.
+"""No code in the package recurses.
 
 The generator searches write their nodes as generators and leave them to
-`solvers.run_nodes`, which keeps the open ones on a list; only the committee
-walk's two extenders call themselves, k levels deep.
+`solvers.run_nodes`, and the committee walk keeps its frames on a list, so
+no search is as deep on the call stack as its instance is large.  The check
+reads each module's call graph by name: a function that reaches itself
+through any chain of calls, a pair of helpers calling each other included,
+fails it.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import proprep
 
 SOURCE = Path(proprep.__file__).parent
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-BOUNDED = {"extend_minimax", "extend_sum"}  # depth k
 
 
 def own_calls(scope: ast.AST):
@@ -39,19 +42,53 @@ def calls_by_function():
                     yield f"{path.name}:{call.lineno}", name, call
 
 
-def test_only_the_committee_walk_calls_itself():
-    recursive = []
+def called_name(call: ast.Call):
+    """The name a call reaches: a plain name, or a method of self or cls."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.attr if func.value.id in ("self", "cls") else None
+    return None
+
+
+def on_cycles(graph: dict[str, set[str]]) -> list[str]:
+    """The names that reach themselves in `graph`, a call graph by name."""
+    cyclic = []
+    for name in sorted(graph):
+        seen, todo = set(), list(graph[name])
+        while todo and name not in seen:
+            callee = todo.pop()
+            if callee not in seen:
+                seen.add(callee)
+                todo.extend(graph.get(callee, ()))
+        if name in seen:
+            cyclic.append(name)
+    return cyclic
+
+
+def test_nothing_recurses():
+    graphs: dict[str, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
     for where, name, call in calls_by_function():
-        func = call.func
-        if isinstance(func, ast.Name):
-            called = func.id
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            called = func.attr if func.value.id in ("self", "cls") else None
-        else:
-            called = None
-        if called == name and name not in BOUNDED:
-            recursive.append(f"{where} {name}")
+        called = called_name(call)
+        if called is not None:
+            graphs[where.split(":")[0]][name].add(called)
+    recursive = []
+    for module, graph in sorted(graphs.items()):
+        cyclic = on_cycles(graph)
+        if cyclic:
+            recursive.append(f"{module}: {', '.join(cyclic)}")
     assert recursive == []
+
+
+def test_a_pair_calling_each_other_is_a_cycle():
+    graph = {
+        "again": {"again"},
+        "main": {"again", "ping"},
+        "ping": {"pong"},
+        "pong": {"ping", "leaf"},
+    }
+    assert on_cycles(graph) == ["again", "ping", "pong"]
 
 
 def test_only_run_nodes_advances_a_search_node():

@@ -594,6 +594,29 @@ class TestSubsetEnum:
         solve_subset_enum(instance)
         assert 0 < len(steps) < math.comb(20, 10) / 5
 
+    @pytest.mark.parametrize("objective", ["sum", "minimax"])
+    def test_answers_300_seats_without_recursion(self, tmp_path, capsys, objective):
+        # The walk's frames go one seat deep each, 300 here; they wait on a
+        # list, not on the call stack.
+        path, solution = tmp_path / "deep.elect", tmp_path / "deep.sol"
+        assert main([
+            "gen", "random", "--m", "301", "--n", "301", "--k", "300", "--rule", "cc",
+            "--objective", objective, "--seed", "1", "--out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            code = main([
+                "solve", str(path), "--solver", "subset-enum",
+                "--budget-subset-candidates", "400",
+            ])
+        finally:
+            sys.setrecursionlimit(limit)
+        solution.write_text(capsys.readouterr().out)
+        assert code == 0
+        assert main(["verify", str(path), str(solution)]) == 0
+
 
 @st.composite
 def walk_tables(draw):
