@@ -33,7 +33,6 @@ from .core import (
     ApprovalMisrep,
     BordaMisrep,
     BudgetExceededError,
-    Election,
     Objective,
     ProblemInstance,
     Rule,
@@ -57,7 +56,7 @@ from .hardness import (
     gen_rx3c_monroe,
     gen_vc_minimax,
 )
-from .single_peaked import detect_axis, sample_single_peaked_votes
+from .single_peaked import detect_axis, sample_single_peaked_election
 from .solvers import DEFAULT_BUDGET, SolverBudget
 
 
@@ -206,8 +205,7 @@ def _gen_profile(args: argparse.Namespace) -> ProblemInstance:
     if args.family == "random":
         election = random_election(rng, args.m, args.n)
     else:
-        votes, _ = sample_single_peaked_votes(rng, args.m, args.n)
-        election = Election(tuple(f"c{i + 1}" for i in range(args.m)), votes)
+        election, _ = sample_single_peaked_election(rng, args.m, args.n)
     misrep = args.misrep or "borda"
     if misrep == "borda":
         matrix = build_misrep(election, BordaMisrep())

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from operator import ge, itemgetter, le, neg
 from typing import Optional, Sequence
@@ -38,13 +37,6 @@ from .core import (
     shared,
 )
 from .solvers import DEFAULT_BUDGET, SolverBudget
-
-
-@dataclass
-class DPStats:
-    """Mutable counter for the table-filling work of `solve_cc_sum_sp`."""
-
-    cell_updates: int = 0
 
 
 def detect_axis(
@@ -236,9 +228,7 @@ def check_single_troughed(matrix: MisrepMatrix, axis: Sequence[int]) -> bool:
 
 
 def axis_savings(
-    rows: AxisRows,
-    stats: Optional[DPStats] = None,
-    budget: SolverBudget = DEFAULT_BUDGET,
+    rows: AxisRows, budget: SolverBudget = DEFAULT_BUDGET
 ) -> tuple[list[int], list[list[int]]]:
     """Column totals and savings of a single-troughed table read along an axis.
 
@@ -258,9 +248,7 @@ def axis_savings(
       first position with a_v[p] <= a_v[i].  The cut only moves left as i
       grows, so each voter's cut moves at most t_v times in all.
 
-    `stats` counts the table entries read, the cut moves, the cut entries
-    and the saving entries.  The budget's clock is checked once per sweep
-    step.
+    The budget's clock is checked once per sweep step.
     """
     m = rows.matrix.m
     by_trough: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
@@ -275,7 +263,6 @@ def axis_savings(
     totals = [
         sum(column) for column in zip(*(sums for sums in trough_sums if sums))
     ]
-    work = rows.matrix.n * m
 
     # ahead[c]: column c summed over the voters with trough >= i.
     # crossing[p]: a_v[p] summed over the voters with trough < i and p < q_v(i).
@@ -303,29 +290,22 @@ def axis_savings(
             while q and values[q - 1] <= x:
                 q -= 1
                 crossing[q] -= values[q]
-                work += 1
             if q:
                 cut[q] += x
                 entry[1] = q
                 kept.append(entry)
         active = kept
-        work += len(kept) + i
         row = [0] * i
         beyond, base = 0, ahead[i]
         for p in range(i - 1, -1, -1):
             beyond += cut[p + 1]
             row[p] = ahead[p] - base + crossing[p] - beyond
         saving.append(row)
-    if stats is not None:
-        stats.cell_updates += work
     return totals, saving
 
 
 def solve_cc_sum_sp(
-    instance: ProblemInstance,
-    rows: AxisRows,
-    stats: Optional[DPStats] = None,
-    budget: SolverBudget = DEFAULT_BUDGET,
+    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Solution:
     """Optimal sum-objective committee for the unconstrained rule on an axis.
 
@@ -335,22 +315,21 @@ def solve_cc_sum_sp(
     the right of a committee whose rightmost choice is p improves exactly
     the voters whose values fall from p to i, by saving[i][p]
     (`axis_savings`); on a single-troughed table no member left of p serves
-    them better.  The savings take O(nm + m^2) and the table O(k m^2);
-    `stats` counts both.  The budget's clock is checked once per sweep step
-    of the savings and once per column j of the table, so the solve stops
-    with `BudgetExceededError` about one column past ``max_seconds``.
+    them better.  The savings take O(nm + m^2) and the table O(k m^2).  The
+    budget's clock is checked once per sweep step of the savings and once
+    per column j of the table, so the solve stops with `BudgetExceededError`
+    about one column past ``max_seconds``.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.SUM:
         raise ValueError("this solver handles the unconstrained rule, sum objective")
     m, k = instance.matrix.m, instance.k
-    totals, saving = axis_savings(rows, stats, budget)
+    totals, saving = axis_savings(rows, budget)
 
     unset = None
     z = [[unset] * (k + 1) for _ in range(m)]
     parent = [[-1] * (k + 1) for _ in range(m)]
     for i in range(m):
         z[i][1] = totals[i]
-    work = 0
     for j in range(2, k + 1):
         budget.check()
         for i in range(j - 1, m):
@@ -360,11 +339,8 @@ def solve_cc_sum_sp(
                 value = z[p][j - 1] - gains[p]
                 if best is unset or value < best:
                     best, best_p = value, p
-            work += i - j + 2
             z[i][j] = best
             parent[i][j] = best_p
-    if stats is not None:
-        stats.cell_updates += work
 
     final = min(range(k - 1, m), key=lambda i: (z[i][k], i))
     positions = [final]
@@ -429,17 +405,8 @@ def sample_single_peaked_election(
 
     Votes grow outward from a random peak on a random axis, appending the
     nearer unused neighbor on a coin flip, which reaches every compatible
-    ranking.
+    ranking.  Candidates are named ``c1..cm``, as in `random_election`.
     """
-    votes, axis = sample_single_peaked_votes(rng, num_candidates, num_voters)
-    names = tuple(f"c{i}" for i in range(num_candidates))
-    return Election(names, votes), axis
-
-
-def sample_single_peaked_votes(
-    rng: random.Random, num_candidates: int, num_voters: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The votes and axis of `sample_single_peaked_election`, same draws."""
     if num_candidates < 1 or num_voters < 1:
         raise ValueError("need at least one candidate and one voter")
     axis = list(range(num_candidates))
@@ -463,4 +430,5 @@ def sample_single_peaked_votes(
                 order.append(axis[left])
                 left -= 1
         votes.append(tuple(order))
-    return tuple(votes), tuple(axis)
+    names = tuple(f"c{i + 1}" for i in range(num_candidates))
+    return Election(names, tuple(votes)), tuple(axis)

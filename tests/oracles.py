@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import inspect
 import itertools
+import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from proprep import solvers
-from proprep.core import BudgetExceededError, balanced_loads
+from proprep import single_peaked, solvers
+from proprep.core import BudgetExceededError, ProblemInstance, balanced_loads
 from proprep.hardness import HittingSetInstance, RX3CInstance
 from proprep.stabbing import StabbingInstance
 
@@ -89,6 +91,67 @@ def count_leaves() -> Iterator[list]:
         yield leaves
     finally:
         solvers.run_nodes = real
+
+
+@contextlib.contextmanager
+def count_lines(
+    functions: Sequence[Callable], statements: Sequence[str]
+) -> Iterator[dict[str, int]]:
+    """Count how often each statement runs inside the block.
+
+    Each statement must be the stripped text of exactly one source line of
+    the functions, so a rewrite that drops or changes a counted line fails
+    here instead of counting 0.  Inside the block a `sys.settrace` tracer
+    follows only the functions' own frames (not nested code such as
+    lambdas), and the previous tracer is restored afterwards.  The dict
+    maps each statement to its count.
+    """
+    lines = {}
+    for statement in statements:
+        found = [
+            (function.__code__, function.__code__.co_firstlineno + offset)
+            for function in functions
+            for offset, line in enumerate(inspect.getsource(function).splitlines())
+            if line.strip() == statement
+        ]
+        assert len(found) == 1, f"{statement!r} is on {len(found)} source lines"
+        lines[found[0]] = statement
+    codes = {code for code, _ in lines}
+    counts = dict.fromkeys(statements, 0)
+
+    def local(frame, event, _):
+        if event == "line" and (frame.f_code, frame.f_lineno) in lines:
+            counts[lines[frame.f_code, frame.f_lineno]] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, *_: local if frame.f_code in codes else None)
+    try:
+        yield counts
+    finally:
+        sys.settrace(previous)
+
+
+# The steps of `single_peaked.solve_cc_sum_sp` beyond reading the table: the
+# sweep's cut moves, cut entries and saving entries, and the DP transitions.
+SP_DP_STEPS = (
+    "crossing[q] -= values[q]",
+    "kept.append(entry)",
+    "row[p] = ahead[p] - base + crossing[p] - beyond",
+    "value = z[p][j - 1] - gains[p]",
+)
+
+
+def sp_dp_work(instance: ProblemInstance, axis: Sequence[int]) -> int:
+    """The work of an sp-dp solve on an axis: n m table reads plus its steps.
+
+    The savings sweep takes O(nm + m^2) of it and the table O(k m^2).
+    """
+    functions = (single_peaked.axis_savings, single_peaked.solve_cc_sum_sp)
+    with count_lines(functions, SP_DP_STEPS) as counts:
+        rows = single_peaked.AxisRows(instance.matrix, axis)
+        single_peaked.solve_cc_sum_sp(instance, rows)
+    return instance.matrix.n * instance.matrix.m + sum(counts.values())
 
 
 def cheapest_seating(

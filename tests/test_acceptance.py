@@ -19,6 +19,7 @@ from oracles import (
     brute_force_stabbing,
     brute_hitting_set,
     count_leaves,
+    sp_dp_work,
 )
 from proprep.core import (
     ApprovalMisrep,
@@ -42,7 +43,6 @@ from proprep.hardness import (
 )
 from proprep.single_peaked import (
     AxisRows,
-    DPStats,
     check_single_troughed,
     detect_axis,
     sample_single_peaked_election,
@@ -188,10 +188,9 @@ def test_criterion_2_single_peaked_sum_dp():
         instance = ProblemInstance(
             election, matrix, Rule.CC, Objective.SUM, k, 0
         )
-        stats = DPStats()
-        solution = solve_cc_sum_sp(instance, AxisRows(matrix, axis), stats)
+        solution = solve_cc_sum_sp(instance, AxisRows(matrix, axis))
         assert solution.objective_value == solve_subset_enum(instance).objective_value
-        assert stats.cell_updates <= 2 * num_voters * num_candidates**2
+        assert sp_dp_work(instance, axis) <= 2 * num_voters * num_candidates**2
 
 
 @criterion(3, "the balanced stabbing dp equals brute force on 500 random "

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_under_tail, instance_for, ranked, time_limit
-from oracles import check_compatible, first_axis_by_search
+from oracles import check_compatible, count_lines, first_axis_by_search, sp_dp_work
 from proprep import solvers, solving
 from proprep.cli import main
 from proprep.core import (
@@ -30,7 +30,6 @@ from proprep.core import (
 from proprep.fileio import parse_instance
 from proprep.single_peaked import (
     AxisRows,
-    DPStats,
     _scan_interval,
     axis_savings,
     check_single_troughed,
@@ -542,17 +541,29 @@ class TestSumDP:
             election, axis = sample_single_peaked_election(rng, m, n)
             k = rng.randrange(1, min(m, n) + 1)
             instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
-            stats = DPStats()
-            solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis), stats=stats)
-            assert stats.cell_updates <= 2 * n * m + k * m * m
+            assert sp_dp_work(instance, axis) <= 2 * n * m + k * m * m
 
     def test_table_work_grows_with_nm_not_nm_squared(self):
         m, n, k = 40, 200, 4
         election, axis = sample_single_peaked_election(random.Random(139), m, n)
         instance = instance_for(election, Rule.CC, Objective.SUM, k=k)
-        stats = DPStats()
-        solve_cc_sum_sp(instance, AxisRows(instance.matrix, axis), stats=stats)
-        assert stats.cell_updates <= 2 * n * m + k * m * m  # 22 400; n m^2 is 320 000
+        # The bound is 22 400; n m^2 is 320 000.
+        assert sp_dp_work(instance, axis) <= 2 * n * m + k * m * m
+
+    def test_counted_steps_must_each_be_one_source_line(self):
+        # A rewrite that rewords a counted line, or copies it, fails the
+        # count instead of reading 0; the tracer before the count stays.
+        functions = (axis_savings, solve_cc_sum_sp)
+        with pytest.raises(AssertionError, match=r"'crossing\[q\] -= value' is on 0"):
+            with count_lines(functions, ["crossing[q] -= value"]):
+                pass
+        with pytest.raises(AssertionError, match=r"'budget.check\(\)' is on 2"):
+            with count_lines(functions, ["budget.check()"]):
+                pass
+        previous = sys.gettrace()
+        with count_lines(functions, ["kept.append(entry)"]) as counts:
+            axis_savings(AxisRows(MisrepMatrix(((2, 0, 1),)), (0, 1, 2)))
+        assert counts == {"kept.append(entry)": 1} and sys.gettrace() is previous
 
     @settings(max_examples=300, deadline=None)
     @given(axis_tables())
