@@ -71,8 +71,6 @@ def detect_axis(
     whose first candidate has the smaller index is returned.
     """
     m = election.m
-    if m == 1:
-        return (0,)
     peel = [vote[::-1] for vote in distinct(election.votes)]
     n = len(peel)
     slot_of = [-1] * m
@@ -354,7 +352,7 @@ def solve_cc_sum_sp(
 
 
 def solve_cc_minimax_sp(
-    instance: ProblemInstance, rows: AxisRows
+    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget = DEFAULT_BUDGET
 ) -> Optional[Solution]:
     """Minimax decision for the unconstrained rule on an axis.
 
@@ -371,9 +369,11 @@ def solve_cc_minimax_sp(
     matrix is not checked for single-troughedness as a whole; a voter whose
     accepted positions have a gap raises `ValueError`.  Voters are read in
     index order, so the first voter with no interval or with a gap decides.
+    The budget's clock is read once, before the sweep.
     """
     if instance.rule is not Rule.CC or instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the unconstrained rule, minimax objective")
+    budget.check()
     matrix, k, bound = instance.matrix, instance.k, instance.bound
     m = matrix.m
     # The sweep over intervals sorted by right end stabs at r exactly when

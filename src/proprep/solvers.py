@@ -795,12 +795,15 @@ def m_mw_rk_decider(
     return decide
 
 
-def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:
+def solve_minimax_R0(
+    instance: ProblemInstance, budget: SolverBudget = DEFAULT_BUDGET
+) -> Optional[Solution]:
     """Minimax decision at bound zero: every voter must get a zero-cost winner.
 
     A minimax value of 0 is a sum value of 0, so with exactly one zero per
     voter this is the constant-bound sum decision at bound zero, which pins
-    every voter to their top and checks the forced winners.
+    every voter to their top and checks the forced winners.  It runs on
+    `budget`, whose clock the constant-bound solver reads.
     """
     if instance.objective is not Objective.MINIMAX:
         raise ValueError("this solver handles the minimax objective")
@@ -809,4 +812,4 @@ def solve_minimax_R0(instance: ProblemInstance) -> Optional[Solution]:
     for v, row in enumerate(instance.matrix.rows):
         if row.count(0) != 1:
             raise ValueError(f"voter {v}: exactly one zero-cost candidate required")
-    return solve_constantR(replace(instance, objective=Objective.SUM))
+    return solve_constantR(replace(instance, objective=Objective.SUM), budget)

@@ -4,8 +4,9 @@
 `AUTO_ORDER`, except that committee enumeration runs ahead of a solver
 whose estimated cost is higher than its own; `bench_roster` lists
 ``auto`` and the entries marked for bench that apply; `optimize` runs one
-at the worst bound.  Decision procedures share one bound search,
-`search_bound`.
+at the worst bound.  Each entry's ``solve`` answers at the instance bound,
+and every run goes through `SolverSpec.run`, which turns an answer above
+it into None.  Decision procedures share one bound search, `search_bound`.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ from .solvers import (
     solve_subset_enum,
 )
 from .stabbing import solve_minimax_m_mw_sp, solve_monroe_sum_sp
-
-
-def _within_bound(solution: Solution, bound: int) -> Optional[Solution]:
-    return solution if solution.objective_value <= bound else None
 
 
 def search_bound(
@@ -97,22 +94,33 @@ class SolverSpec:
     """One named solver: when it suits an instance, and how to run it.
 
     ``applies`` returns None when the solver suits the instance within the
-    budget, or else the reason it does not.  ``run`` gets the instance's
-    `AxisRows` (`axis_rows`), which only the sp-* solvers, marked ``axis``,
-    read.  It returns the best solution within the instance bound, or None,
-    and raises ``ValueError`` when the solver cannot handle the instance.
-    Runs look their solver functions up on this module when called, so a
-    wrapper installed there sees every call.  ``cost``, where set, estimates
-    the run's work on an instance it suits, in units comparable across the
-    solvers that have one; ``auto`` reads it to order them.
+    budget, or else the reason it does not.  ``solve`` answers at the
+    instance bound, with an optimum or by `search_bound`, or raises
+    ``ValueError`` when the solver cannot handle the instance; it gets the
+    instance's `AxisRows` (`axis_rows`), which only the sp-* solvers, marked
+    ``axis``, read.  `run` calls it and turns an answer above the bound into
+    None.  Each ``solve`` looks its solver function up on this module when
+    called, so a wrapper installed there sees every call.  ``cost``, where
+    set, estimates the run's work on an instance it suits, in units
+    comparable across the solvers that have one; ``auto`` reads it to order
+    them.
     """
 
     name: str
     applies: Applies
-    run: Run
+    solve: Run
     bench: bool = False
     axis: bool = False
     cost: Optional[Cost] = None
+
+    def run(
+        self, instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
+    ) -> Optional[Solution]:
+        """``solve``'s answer, or None when it lies above the instance bound."""
+        solution = self.solve(instance, rows, budget)
+        if solution is not None and solution.objective_value > instance.bound:
+            return None
+        return solution
 
     def why_not(
         self, instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
@@ -206,65 +214,11 @@ def _sp_stab_cost(instance: ProblemInstance) -> int:
     return n if untabled else n + n * n * m * m * k
 
 
-def _run_subset_enum(
-    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
-) -> Optional[Solution]:
-    return _within_bound(solve_subset_enum(instance, budget), instance.bound)
-
-
-def _run_partition_enum(
-    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
-) -> Optional[Solution]:
-    return _within_bound(solve_partition_enum(instance, budget), instance.bound)
-
-
-def _run_branch_rk(
-    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
-) -> Optional[Solution]:
-    return search_bound(instance, lambda probed: solve_cc_branch_rk(probed, budget))
-
-
-def _run_constant_r(
-    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
-) -> Optional[Solution]:
-    return search_bound(instance, lambda probed: solve_constantR(probed, budget))
-
-
-def _run_monroe_rk(
-    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
-) -> Optional[Solution]:
-    return search_bound(instance, m_mw_rk_decider(budget))
-
-
-def _run_minimax_r0(
-    instance: ProblemInstance, rows: Optional[AxisRows], budget: SolverBudget
-) -> Optional[Solution]:
-    return solve_minimax_R0(instance)
-
-
-def _run_sp_dp(
-    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
-) -> Optional[Solution]:
-    solution = solve_cc_sum_sp(instance, rows, budget=budget)
-    return _within_bound(solution, instance.bound)
-
-
-def _run_sp_greedy(
-    instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
-) -> Optional[Solution]:
-    def probe(probed: ProblemInstance) -> Optional[Solution]:
-        budget.check()
-        return solve_cc_minimax_sp(probed, rows)
-
-    return search_bound(instance, probe)
-
-
 def _run_sp_stab(
     instance: ProblemInstance, rows: AxisRows, budget: SolverBudget
 ) -> Optional[Solution]:
     if instance.objective is Objective.SUM:
-        solution = solve_monroe_sum_sp(instance, rows, budget)
-        return _within_bound(solution, instance.bound)
+        return solve_monroe_sum_sp(instance, rows, budget)
     return search_bound(
         instance, lambda probed: solve_minimax_m_mw_sp(probed, rows, budget)
     )
@@ -276,24 +230,55 @@ SOLVERS = {
         SolverSpec(
             "subset-enum",
             _subset_enum_applies,
-            _run_subset_enum,
+            lambda instance, rows, budget: solve_subset_enum(instance, budget),
             bench=True,
             cost=_subset_enum_cost,
         ),
         SolverSpec(
-            "partition-enum", _partition_enum_applies, _run_partition_enum, bench=True
+            "partition-enum",
+            _partition_enum_applies,
+            lambda instance, rows, budget: solve_partition_enum(instance, budget),
+            bench=True,
         ),
-        SolverSpec("branch-rk", _needs(Rule.CC), _run_branch_rk),
-        SolverSpec("constant-r", _constant_r_applies, _run_constant_r),
-        SolverSpec("monroe-rk", _needs(Rule.MONROE), _run_monroe_rk),
-        SolverSpec("minimax-r0", _minimax_r0_applies, _run_minimax_r0),
         SolverSpec(
-            "sp-dp", _needs(Rule.CC, Objective.SUM), _run_sp_dp, bench=True, axis=True
+            "branch-rk",
+            _needs(Rule.CC),
+            lambda instance, rows, budget: search_bound(
+                instance, lambda probed: solve_cc_branch_rk(probed, budget)
+            ),
+        ),
+        SolverSpec(
+            "constant-r",
+            _constant_r_applies,
+            lambda instance, rows, budget: search_bound(
+                instance, lambda probed: solve_constantR(probed, budget)
+            ),
+        ),
+        SolverSpec(
+            "monroe-rk",
+            _needs(Rule.MONROE),
+            lambda instance, rows, budget: search_bound(
+                instance, m_mw_rk_decider(budget)
+            ),
+        ),
+        SolverSpec(
+            "minimax-r0",
+            _minimax_r0_applies,
+            lambda instance, rows, budget: solve_minimax_R0(instance, budget),
+        ),
+        SolverSpec(
+            "sp-dp",
+            _needs(Rule.CC, Objective.SUM),
+            lambda instance, rows, budget: solve_cc_sum_sp(instance, rows, budget),
+            bench=True,
+            axis=True,
         ),
         SolverSpec(
             "sp-greedy",
             _needs(Rule.CC, Objective.MINIMAX),
-            _run_sp_greedy,
+            lambda instance, rows, budget: search_bound(
+                instance, lambda probed: solve_cc_minimax_sp(probed, rows, budget)
+            ),
             bench=True,
             axis=True,
         ),

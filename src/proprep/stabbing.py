@@ -424,8 +424,6 @@ def solve_max_bal_1rs(
     may be before this call.
     """
     intervals = instance.intervals
-    if not intervals:
-        return 0, StabbingCover(())
     if intervals.count((1, instance.num_lines)) == len(intervals):
         # The capacities sum to num_targets >= n, so every interval is covered.
         budget.check()

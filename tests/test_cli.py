@@ -492,6 +492,29 @@ class TestSolve:
         assert code == 0
         assert "all checks passed" in out
 
+    def test_zero_seconds_stop_minimax_r0(self, tmp_path, capsys, monkeypatch):
+        # Three Borda voters with three seats always meet bound 0, so only
+        # the clock can stop the solve.  Each read of the patched clock is
+        # 1 s later.
+        path = str(tmp_path / "r0.elect")
+        assert main([
+            "gen", "random", "--m", "25", "--n", "3", "--k", "3",
+            "--objective", "minimax", "--bound", "0", "--seed", "1",
+            "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        assert run_cli(capsys, "solve", path, "--solver", "minimax-r0")[0] == 0
+        reads = []
+        clock = SimpleNamespace(monotonic=lambda: reads.append(1) or len(reads))
+        monkeypatch.setattr(solvers, "time", clock)
+        code, out, err = run_cli(
+            capsys, "solve", path, "--solver", "minimax-r0", "--budget-seconds", "0"
+        )
+        assert (code, out) == (3, "")
+        lines = err.splitlines()
+        assert lines[0] == "budget exceeded: wall-clock budget exhausted"
+        assert sum(line.startswith("budget exceeded:") for line in lines) == 1
+
     def test_partition_enum_at_a_raised_cap_ends_on_the_clock(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -1222,6 +1245,49 @@ class TestSolverTable:
         assert len(probes) > 1
         assert len(calls) == 0
 
+    # A small `gen` file that each row suits and answers with a solution.
+    ANSWERED = {
+        "subset-enum": ["random", "--m", "5", "--n", "4", "--k", "2"],
+        "partition-enum": [
+            "random", "--m", "4", "--n", "6", "--k", "2", "--rule", "monroe",
+        ],
+        "branch-rk": ["random", "--m", "5", "--n", "4", "--k", "2"],
+        # Four seats hold every voter's top, so the probe at bound 0 answers.
+        "constant-r": ["random", "--m", "5", "--n", "4", "--k", "4", "--bound", "3"],
+        "monroe-rk": ["random", "--m", "4", "--n", "6", "--k", "2", "--rule", "monroe"],
+        "minimax-r0": [
+            "random", "--m", "5", "--n", "3", "--k", "3",
+            "--objective", "minimax", "--bound", "0",
+        ],
+        "sp-dp": ["single-peaked", "--m", "6", "--n", "10", "--k", "2"],
+        "sp-greedy": [
+            "single-peaked", "--m", "6", "--n", "10", "--k", "2", "--objective", "minimax",
+        ],
+        "sp-stab": [
+            "single-peaked", "--m", "6", "--n", "12", "--k", "2",
+            "--rule", "monroe", "--misrep", "approval",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_every_solver_stops_once_its_budget_runs_out(
+        self, capsys, monkeypatch, name
+    ):
+        code, text, _ = run_cli(capsys, "gen", *self.ANSWERED[name], "--seed", "1")
+        assert code == 0
+        instance = parse_instance(text)
+        spec = SOLVERS[name]
+        axis = single_peaked.detect_axis(instance.election) if spec.axis else None
+        rows = solving.axis_rows(instance, axis)
+        clock = [100.0]
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        budget = solvers.SolverBudget(max_seconds=1.0)
+        assert spec.why_not(instance, rows, budget) is None
+        assert spec.run(instance, rows, budget) is not None
+        clock[0] = 102.0
+        with pytest.raises(BudgetExceededError, match="wall-clock budget exhausted"):
+            spec.run(instance, rows, budget)
+
     def test_sp_greedy_reads_the_rows_once_per_search(self, capsys, monkeypatch):
         code, text, _ = run_cli(
             capsys, "gen", "single-peaked", "--m", "8", "--n", "30", "--k", "2",
@@ -1235,7 +1301,7 @@ class TestSolverTable:
         _, solution = solving.solve(instance, "sp-greedy")
         assert solution is not None
         assert len(probes) > 1 and len(reads) == 1
-        assert all(rows is probes[0][1] for _, rows in probes)
+        assert all(args[1] is probes[0][1] for args in probes)
         # Once per distinct row object, and the generated profile repeats rows.
         distinct_rows = len({id(row) for row in instance.matrix.rows})
         assert len(troughs) == distinct_rows < instance.matrix.n
